@@ -194,6 +194,11 @@ def critical_mass(chi: float, alpha: float, xi: float, gamma: float) -> float | 
 # ---------------------------------------------------------------------------
 
 
+# Test-family defaults shared by the public estimators and compute_bounds.
+_FAMILY_SEED = 2024
+_FAMILY_RANDOM = 24
+
+
 def _test_family(dom: DomainSpec, seed: int, n_random: int) -> list[np.ndarray]:
     """Cosine modes, off-center and corner bumps, and seeded smooth random
     fields. Definitions depend only on physical coordinates, so the family is
@@ -234,7 +239,9 @@ def _low_norm(values: np.ndarray, dom: DomainSpec, q: float) -> float:
     return total ** (1.0 / q)
 
 
-def estimate_gn_constant(dom: DomainSpec, p: float, n_random: int = 24, seed: int = 2024) -> float:
+def estimate_gn_constant(
+    dom: DomainSpec, p: float, n_random: int = _FAMILY_RANDOM, seed: int = _FAMILY_SEED
+) -> float:
     """Lower estimate of the best constant C in
 
         ||f||_2 <= C ( ||grad f||_2^theta ||f||_{2/p}^{1-theta} + ||f||_{2/p} )
@@ -244,11 +251,15 @@ def estimate_gn_constant(dom: DomainSpec, p: float, n_random: int = 24, seed: in
     family is enlarged.
     """
     p = _require("p", p, above=1.0)
+    return _gn_over_family(_test_family(dom, seed, n_random), dom, p)
+
+
+def _gn_over_family(family: list[np.ndarray], dom: DomainSpec, p: float) -> float:
     theta = interpolation_exponent(p, 2)
     q = 2.0 / p
     h = dom.h
     best = 0.0
-    for values in _test_family(dom, seed, n_random):
+    for values in family:
         l2 = math.sqrt(float((values * values).sum()) * h * h)
         ge = math.sqrt(grad_energy(Field(values, dom)))
         low = _low_norm(values, dom, q)
@@ -259,7 +270,7 @@ def estimate_gn_constant(dom: DomainSpec, p: float, n_random: int = 24, seed: in
 
 
 def estimate_ehrling_constant(
-    dom: DomainSpec, eta: float, p: float, n_random: int = 24, seed: int = 2024
+    dom: DomainSpec, eta: float, p: float, n_random: int = _FAMILY_RANDOM, seed: int = _FAMILY_SEED
 ) -> float:
     """Least c (over the test family) making
 
@@ -272,10 +283,14 @@ def estimate_ehrling_constant(
     eta = float(eta)
     if not (0.0 < eta < 0.5):
         raise EtaOutOfRange(f"estimator defined for eta in (0, 1/2), got {eta}")
+    return _ehrling_over_family(_test_family(dom, seed, n_random), dom, eta, p)
+
+
+def _ehrling_over_family(family: list[np.ndarray], dom: DomainSpec, eta: float, p: float) -> float:
     q = 2.0 / (p + 1.0)
     h = dom.h
     best = 0.0
-    for values in _test_family(dom, seed, n_random):
+    for values in family:
         l2_sq = float((values * values).sum()) * h * h
         ge_sq = grad_energy(Field(values, dom))
         low = _low_norm(values, dom, q)
@@ -354,8 +369,9 @@ def compute_bounds(
     """Assemble every constant of the energy inequality into one report.
 
     The GN and Ehrling constants are estimated on `dom` unless supplied;
-    estimation requires n == 2 since the grid is two dimensional. `volume`
-    defaults to the domain volume.
+    estimation requires n == 2 since the grid is two dimensional. Both
+    estimates maximize over the same default test family, built once here.
+    `volume` defaults to the domain volume.
     """
     validate_params(params)
     p = _require("p", p, above=1.0)
@@ -369,15 +385,19 @@ def compute_bounds(
     theta = interpolation_exponent(p, n)
     c1 = sublinear_production_bound(p, params.rho, params.alpha, params.chi, params.gamma, params.xi, volume)
     eta = ehrling_eta(p, params.gamma, params.xi, params.delta)
+    family = None
     if ce is None:
         if dom is None or n != 2:
             raise DomainError("Ehrling estimation needs a 2D domain; supply ce for other n")
-        ce = estimate_ehrling_constant(dom, eta, p)
+        family = _test_family(dom, _FAMILY_SEED, _FAMILY_RANDOM)
+        ce = _ehrling_over_family(family, dom, eta, p)
     schedule = ehrling_schedule(p, params.gamma, params.xi, params.delta, ce)
     if cgn is None:
         if dom is None or n != 2:
             raise DomainError("GN estimation needs a 2D domain; supply cgn for other n")
-        cgn = estimate_gn_constant(dom, p)
+        if family is None:
+            family = _test_family(dom, _FAMILY_SEED, _FAMILY_RANDOM)
+        cgn = _gn_over_family(family, dom, p)
     c_star = gn_absorption_constant(p, n, m, cgn)
     cbar, total = combine_bounds(c1, schedule.c_tilde, m, p, c_star)
     crit = critical_mass(params.chi, params.alpha, params.xi, params.gamma)

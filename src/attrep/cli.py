@@ -72,7 +72,16 @@ def _resolve_bounds(cfg: ExperimentConfig, mass: float):
     )
 
 
+def _require_2d(cfg: ExperimentConfig) -> None:
+    """The stepper is two dimensional; a run must not silently ignore dim."""
+    if cfg.params.dim != 2:
+        raise ConfigError(
+            "params.dim", f"simulate and sweep support dim = 2 only, got {cfg.params.dim}"
+        )
+
+
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
+    _require_2d(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     u0, mass = build_initial_data(cfg.initial, cfg.domain)
@@ -195,6 +204,7 @@ def _sweep_point(raw: dict, axis: str, value, out_dir: str) -> dict:
     row = {"value": value, "prediction": "error", "observed": "error"}
     try:
         cfg = from_dict(set_sweep_value(raw, axis, value))
+        _require_2d(cfg)
         u0, mass = build_initial_data(cfg.initial, cfg.domain)
         regime = classify_regime(cfg.params, mass)
         row["prediction"] = regime.regime.value
@@ -260,6 +270,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     if not cfg.sweep_values:
         print("error: sweep.values is empty", file=sys.stderr)
         return EXIT_ERROR
+    _require_2d(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     workers = _workers_from_env(cfg.workers)

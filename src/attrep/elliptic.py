@@ -36,6 +36,18 @@ def _mode_eigenvalues(dom: DomainSpec) -> np.ndarray:
     return eig
 
 
+@lru_cache(maxsize=32)
+def _screened_denominators(dom: DomainSpec, kappa: float) -> np.ndarray:
+    """kappa + lambda_x(k) + lambda_y(l): the mode divisors of one screened solve.
+
+    The signal solves reuse the same two kappas every step, so the sum is
+    formed once per (domain, kappa) rather than once per solve.
+    """
+    denom = kappa + _mode_eigenvalues(dom)
+    denom.setflags(write=False)
+    return denom
+
+
 @dataclass(frozen=True)
 class HelmholtzProblem:
     source: Field
@@ -56,9 +68,9 @@ def solve_helmholtz(problem: HelmholtzProblem) -> Field:
     """
     require_finite(problem.source, "helmholtz source")
     dom = problem.source.domain
-    eig = _mode_eigenvalues(dom)
     coeffs = dctn(problem.source.values, type=2, norm="ortho")
-    phi = idctn(coeffs / (problem.kappa + eig), type=2, norm="ortho")
+    coeffs /= _screened_denominators(dom, problem.kappa)
+    phi = idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
     if not np.isfinite(phi).all():
         raise SolverDiverged("cosine-transform solve produced non-finite values")
     return Field(phi, dom)
@@ -73,9 +85,11 @@ def implicit_diffusion_step(field: Field, dt: float) -> Field:
     require_finite(field, "implicit diffusion input")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    eig = _mode_eigenvalues(field.domain)
+    denom = dt * _mode_eigenvalues(field.domain)
+    denom += 1.0
     coeffs = dctn(field.values, type=2, norm="ortho")
-    out = idctn(coeffs / (1.0 + dt * eig), type=2, norm="ortho")
+    coeffs /= denom
+    out = idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
     if not np.isfinite(out).all():
         raise SolverDiverged("implicit diffusion step produced non-finite values")
     return Field(out, field.domain)

@@ -125,11 +125,21 @@ def neumann_laplacian_apply(field: Field) -> Field:
 
 def write_field_csv(field: Field, path) -> None:
     """Snapshot format: header x,y,value then one row per cell, row-major in
-    (x, y), 17 significant digits."""
+    (x, y), 17 significant digits.
+
+    The bytes are those of np.savetxt(fmt="%.17g", delimiter=",") on the
+    (x, y, value) table. The file is streamed one x-row at a time: the
+    coordinate strings are formatted once, and each row's values go through
+    a single %-format, so no whole-file string is ever built.
+    """
     x, y = field.domain.cell_centers()
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    table = np.column_stack([xx.ravel(), yy.ravel(), field.values.ravel()])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="x,y,value", comments="")
+    # Joined with the row's x string in between, these pieces give
+    # "x,y0,%.17g\nx,y1,%.17g\n...": one format slot per value.
+    pieces = [""] + [",%.17g,%%.17g\n" % yj for yj in y.tolist()]
+    with open(path, "w") as fh:
+        fh.write("x,y,value\n")
+        for xi, row in zip(x.tolist(), field.values):
+            fh.write(("%.17g" % xi).join(pieces) % tuple(row.tolist()))
 
 
 def read_field_csv(path, dom: DomainSpec) -> Field:

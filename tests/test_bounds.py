@@ -25,6 +25,7 @@ from _oracles import (
     random_tuple_stream,
 )
 from attrep import DomainSpec, ModelParams, compute_bounds
+from attrep import bounds as bounds_module
 from attrep.bounds import (
     EhrlingSchedule,
     combine_bounds,
@@ -320,6 +321,19 @@ class TestComputeBounds:
         assert report.ce >= 1.0 - report.eta
         assert report.cgn == estimate_gn_constant(dom, 2.0)
         assert report.ce == estimate_ehrling_constant(dom, report.eta, 2.0)
+
+    def test_test_family_built_once(self, monkeypatch):
+        built = []
+        original = bounds_module._test_family
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bounds_module, "_test_family", counting)
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
+        compute_bounds(params, 1.0, 2.0, dom=DomainSpec((1.0, 1.0), (16, 16)))
+        assert len(built) == 1
 
     def test_linear_production_has_no_c1(self):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=1.0)

@@ -222,6 +222,15 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == EXIT_ERROR
         assert "params.rho" in capsys.readouterr().err
 
+    def test_dim_other_than_two_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, params={"dim": 3})
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        assert "params.dim" in capsys.readouterr().err
+        assert not out_dir.exists()
+        # the analytic commands still accept any dim >= 2
+        assert main(["classify", cfg]) == EXIT_OK
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -331,6 +340,15 @@ class TestSweep:
         cfg = write_config(tmp_path, sweep={"axis": "initial.mass", "values": []})
         assert main(["sweep", cfg]) == EXIT_ERROR
         assert "sweep.values is empty" in capsys.readouterr().err
+
+    def test_dim_other_than_two_rejected(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, params={"dim": 3}, sweep={"axis": "initial.mass", "values": [1.0]}
+        )
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        assert "params.dim" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sweep={"axis": "params.nope", "values": [1.0]})

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dctn, idctn
 
 from _oracles import dense_helmholtz_matrix
 from attrep import DomainSpec, Field, HelmholtzProblem, solve_helmholtz, solve_signals
-from attrep.elliptic import chemical_sources, implicit_diffusion_step
+from attrep.elliptic import _mode_eigenvalues, chemical_sources, implicit_diffusion_step
 from attrep.errors import NegativeDensity, NonFiniteField, NonPositiveKappa
 from attrep.grid import integrate, neumann_laplacian_apply
 
@@ -29,7 +30,26 @@ def mode_eigenvalue(dom, k, l):
     return (2.0 / h**2) * (2.0 - np.cos(np.pi * k / nx) - np.cos(np.pi * l / ny))
 
 
+def fresh_array_solve(values, dom, kappa):
+    """The transform solve with a fresh array per operation, kept as the
+    bitwise oracle for solve_helmholtz."""
+    coeffs = dctn(values, type=2, norm="ortho")
+    return idctn(coeffs / (kappa + _mode_eigenvalues(dom)), type=2, norm="ortho")
+
+
+ORACLE_GRIDS = [((1.0, 1.0), (16, 16)), ((1.0, 0.6), (5, 3)), ((1.0, 0.5), (2, 1)), ((0.25, 1.0), (1, 4))]
+
+
 class TestSolveHelmholtz:
+    @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
+    @pytest.mark.parametrize("kappa", [0.1, 1.0, 7.5])
+    def test_bits_match_fresh_array_solve(self, rng, lengths, cells, kappa):
+        dom = DomainSpec(lengths, cells)
+        for _ in range(3):
+            source = Field(rng.uniform(0.0, 2.0, size=cells), dom)
+            phi = solve_helmholtz(HelmholtzProblem(source, kappa))
+            assert phi.values.tobytes() == fresh_array_solve(source.values, dom, kappa).tobytes()
+
     def test_constant_source(self, unit_square_32):
         # kappa*phi - Lap(phi) = f with f constant has the constant solution f/kappa
         f = Field.full(unit_square_32, 2.0)
@@ -109,6 +129,16 @@ class TestSolveHelmholtz:
 
 
 class TestImplicitDiffusion:
+    @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
+    def test_bits_match_fresh_array_step(self, rng, lengths, cells):
+        dom = DomainSpec(lengths, cells)
+        for dt in (1e-4, 3.3e-3, 0.2):
+            field = Field(rng.uniform(0.0, 2.0, size=cells), dom)
+            eig = _mode_eigenvalues(dom)
+            coeffs = dctn(field.values, type=2, norm="ortho")
+            want = idctn(coeffs / (1.0 + dt * eig), type=2, norm="ortho")
+            assert implicit_diffusion_step(field, dt).values.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k,l", [(1, 0), (2, 2)])
     def test_mode_damped_by_resolvent(self, k, l):
         dom = DomainSpec((1.0, 1.0), (32, 32))

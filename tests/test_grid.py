@@ -34,6 +34,17 @@ def cosine_mode(dom, k, l, amplitude=1.0):
     )
 
 
+def savetxt_field_csv(field, path):
+    """The np.savetxt formulation of write_field_csv, kept as its byte oracle."""
+    x, y = field.domain.cell_centers()
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    table = np.column_stack([xx.ravel(), yy.ravel(), field.values.ravel()])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="x,y,value", comments="")
+
+
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e-300, 5e-324, -1.7976931348623157e308]
+
+
 def mode_eigenvalue(dom, k, l):
     h = dom.h
     nx, ny = dom.cells
@@ -208,6 +219,21 @@ class TestFieldCsv:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "x,y,value"
         assert len(lines) == 1 + 16
+
+    @pytest.mark.parametrize(
+        "lengths, cells",
+        [((0.6, 1.0), (3, 5)), ((2.0, 1.0), (2, 1)), ((0.25, 1.0), (1, 4)), ((1.0, 1.0), (64, 64))],
+    )
+    def test_bytes_match_savetxt(self, tmp_path, rng, lengths, cells):
+        dom = DomainSpec(lengths, cells)
+        values = rng.standard_normal(cells) * 10.0 ** rng.integers(-300, 300, size=cells)
+        flat = values.reshape(-1)
+        n = min(flat.size, len(SPECIAL_VALUES))
+        flat[rng.permutation(flat.size)[:n]] = SPECIAL_VALUES[:n]
+        field = Field(values, dom)
+        write_field_csv(field, tmp_path / "streamed.csv")
+        savetxt_field_csv(field, tmp_path / "savetxt.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
     def test_wrong_domain_rejected(self, tmp_path):
         dom = DomainSpec((1.0, 1.0), (8, 8))

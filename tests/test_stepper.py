@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from attrep import DomainSpec, Field, ModelParams
 from attrep.diagnostics import DiagnosticsConfig
+from attrep.elliptic import implicit_diffusion_step
 from attrep.errors import NonFiniteState
 from attrep.grid import integrate
 from attrep.stepper import (
     BLOWUP_FACTOR,
     SCHEMES,
+    FaceFluxes,
     SimState,
     Status,
     StepperConfig,
+    _flux_divergence,
     drift_potential,
     face_fluxes,
     initial_state,
@@ -50,6 +53,53 @@ def bump_field(dom, width=0.1, floor=1e-3):
 
 def no_drift_params(rho=0.5):
     return ModelParams(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0, chi=0.0, xi=0.0, rho=rho)
+
+
+def where_face_fluxes(u, phi, diffusion=True):
+    """The np.where formulation of face_fluxes, kept as its bitwise oracle."""
+    h = u.domain.h
+    uv = u.values
+    pv = phi.values
+    vx = (pv[1:, :] - pv[:-1, :]) / h
+    fx = -np.where(vx > 0.0, uv[:-1, :], uv[1:, :]) * vx
+    vy = (pv[:, 1:] - pv[:, :-1]) / h
+    fy = -np.where(vy > 0.0, uv[:, :-1], uv[:, 1:]) * vy
+    if diffusion:
+        fx = fx + (uv[1:, :] - uv[:-1, :]) / h
+        fy = fy + (uv[:, 1:] - uv[:, :-1]) / h
+    return FaceFluxes(fx, fy)
+
+
+def zeros_flux_divergence(fluxes, u):
+    """The np.zeros formulation of _flux_divergence, kept as its bitwise oracle."""
+    div = np.zeros(u.domain.cells)
+    div[:-1, :] += fluxes.fx
+    div[1:, :] -= fluxes.fx
+    div[:, :-1] += fluxes.fy
+    div[:, 1:] -= fluxes.fy
+    div /= u.domain.h
+    return div
+
+
+def assert_same_bits(actual, expected):
+    """Equal to the last bit, signed zeros and NaN payloads included."""
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+# Grids for the bitwise oracle checks, degenerate strips included.
+ORACLE_GRIDS = [((1.0, 1.0), (16, 16)), ((1.0, 0.6), (5, 3)), ((1.0, 0.5), (2, 1)), ((0.25, 1.0), (1, 4))]
+
+
+def oracle_inputs(dom, rng):
+    """A density with zeros and ties and a potential on three levels, so that
+    many faces have exactly zero drift (and zero diffusive flux)."""
+    u = rng.uniform(0.0, 2.0, size=dom.cells)
+    u[rng.random(dom.cells) < 0.2] = 0.0
+    u[rng.random(dom.cells) < 0.2] = 1.0
+    phi = rng.integers(0, 3, size=dom.cells) * 0.7
+    return Field(u, dom), Field(phi, dom)
 
 
 class TestStepperConfig:
@@ -106,6 +156,26 @@ class TestFaceFluxes:
         fluxes = face_fluxes(u, phi_down, diffusion=False)
         # drift velocity -1/h points left, donor is the right cell (u = 0)
         assert fluxes.fx[0, 0] == 0.0
+
+    @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
+    @pytest.mark.parametrize("diffusion", [True, False])
+    def test_bits_match_where_formulation(self, rng, lengths, cells, diffusion):
+        dom = DomainSpec(lengths, cells)
+        for _ in range(5):
+            u, phi = oracle_inputs(dom, rng)
+            got = face_fluxes(u, phi, diffusion=diffusion)
+            want = where_face_fluxes(u, phi, diffusion=diffusion)
+            assert_same_bits(got.fx, want.fx)
+            assert_same_bits(got.fy, want.fy)
+
+    @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
+    @pytest.mark.parametrize("diffusion", [True, False])
+    def test_divergence_bits_match_zeros_formulation(self, rng, lengths, cells, diffusion):
+        dom = DomainSpec(lengths, cells)
+        for _ in range(5):
+            u, phi = oracle_inputs(dom, rng)
+            fluxes = where_face_fluxes(u, phi, diffusion=diffusion)
+            assert_same_bits(_flux_divergence(fluxes, u), zeros_flux_divergence(fluxes, u))
 
 
 class TestDriftPotential:
@@ -254,8 +324,40 @@ class TestStep:
         np.testing.assert_array_equal(new.v.values, v.values)
         np.testing.assert_array_equal(new.w.values, w.values)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_bits_match_fresh_array_update(self, scheme):
+        dom = DomainSpec((1.0, 1.0), (24, 24))
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=4.0, xi=0.5, rho=0.5)
+        cfg = StepperConfig(scheme=scheme)
+        state = initial_state(bump_field(dom, width=0.08), params)
+        dt = stable_dt(state, params, cfg)
+        phi = Field(params.chi * state.v.values - params.xi * state.w.values, dom)
+        explicit = scheme == "explicit-upwind"
+        fluxes = where_face_fluxes(state.u, phi, diffusion=explicit)
+        want = state.u.values + dt * zeros_flux_divergence(fluxes, state.u)
+        if not explicit:
+            want = implicit_diffusion_step(Field(want, dom), dt).values
+        assert_same_bits(drift_potential(state, params).values, phi.values)
+        assert_same_bits(step(state, params, cfg, dt).u.values, want)
+
 
 class TestRun:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_bits_match_manual_step_loop(self, scheme):
+        dom = DomainSpec((1.0, 1.0), (24, 24))
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=4.0, xi=0.5, rho=0.5)
+        cfg = StepperConfig(scheme=scheme)
+        state = initial_state(bump_field(dom, width=0.08), params)
+        t_end = 12.5 * stable_dt(state, params, cfg)
+        result = run(state, params, cfg, t_end)
+        while state.t < t_end:
+            state = step(state, params, cfg, stable_dt(state, params, cfg))
+        assert result.state.status is Status.COMPLETED
+        assert result.steps == state.step
+        assert result.state.t == state.t
+        for name in ("u", "v", "w"):
+            assert_same_bits(getattr(result.state, name).values, getattr(state, name).values)
+
     def test_uniform_reaches_steady_immediately(self):
         dom = DomainSpec((1.0, 1.0), (16, 16))
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
