@@ -18,7 +18,7 @@ from .diagnostics import (
     sample,
     write_diagnostics_csv,
 )
-from .elliptic import HelmholtzProblem, chemical_sources, solve_helmholtz, solve_signals
+from .elliptic import chemical_sources, solve_helmholtz, solve_signals
 from .grid import (
     Field,
     grad_energy,
@@ -62,7 +62,6 @@ __all__ = [
     "DomainSpec",
     "ExperimentConfig",
     "Field",
-    "HelmholtzProblem",
     "InitialData",
     "ModelParams",
     "Regime",

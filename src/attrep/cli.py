@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bounds import compute_bounds
-from .config import ExperimentConfig, from_dict, load_config, set_sweep_value
+from .config import ExperimentConfig, finite_float, from_dict, load_config, set_sweep_value
 from .diagnostics import (
     DiagnosticsConfig,
     check_absorptive_bound,
@@ -29,9 +29,9 @@ from .diagnostics import (
     write_diagnostics_csv,
 )
 from .errors import ConfigError, RhoNotSublinear, SimulationError
-from .grid import write_field_csv
+from .grid import Field, write_field_csv
 from .model import Regime, build_initial_data, classify_regime
-from .stepper import Status, initial_state, run
+from .stepper import RunResult, Status, initial_state, run
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -61,15 +61,9 @@ def _default_bounds_p(cfg: ExperimentConfig) -> float:
     return 0.75 * cfg.params.dim
 
 
-def _resolve_bounds(cfg: ExperimentConfig, mass: float):
-    """BoundsReport for the configured p, or None when rho = 1 or no p set."""
-    if cfg.bounds_p is None:
-        return None
-    if cfg.params.rho >= 1.0:
-        return None
-    return compute_bounds(
-        cfg.params, mass, cfg.bounds_p, dom=cfg.domain, cgn=cfg.bounds_cgn, ce=cfg.bounds_ce
-    )
+def _bounds_report(cfg: ExperimentConfig, mass: float, p: float):
+    """compute_bounds at exponent p with the config's domain and constant overrides."""
+    return compute_bounds(cfg.params, mass, p, dom=cfg.domain, cgn=cfg.bounds_cgn, ce=cfg.bounds_ce)
 
 
 def _require_2d(cfg: ExperimentConfig) -> None:
@@ -80,14 +74,17 @@ def _require_2d(cfg: ExperimentConfig) -> None:
         )
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
-    _require_2d(cfg)
-    out = Path(out_dir)
+def _run_experiment(cfg: ExperimentConfig, u0: Field, mass: float, out: Path) -> RunResult:
+    """Run cfg from the initial density u0 of the given mass and write the
+    simulate output set into out: diagnostics.csv and .svg, the u, v and w
+    final fields, density snapshots and summary.json."""
     out.mkdir(parents=True, exist_ok=True)
-    u0, mass = build_initial_data(cfg.initial, cfg.domain)
     state = initial_state(u0, cfg.params)
 
-    bounds = _resolve_bounds(cfg, mass)
+    # The bounds report exists only for sublinear production and a chosen p.
+    bounds = None
+    if cfg.bounds_p is not None and cfg.params.rho < 1.0:
+        bounds = _bounds_report(cfg, mass, cfg.bounds_p)
     ps = tuple(cfg.diag_ps)
     if bounds is not None and bounds.p not in ps:
         ps = ps + (bounds.p,)
@@ -154,7 +151,15 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     with open(out / "summary.json", "w") as fh:
         json.dump(_json_safe(summary), fh, indent=2)
         fh.write("\n")
+    return result
 
+
+def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
+    _require_2d(cfg)
+    u0, mass = build_initial_data(cfg.initial, cfg.domain)
+    out = Path(out_dir)
+    result = _run_experiment(cfg, u0, mass, out)
+    final = result.state
     print(
         f"{final.status.value}: t = {final.t:.6g}, steps = {result.steps}, "
         f"mass drift = {result.mass_drift:.3e}, outputs in {out}"
@@ -171,9 +176,7 @@ def cmd_bounds(cfg: ExperimentConfig, p_override: float | None) -> int:
         return EXIT_ERROR
     _, mass = build_initial_data(cfg.initial, cfg.domain)
     try:
-        report = compute_bounds(
-            cfg.params, mass, p, dom=cfg.domain, cgn=cfg.bounds_cgn, ce=cfg.bounds_ce
-        )
+        report = _bounds_report(cfg, mass, p)
     except RhoNotSublinear as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -200,43 +203,17 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
 
 
 def _sweep_point(raw: dict, axis: str, value, out_dir: str) -> dict:
-    """Run one sweep point; failures become data rather than aborting the sweep."""
+    """Run one sweep point into out_dir, exactly as `simulate` would run its
+    config; failures become data rather than aborting the sweep."""
     row = {"value": value, "prediction": "error", "observed": "error"}
     try:
         cfg = from_dict(set_sweep_value(raw, axis, value))
         _require_2d(cfg)
         u0, mass = build_initial_data(cfg.initial, cfg.domain)
-        regime = classify_regime(cfg.params, mass)
-        row["prediction"] = regime.regime.value
-        row["predicted_outcome"] = _PREDICTED_OUTCOME[regime.regime]
-        state = initial_state(u0, cfg.params)
-        diag = DiagnosticsConfig(ps=cfg.diag_ps, every=cfg.sample_every)
-        result = run(
-            state,
-            cfg.params,
-            cfg.stepper,
-            cfg.t_end,
-            diagnostics=diag,
-            blowup_threshold=cfg.blowup_threshold,
-            steady_tol=cfg.steady_tol,
-        )
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_diagnostics_csv(result.records, cfg.diag_ps, out / "diagnostics.csv")
-        with open(out / "summary.json", "w") as fh:
-            json.dump(
-                _json_safe(
-                    {
-                        "status": result.state.status.value,
-                        "t_final": result.state.t,
-                        "steps": result.steps,
-                        "conservation_drift": result.mass_drift,
-                    }
-                ),
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        regime = classify_regime(cfg.params, mass).regime
+        row["prediction"] = regime.value
+        row["predicted_outcome"] = _PREDICTED_OUTCOME[regime]
+        result = _run_experiment(cfg, u0, mass, Path(out_dir))
         row["observed"] = (
             "blowup" if result.state.status is Status.BLOWUP_SUSPECTED else "bounded"
         )
@@ -300,6 +277,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
             f"{cfg.sweep_axis} = {row['value']}: predicted {row['prediction']}, "
             f"observed {row['observed']} (agreement {row['agreement']})"
         )
+        if "error" in row:
+            print(f"{cfg.sweep_axis} = {row['value']}: error: {row['error']}", file=sys.stderr)
     print(f"regime map in {map_path}")
     return EXIT_OK
 
@@ -430,11 +409,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.command == "simulate":
             if args.t_end is not None:
-                cfg = replace(cfg, t_end=args.t_end)
+                cfg = replace(cfg, t_end=finite_float("--t-end", args.t_end))
             if args.snapshot_every is not None:
                 cfg = replace(cfg, snapshot_every=args.snapshot_every)
             if args.blowup_threshold is not None:
-                cfg = replace(cfg, blowup_threshold=args.blowup_threshold)
+                threshold = finite_float("--blowup-threshold", args.blowup_threshold)
+                cfg = replace(cfg, blowup_threshold=threshold)
             if args.scheme is not None:
                 cfg = replace(cfg, stepper=replace(cfg.stepper, scheme=args.scheme))
             return cmd_simulate(cfg, args.out or cfg.out_dir)

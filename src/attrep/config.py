@@ -7,6 +7,7 @@ config fails with a message like "config field 'params.rho': missing".
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -43,7 +44,22 @@ def _num(obj: dict, path: str, key: str, default=None, required: bool = False) -
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
-    return float(value)
+    return finite_float(f"{path}.{key}", value)
+
+
+def finite_float(field: str, value) -> float:
+    """value as a float; a non-number, NaN, +-inf or an int beyond float range
+    raises ConfigError. Python's json reads NaN and Infinity, and argparse's
+    float() reads "nan"."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    except (TypeError, ValueError):
+        raise ConfigError(field, f"expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(field, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _int(obj: dict, path: str, key: str, default=None, required: bool = False) -> int:
@@ -118,7 +134,7 @@ def _parse_initial(raw: dict) -> InitialData:
     if kind == "gaussian-bump":
         center = obj.get("center")
         if center is not None:
-            center = tuple(float(v) for v in _pair(obj, "initial", "center"))
+            center = tuple(finite_float("initial.center", v) for v in _pair(obj, "initial", "center"))
         return InitialData(
             kind=kind,
             amplitude=_num(obj, "initial", "amplitude", default=1.0),
@@ -135,7 +151,7 @@ def _parse_initial(raw: dict) -> InitialData:
             if not isinstance(b, dict):
                 raise ConfigError(f"initial.bumps[{i}]", "expected an object")
             path = f"initial.bumps[{i}]"
-            center = tuple(float(v) for v in _pair(b, path, "center"))
+            center = tuple(finite_float(f"{path}.center", v) for v in _pair(b, path, "center"))
             bumps.append(
                 BumpSpec(
                     center=center,
@@ -183,10 +199,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
         ps_raw = [ps_raw]
     if not isinstance(ps_raw, list) or not ps_raw:
         raise ConfigError("diagnostics.p", f"expected a number or list, got {ps_raw!r}")
-    try:
-        diag_ps = tuple(float(p) for p in ps_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("diagnostics.p", str(exc)) from exc
+    diag_ps = tuple(finite_float("diagnostics.p", p) for p in ps_raw)
     sample_every = _int(diag, "diagnostics", "sample_every", default=10)
     if sample_every < 1:
         raise ConfigError("diagnostics.sample_every", f"must be >= 1, got {sample_every}")

@@ -9,7 +9,6 @@ sits at rounding level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,17 +47,20 @@ def _screened_denominators(dom: DomainSpec, kappa: float) -> np.ndarray:
     return denom
 
 
-@dataclass(frozen=True)
-class HelmholtzProblem:
-    source: Field
-    kappa: float
+def _cosine_solve(values: np.ndarray, denominators: np.ndarray, what: str) -> np.ndarray:
+    """Forward DCT, divide each mode by its denominator in place, inverse DCT.
 
-    def __post_init__(self):
-        if not (self.kappa > 0.0) or not np.isfinite(self.kappa):
-            raise NonPositiveKappa(f"kappa must be > 0, got {self.kappa}")
+    Raises SolverDiverged, naming `what`, when the result is not finite.
+    """
+    coeffs = dctn(values, type=2, norm="ortho")
+    coeffs /= denominators
+    out = idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
+    if not np.isfinite(out).all():
+        raise SolverDiverged(f"{what} produced non-finite values")
+    return out
 
 
-def solve_helmholtz(problem: HelmholtzProblem) -> Field:
+def solve_helmholtz(source: Field, kappa: float) -> Field:
     """Direct cosine-transform solve of (-Lap + kappa) phi = f.
 
     Post-conditions (checked in tests, not per call): stencil residual below
@@ -66,14 +68,12 @@ def solve_helmholtz(problem: HelmholtzProblem) -> Field:
     integrate(phi) = integrate(f) / kappa, and mode-wise exactness on the
     shifted cosine eigenvectors.
     """
-    require_finite(problem.source, "helmholtz source")
-    dom = problem.source.domain
-    coeffs = dctn(problem.source.values, type=2, norm="ortho")
-    coeffs /= _screened_denominators(dom, problem.kappa)
-    phi = idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
-    if not np.isfinite(phi).all():
-        raise SolverDiverged("cosine-transform solve produced non-finite values")
-    return Field(phi, dom)
+    if not (kappa > 0.0) or not np.isfinite(kappa):
+        raise NonPositiveKappa(f"kappa must be > 0, got {kappa}")
+    require_finite(source, "helmholtz source")
+    dom = source.domain
+    denom = _screened_denominators(dom, kappa)
+    return Field(_cosine_solve(source.values, denom, "cosine-transform solve"), dom)
 
 
 def implicit_diffusion_step(field: Field, dt: float) -> Field:
@@ -87,12 +87,7 @@ def implicit_diffusion_step(field: Field, dt: float) -> Field:
         raise ValueError(f"dt must be positive, got {dt}")
     denom = dt * _mode_eigenvalues(field.domain)
     denom += 1.0
-    coeffs = dctn(field.values, type=2, norm="ortho")
-    coeffs /= denom
-    out = idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
-    if not np.isfinite(out).all():
-        raise SolverDiverged("implicit diffusion step produced non-finite values")
-    return Field(out, field.domain)
+    return Field(_cosine_solve(field.values, denom, "implicit diffusion step"), field.domain)
 
 
 def chemical_sources(u: Field, params: ModelParams) -> tuple[Field, Field]:
@@ -128,8 +123,8 @@ def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:
     its contract and raises.
     """
     source_v, source_w = chemical_sources(u, params)
-    v = solve_helmholtz(HelmholtzProblem(source_v, params.beta))
-    w = solve_helmholtz(HelmholtzProblem(source_w, params.delta))
+    v = solve_helmholtz(source_v, params.beta)
+    w = solve_helmholtz(source_w, params.delta)
     for name, signal in (("v", v), ("w", w)):
         mn = float(signal.values.min())
         mx = float(signal.values.max())

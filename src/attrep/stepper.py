@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, detect_blowup, sample
-from .elliptic import implicit_diffusion_step, solve_signals
+from .elliptic import NEGATIVE_TOL, implicit_diffusion_step, solve_signals
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate
 from .model import ModelParams, validate_params
@@ -313,7 +313,7 @@ def run(
         and np.isfinite(state.u.values).all()
         and np.isfinite(state.v.values).all()
         and np.isfinite(state.w.values).all()
-        and float(state.u.values.min()) >= -1e-13 * max(float(state.u.values.max()), 0.0)
+        and float(state.u.values.min()) >= -NEGATIVE_TOL * max(float(state.u.values.max()), 0.0)
     ):
         take_sample(state)
     if diagnostics is not None:

@@ -29,7 +29,6 @@ from _oracles import (
 from attrep import (
     DomainSpec,
     Field,
-    HelmholtzProblem,
     ModelParams,
     Regime,
     classify_regime,
@@ -217,7 +216,7 @@ def test_criterion_2_elliptic_accuracy():
         mode = np.cos(np.pi * k * x)[:, None] * np.cos(np.pi * l * y)[None, :]
         lam = (2.0 / h**2) * (2.0 - np.cos(np.pi * k / 32) - np.cos(np.pi * l / 32))
         f = Field((kappa + lam) * mode, dom)
-        phi = solve_helmholtz(HelmholtzProblem(f, kappa=kappa))
+        phi = solve_helmholtz(f, kappa)
         assert np.abs(phi.values - mode).max() <= 1e-12
 
     # agreement with a dense direct factorization of the same operator
@@ -225,7 +224,7 @@ def test_criterion_2_elliptic_accuracy():
     kappa = 1.3
     fvals = rng.uniform(-1.0, 1.0, size=dom.cells)
     exact = np.linalg.solve(dense_helmholtz_matrix(dom, kappa), fvals.ravel()).reshape(dom.cells)
-    phi = solve_helmholtz(HelmholtzProblem(Field(fvals, dom), kappa=kappa))
+    phi = solve_helmholtz(Field(fvals, dom), kappa)
     assert np.abs(phi.values - exact).max() / np.abs(exact).max() <= 1e-9
 
     # the integral identities the signal equations must satisfy

@@ -11,7 +11,7 @@ import pytest
 
 from attrep import DomainSpec, Field, ModelParams, compute_bounds
 from attrep.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, main
-from attrep.config import load_config
+from attrep.config import load_config, set_sweep_value
 from attrep.grid import read_field_csv, write_field_csv
 
 FOUR_PI = 4.0 * math.pi
@@ -222,6 +222,38 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == EXIT_ERROR
         assert "params.rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            # without the check this run never stops: NaN compares false both ways
+            ({"t_end": math.nan, "steady_tol": math.nan}, "t_end"),
+            # without the check blow-up detection is silently off
+            ({"blowup_threshold": math.nan}, "blowup_threshold"),
+            ({"diagnostics": {"p": [2.0, math.inf]}}, "diagnostics.p"),
+            ({"initial": {"center": [math.nan, 0.5]}}, "initial.center"),
+            ({"initial": {"center": [None, 0.5]}}, "initial.center"),
+            # an integer literal beyond float range is infinite, not an OverflowError
+            ({"t_end": 10**400}, "t_end"),
+        ],
+    )
+    def test_bad_config_number_rejected(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, **overrides)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert field in err and "expected a" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--t-end", "--blowup-threshold"])
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_override_rejected(self, tmp_path, capsys, flag, text):
+        cfg = write_config(tmp_path)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir), flag, text]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert flag in err and "finite" in err
+        assert not out_dir.exists()
+
     def test_dim_other_than_two_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, params={"dim": 3})
         out_dir = tmp_path / "run"
@@ -330,6 +362,47 @@ class TestSweep:
             assert fields[1] == "SublinearGlobal"
             assert fields[2] == "bounded"
             assert fields[3] == "true"
+
+    def test_points_match_simulate(self, tmp_path):
+        # one pipeline: each point directory is what `simulate` writes for
+        # that point's config, byte for byte, apart from the wall time
+        overrides = dict(
+            sweep={"axis": "initial.mass", "values": [1.0, 2.5]},
+            bounds={"p": 2.0},
+            outputs={"snapshot_every": 2},
+        )
+        cfg = write_config(tmp_path, **overrides)
+        sweep_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--out", str(sweep_dir)]) == EXIT_OK
+        raw = base_config(**overrides)
+        for i, value in enumerate(raw["sweep"]["values"]):
+            point = sweep_dir / f"point_{i:03d}"
+            path = tmp_path / f"point_{i}.json"
+            path.write_text(json.dumps(set_sweep_value(raw, "initial.mass", value)))
+            run_dir = tmp_path / f"simulate_{i}"
+            assert main(["simulate", str(path), "--out", str(run_dir)]) == EXIT_OK
+            names = sorted(p.name for p in point.iterdir())
+            assert names == sorted(p.name for p in run_dir.iterdir())
+            assert {"u_00000000.csv", "v_final.csv", "diagnostics.svg"} <= set(names)
+            for name in names:
+                if name == "summary.json":
+                    a, b = read_json(point / name), read_json(run_dir / name)
+                    assert a.pop("wall_time_s") > 0.0 and b.pop("wall_time_s") > 0.0
+                    assert a == b
+                    assert "energy_inequality" in a
+                else:
+                    assert (point / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_error_reason_on_stderr(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sweep={"axis": "initial.mass", "values": [1.0, -1.0]})
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "initial.mass = -1.0: error: target mass must be positive, got -1.0\n"
+        assert "error:" not in captured.out
+        lines = (out_dir / "regime_map.csv").read_text().splitlines()
+        assert lines[2] == "-1,error,error,na"
+        assert not (out_dir / "point_001").exists()
 
     def test_missing_sweep_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

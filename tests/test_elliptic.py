@@ -1,5 +1,6 @@
 """Spectral Helmholtz solves, implicit diffusion, and signal production."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.fft import dctn, idctn
 
 from _oracles import dense_helmholtz_matrix
-from attrep import DomainSpec, Field, HelmholtzProblem, solve_helmholtz, solve_signals
+from attrep import DomainSpec, Field, solve_helmholtz, solve_signals
 from attrep.elliptic import _mode_eigenvalues, chemical_sources, implicit_diffusion_step
 from attrep.errors import NegativeDensity, NonFiniteField, NonPositiveKappa
 from attrep.grid import integrate, neumann_laplacian_apply
@@ -47,13 +48,13 @@ class TestSolveHelmholtz:
         dom = DomainSpec(lengths, cells)
         for _ in range(3):
             source = Field(rng.uniform(0.0, 2.0, size=cells), dom)
-            phi = solve_helmholtz(HelmholtzProblem(source, kappa))
+            phi = solve_helmholtz(source, kappa)
             assert phi.values.tobytes() == fresh_array_solve(source.values, dom, kappa).tobytes()
 
     def test_constant_source(self, unit_square_32):
         # kappa*phi - Lap(phi) = f with f constant has the constant solution f/kappa
         f = Field.full(unit_square_32, 2.0)
-        phi = solve_helmholtz(HelmholtzProblem(f, kappa=0.5))
+        phi = solve_helmholtz(f, 0.5)
         np.testing.assert_allclose(phi.values, 4.0, rtol=1e-13)
 
     @pytest.mark.parametrize("k,l", [(1, 0), (2, 3), (0, 5)])
@@ -63,7 +64,7 @@ class TestSolveHelmholtz:
         mode = cosine_mode(dom, k, l)
         lam = mode_eigenvalue(dom, k, l)
         f = Field((kappa + lam) * mode.values, dom)
-        phi = solve_helmholtz(HelmholtzProblem(f, kappa=kappa))
+        phi = solve_helmholtz(f, kappa)
         np.testing.assert_allclose(phi.values, mode.values, rtol=0, atol=1e-12)
 
     def test_against_dense_factorization(self, rng):
@@ -72,7 +73,7 @@ class TestSolveHelmholtz:
         fvals = rng.uniform(-1.0, 1.0, size=dom.cells)
         matrix = dense_helmholtz_matrix(dom, kappa)
         exact = np.linalg.solve(matrix, fvals.ravel()).reshape(dom.cells)
-        phi = solve_helmholtz(HelmholtzProblem(Field(fvals, dom), kappa=kappa))
+        phi = solve_helmholtz(Field(fvals, dom), kappa)
         err = np.abs(phi.values - exact).max() / np.abs(exact).max()
         assert err <= 1e-9
 
@@ -83,14 +84,14 @@ class TestSolveHelmholtz:
         for trial in range(100):
             kappa = float(rng.uniform(0.1, 10.0))
             f = Field(rng.uniform(-1.0, 2.0, size=dom.cells), dom)
-            phi = solve_helmholtz(HelmholtzProblem(f, kappa=kappa))
+            phi = solve_helmholtz(f, kappa)
             assert kappa * integrate(phi) == pytest.approx(integrate(f), rel=1e-12, abs=1e-13)
 
     def test_residual_postcondition(self, rng):
         dom = DomainSpec((1.0, 1.0), (64, 64))
         kappa = 2.0
         f = Field(rng.uniform(0.0, 5.0, size=dom.cells), dom)
-        phi = solve_helmholtz(HelmholtzProblem(f, kappa=kappa))
+        phi = solve_helmholtz(f, kappa)
         residual = kappa * phi.values - neumann_laplacian_apply(phi).values - f.values
         tol = 1e-10 * (np.abs(f.values).max() + kappa * np.abs(phi.values).max())
         assert np.abs(residual).max() <= tol
@@ -100,9 +101,9 @@ class TestSolveHelmholtz:
         kappa = 0.9
         f1 = rng.uniform(-1.0, 1.0, size=dom.cells)
         f2 = rng.uniform(-1.0, 1.0, size=dom.cells)
-        phi1 = solve_helmholtz(HelmholtzProblem(Field(f1, dom), kappa))
-        phi2 = solve_helmholtz(HelmholtzProblem(Field(f2, dom), kappa))
-        combined = solve_helmholtz(HelmholtzProblem(Field(2.0 * f1 - 3.0 * f2, dom), kappa))
+        phi1 = solve_helmholtz(Field(f1, dom), kappa)
+        phi2 = solve_helmholtz(Field(f2, dom), kappa)
+        combined = solve_helmholtz(Field(2.0 * f1 - 3.0 * f2, dom), kappa)
         np.testing.assert_allclose(
             combined.values, 2.0 * phi1.values - 3.0 * phi2.values, rtol=0, atol=1e-12
         )
@@ -110,22 +111,21 @@ class TestSolveHelmholtz:
     def test_max_principle_for_nonnegative_source(self, rng):
         dom = DomainSpec((1.0, 1.0), (32, 32))
         f = Field(rng.uniform(0.0, 3.0, size=dom.cells), dom)
-        phi = solve_helmholtz(HelmholtzProblem(f, kappa=0.4))
+        phi = solve_helmholtz(f, 0.4)
         assert phi.values.min() >= -1e-13 * phi.values.max()
         assert 0.4 * phi.values.max() <= f.values.max() * (1.0 + 1e-12)
 
     def test_kappa_must_be_positive(self, unit_square_16):
         f = Field.full(unit_square_16, 1.0)
-        with pytest.raises(NonPositiveKappa):
-            HelmholtzProblem(f, kappa=0.0)
-        with pytest.raises(NonPositiveKappa):
-            HelmholtzProblem(f, kappa=-1.0)
+        for kappa in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(NonPositiveKappa):
+                solve_helmholtz(f, kappa)
 
     def test_nonfinite_source_rejected(self, unit_square_16):
         values = np.ones(unit_square_16.cells)
         values[5, 5] = np.nan
         with pytest.raises(NonFiniteField):
-            solve_helmholtz(HelmholtzProblem(Field(values, unit_square_16), kappa=1.0))
+            solve_helmholtz(Field(values, unit_square_16), 1.0)
 
 
 class TestImplicitDiffusion:

@@ -1,0 +1,57 @@
+"""The package's public names, pinned so that adding or removing one shows
+up as a diff of this test."""
+
+import attrep
+
+PUBLIC_NAMES = [
+    "BoundsReport",
+    "BumpSpec",
+    "DiagnosticsConfig",
+    "DiagnosticsRecord",
+    "DomainSpec",
+    "ExperimentConfig",
+    "Field",
+    "InitialData",
+    "ModelParams",
+    "Regime",
+    "RegimeResult",
+    "RunResult",
+    "SimState",
+    "Status",
+    "StepperConfig",
+    "build_initial_data",
+    "check_absorptive_bound",
+    "check_energy_inequality",
+    "chemical_sources",
+    "classify_regime",
+    "compute_bounds",
+    "critical_mass",
+    "detect_blowup",
+    "drift_potential",
+    "estimate_ehrling_constant",
+    "estimate_gn_constant",
+    "face_fluxes",
+    "from_dict",
+    "grad_energy",
+    "initial_state",
+    "integrate",
+    "load_config",
+    "lp_norm_p",
+    "neumann_laplacian_apply",
+    "read_field_csv",
+    "run",
+    "sample",
+    "solve_helmholtz",
+    "solve_signals",
+    "stable_dt",
+    "step",
+    "validate_params",
+    "write_diagnostics_csv",
+    "write_field_csv",
+]
+
+
+def test_public_names_pinned():
+    assert sorted(attrep.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(attrep, name), name
