@@ -77,8 +77,10 @@ def _require_2d(cfg: ExperimentConfig) -> None:
 def _run_experiment(cfg: ExperimentConfig, u0: Field, mass: float, out: Path) -> RunResult:
     """Run cfg from the initial density u0 of the given mass and write the
     simulate output set into out: diagnostics.csv and .svg, the u, v and w
-    final fields, density snapshots and summary.json."""
+    final fields, density snapshots (after deleting an earlier run's) and summary.json."""
     out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("u_" + "[0-9]" * 8 + ".csv"):
+        stale.unlink()
     state = initial_state(u0, cfg.params)
 
     # The bounds report exists only for sublinear production and a chosen p.

@@ -41,10 +41,14 @@ def _num(obj: dict, path: str, key: str, default=None, required: bool = False) -
         if required:
             raise ConfigError(f"{path}.{key}", "missing")
         return default
-    value = obj[key]
+    return _number(f"{path}.{key}", obj[key])
+
+
+def _number(field: str, value) -> float:
+    """A JSON number (not a bool) that is finite, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
-    return finite_float(f"{path}.{key}", value)
+        raise ConfigError(field, f"expected a number, got {value!r}")
+    return finite_float(field, value)
 
 
 def finite_float(field: str, value) -> float:
@@ -225,6 +229,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
         values = sweep.get("values")
         if not isinstance(values, list):
             raise ConfigError("sweep.values", "missing or not a list")
+        # Checked as numbers but kept as given, so an int params.dim sweep stays int.
+        for i, value in enumerate(values):
+            _number(f"sweep.values[{i}]", value)
         sweep_values = tuple(values)
 
     workers = _int(raw, "<root>", "workers", default=1)

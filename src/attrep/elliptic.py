@@ -40,8 +40,10 @@ def _screened_denominators(dom: DomainSpec, kappa: float) -> np.ndarray:
     """kappa + lambda_x(k) + lambda_y(l): the mode divisors of one screened solve.
 
     The signal solves reuse the same two kappas every step, so the sum is
-    formed once per (domain, kappa) rather than once per solve.
+    formed, and kappa checked (NonPositiveKappa), once per (domain, kappa).
     """
+    if not (kappa > 0.0) or not np.isfinite(kappa):
+        raise NonPositiveKappa(f"kappa must be > 0, got {kappa}")
     denom = kappa + _mode_eigenvalues(dom)
     denom.setflags(write=False)
     return denom
@@ -68,12 +70,9 @@ def solve_helmholtz(source: Field, kappa: float) -> Field:
     integrate(phi) = integrate(f) / kappa, and mode-wise exactness on the
     shifted cosine eigenvectors.
     """
-    if not (kappa > 0.0) or not np.isfinite(kappa):
-        raise NonPositiveKappa(f"kappa must be > 0, got {kappa}")
+    denom = _screened_denominators(source.domain, kappa)
     require_finite(source, "helmholtz source")
-    dom = source.domain
-    denom = _screened_denominators(dom, kappa)
-    return Field(_cosine_solve(source.values, denom, "cosine-transform solve"), dom)
+    return Field(_cosine_solve(source.values, denom, "cosine-transform solve"), source.domain)
 
 
 def implicit_diffusion_step(field: Field, dt: float) -> Field:
@@ -123,8 +122,13 @@ def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:
     its contract and raises.
     """
     source_v, source_w = chemical_sources(u, params)
-    v = solve_helmholtz(source_v, params.beta)
-    w = solve_helmholtz(source_w, params.delta)
+    dom = u.domain
+    # The sources come from a checked density, so they skip solve_helmholtz's
+    # input scan; one that overflowed is caught by the solve's own check.
+    v, w = (
+        Field(_cosine_solve(f.values, _screened_denominators(dom, kappa), "cosine-transform solve"), dom)
+        for f, kappa in ((source_v, params.beta), (source_w, params.delta))
+    )
     for name, signal in (("v", v), ("w", w)):
         mn = float(signal.values.min())
         mx = float(signal.values.max())

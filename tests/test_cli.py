@@ -280,6 +280,27 @@ class TestSimulate:
         assert snaps[0] == "u_00000000.csv"
         assert "u_00000005.csv" in snaps
 
+    def test_stale_snapshots_removed(self, tmp_path):
+        # No drift, so dt is the diffusive bound 0.4 h^2 / 4 with h = 1/16.
+        dt = 0.4 / 16**2 / 4
+        cfg = write_config(
+            tmp_path,
+            domain={"cells": [16, 16]},
+            params={"chi": 0.0, "xi": 0.0},
+            outputs={"snapshot_every": 1},
+        )
+        out_dir = tmp_path / "run"
+        args = ["simulate", cfg, "--out", str(out_dir), "--t-end"]
+        assert main(args + [repr(5.5 * dt)]) == EXIT_OK
+        assert len(list(out_dir.glob("u_0*.csv"))) == 7
+        (out_dir / "u_notes.csv").write_text("kept\n")
+        assert main(args + [repr(1.5 * dt)]) == EXIT_OK
+        assert read_json(out_dir / "summary.json")["steps"] == 2
+        snaps = sorted(p.name for p in out_dir.glob("u_0*.csv"))
+        assert snaps == ["u_00000000.csv", "u_00000001.csv", "u_00000002.csv"]
+        assert (out_dir / "u_notes.csv").read_text() == "kept\n"
+        assert (out_dir / "u_final.csv").exists()
+
     def test_t_end_zero_override(self, tmp_path):
         cfg = write_config(tmp_path)
         out_dir = tmp_path / "run"
@@ -403,6 +424,19 @@ class TestSweep:
         lines = (out_dir / "regime_map.csv").read_text().splitlines()
         assert lines[2] == "-1,error,error,na"
         assert not (out_dir / "point_001").exists()
+
+    @pytest.mark.parametrize("bad", ["abc", True, math.nan, -math.inf])
+    def test_non_numeric_value_rejected(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, sweep={"axis": "initial.mass", "values": [1.0, bad]})
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        assert "'sweep.values[1]'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_int_values_kept(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, sweep={"axis": "params.dim", "values": [2, 3]}))
+        assert cfg.sweep_values == (2, 3)
+        assert all(type(v) is int for v in cfg.sweep_values)
 
     def test_missing_sweep_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

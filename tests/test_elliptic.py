@@ -12,7 +12,7 @@ from scipy.fft import dctn, idctn
 from _oracles import dense_helmholtz_matrix
 from attrep import DomainSpec, Field, solve_helmholtz, solve_signals
 from attrep.elliptic import _mode_eigenvalues, chemical_sources, implicit_diffusion_step
-from attrep.errors import NegativeDensity, NonFiniteField, NonPositiveKappa
+from attrep.errors import NegativeDensity, NonFiniteField, NonPositiveKappa, SolverDiverged
 from attrep.grid import integrate, neumann_laplacian_apply
 
 
@@ -120,6 +120,13 @@ class TestSolveHelmholtz:
         for kappa in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(NonPositiveKappa):
                 solve_helmholtz(f, kappa)
+
+    @pytest.mark.parametrize("name", ["beta", "delta"])
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+    def test_signal_kappas_must_be_positive(self, unit_square_16, unit_params, name, kappa):
+        params = replace(unit_params, **{name: kappa})
+        with pytest.raises(NonPositiveKappa):
+            solve_signals(Field.full(unit_square_16, 1.0), params)
 
     def test_nonfinite_source_rejected(self, unit_square_16):
         values = np.ones(unit_square_16.cells)
@@ -231,6 +238,12 @@ class TestSolveSignals:
             ix, iy = np.unravel_index(np.argmax(sig.values), sig.values.shape)
             assert abs(x[ix] - 0.5) < 0.05
             assert abs(y[iy] - 0.5) < 0.05
+
+    def test_overflowing_source_is_solver_diverged(self, unit_params):
+        # gamma * u overflows to inf although u itself is finite.
+        u = Field.full(DomainSpec((1.0, 1.0), (8, 8)), 1e299)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverDiverged):
+            solve_signals(u, replace(unit_params, gamma=1e10))
 
     @given(c=st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=25, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attrep import DomainSpec, Field, ModelParams
-from attrep.diagnostics import DiagnosticsConfig
+from attrep.diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
 from attrep.elliptic import implicit_diffusion_step
 from attrep.errors import NonFiniteState
 from attrep.grid import integrate
@@ -347,16 +347,43 @@ class TestRun:
         dom = DomainSpec((1.0, 1.0), (24, 24))
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=4.0, xi=0.5, rho=0.5)
         cfg = StepperConfig(scheme=scheme)
+        diag = DiagnosticsConfig(every=3)
         state = initial_state(bump_field(dom, width=0.08), params)
         t_end = 12.5 * stable_dt(state, params, cfg)
-        result = run(state, params, cfg, t_end)
-        while state.t < t_end:
+        result = run(state, params, cfg, t_end, diagnostics=diag)
+        # The density ratio, final-sample guard and final mass in the form
+        # they had before run() took one min and one max per state.
+        min_ratio, records, last_sampled = math.inf, [], -1
+        while True:
+            u_max = float(state.u.values.max())
+            if u_max > 0.0:
+                min_ratio = min(min_ratio, float(state.u.values.min()) / u_max)
+            if state.t >= t_end:
+                break
+            if state.step % diag.every == 0:
+                records.append(sample(state, diag.ps))
+                last_sampled = state.step
             state = step(state, params, cfg, stable_dt(state, params, cfg))
+        uv = state.u.values
+        if (
+            state.step != last_sampled
+            and np.isfinite(uv).all()
+            and np.isfinite(state.v.values).all()
+            and np.isfinite(state.w.values).all()
+            and float(uv.min()) >= -1e-13 * max(float(uv.max()), 0.0)
+        ):
+            records.append(sample(state, diag.ps))
+        records = backfill_rate_estimates(records, diag.ps[0])
+        mass_final = integrate(state.u) if np.isfinite(uv).all() else math.nan
         assert result.state.status is Status.COMPLETED
         assert result.steps == state.step
         assert result.state.t == state.t
         for name in ("u", "v", "w"):
             assert_same_bits(getattr(result.state, name).values, getattr(state, name).values)
+        assert len(records) == 6
+        assert repr(result.records) == repr(records)
+        assert result.min_density_ratio.hex() == min_ratio.hex()
+        assert result.mass_final.hex() == mass_final.hex()
 
     def test_uniform_reaches_steady_immediately(self):
         dom = DomainSpec((1.0, 1.0), (16, 16))
@@ -396,6 +423,17 @@ class TestRun:
         params = no_drift_params()
         state = initial_state(bump_field(dom), params)
         result = run(state, params, StepperConfig(), 1.0, blowup_threshold=0.5)
+        assert result.state.status is Status.BLOWUP_SUSPECTED
+        assert result.steps == 0
+
+    def test_overflowing_source_flags_blowup(self):
+        # gamma u overflows although u is finite. The signal solve's own check
+        # catches it, so the run stops as BlowupSuspected instead of raising.
+        dom = DomainSpec((1.0, 1.0), (8, 8))
+        params = no_drift_params()
+        state = initial_state(Field.full(dom, 1e299), params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run(state, replace(params, gamma=1e10), StepperConfig(), 1.0)
         assert result.state.status is Status.BLOWUP_SUSPECTED
         assert result.steps == 0
 
