@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InsufficientSamples, MismatchedP
-from .grid import Field, grad_energy, integrate, lp_norm_p
+from .errors import InsufficientSamples, MismatchedP, NonFiniteField
+from .grid import Field, _grad_sum, _integral, _lp_integral, require_finite
 
 if TYPE_CHECKING:
     from .bounds import BoundsReport
@@ -65,17 +65,25 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
     fractional powers only; u_min reports the true minimum.
     """
     ps = tuple(float(p) for p in ps)
+    h = state.u.h
     uv = state.u.values
+    # NaN propagates through min and max and an infinity is an extreme, so
+    # this pair checks u for every sum below.
     u_min = float(uv.min())
     u_max = float(uv.max())
-    clamped = Field(np.maximum(uv, 0.0), state.u.domain) if u_min < 0.0 else state.u
+    if not (math.isfinite(u_min) and math.isfinite(u_max)):
+        raise NonFiniteField("field contains NaN or Inf")
+    clamped = np.maximum(uv, 0.0) if u_min < 0.0 else uv
 
     energies = {}
     grads = {}
     for p in ps:
-        energies[p] = lp_norm_p(clamped, p)
-        root = Field(np.power(clamped.values, p / 2.0), state.u.domain)
-        grads[p] = grad_energy(root)
+        energies[p] = _lp_integral(clamped, p, h)
+        root = np.power(clamped, p / 2.0)
+        # u^{p/2} can overflow only when u_max^{p/2} is near the float range.
+        if u_max > 1.0 and 0.5 * p * math.log(u_max) > 700.0:
+            require_finite(Field(root, state.u.domain))
+        grads[p] = _grad_sum(root)
 
     rhs_bound = math.nan
     if bounds is not None:
@@ -86,7 +94,7 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
 
     return DiagnosticsRecord(
         t=float(state.t),
-        mass=integrate(state.u),
+        mass=_integral(uv, h),
         u_min=u_min,
         u_max=u_max,
         energies=energies,

@@ -9,6 +9,7 @@ sits at rounding level.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -49,17 +50,10 @@ def _screened_denominators(dom: DomainSpec, kappa: float) -> np.ndarray:
     return denom
 
 
-def _cosine_solve(values: np.ndarray, denominators: np.ndarray, what: str) -> np.ndarray:
-    """Forward DCT, divide each mode by its denominator in place, inverse DCT.
-
-    Raises SolverDiverged, naming `what`, when the result is not finite.
-    """
-    coeffs = dctn(values, type=2, norm="ortho")
+def _inverse(coeffs: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """Divide `coeffs` by the mode denominators in place, then inverse DCT."""
     coeffs /= denominators
-    out = idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
-    if not np.isfinite(out).all():
-        raise SolverDiverged(f"{what} produced non-finite values")
-    return out
+    return idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
 
 
 def solve_helmholtz(source: Field, kappa: float) -> Field:
@@ -72,7 +66,21 @@ def solve_helmholtz(source: Field, kappa: float) -> Field:
     """
     denom = _screened_denominators(source.domain, kappa)
     require_finite(source, "helmholtz source")
-    return Field(_cosine_solve(source.values, denom, "cosine-transform solve"), source.domain)
+    out = _inverse(dctn(source.values, type=2, norm="ortho"), denom)
+    if not np.isfinite(out).all():
+        raise SolverDiverged("cosine-transform solve produced non-finite values")
+    return Field(out, source.domain)
+
+
+def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(I - dt Lap)^-1 values, and its cosine coefficients for the signals."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    denom = dt * _mode_eigenvalues(dom)
+    denom += 1.0
+    coeffs = dctn(values, type=2, norm="ortho")
+    coeffs /= denom
+    return idctn(coeffs, type=2, norm="ortho"), coeffs
 
 
 def implicit_diffusion_step(field: Field, dt: float) -> Field:
@@ -82,11 +90,28 @@ def implicit_diffusion_step(field: Field, dt: float) -> Field:
     exactly; all other modes are damped, never amplified.
     """
     require_finite(field, "implicit diffusion input")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    denom = dt * _mode_eigenvalues(field.domain)
-    denom += 1.0
-    return Field(_cosine_solve(field.values, denom, "implicit diffusion step"), field.domain)
+    out, _ = _implicit_solve(field.values, dt, field.domain)
+    if not np.isfinite(out).all():
+        raise SolverDiverged("implicit diffusion step produced non-finite values")
+    return Field(out, field.domain)
+
+
+def _check_sign(u_min: float, u_max: float) -> None:
+    if u_min < -NEGATIVE_TOL * max(u_max, 0.0):
+        raise NegativeDensity(f"density min {u_min} below tolerance for max {u_max}")
+
+
+def _production(values: np.ndarray, u_min: float, params: ModelParams) -> np.ndarray:
+    """alpha u^rho, with rounding-level dips clamped to zero before the power."""
+    work = np.maximum(values, 0.0) if u_min < 0.0 else values
+    rho = params.rho
+    if rho == 1.0:
+        powered = work
+    elif rho == 0.5:
+        powered = np.sqrt(work)
+    else:
+        powered = np.power(work, rho)
+    return params.alpha * powered
 
 
 def chemical_sources(u: Field, params: ModelParams) -> tuple[Field, Field]:
@@ -98,19 +123,41 @@ def chemical_sources(u: Field, params: ModelParams) -> tuple[Field, Field]:
     require_finite(u, "density")
     values = u.values
     u_min = float(values.min())
-    u_max = float(values.max())
-    if u_min < -NEGATIVE_TOL * max(u_max, 0.0):
-        raise NegativeDensity(f"density min {u_min} below tolerance for max {u_max}")
-    work = np.maximum(values, 0.0) if u_min < 0.0 else values
-    rho = params.rho
-    if rho == 1.0:
-        powered = work
-    elif rho == 0.5:
-        powered = np.sqrt(work)
-    else:
-        powered = np.power(work, rho)
+    _check_sign(u_min, float(values.max()))
     dom = u.domain
-    return Field(params.alpha * powered, dom), Field(params.gamma * values, dom)
+    return Field(_production(values, u_min, params), dom), Field(params.gamma * values, dom)
+
+
+def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec, coeffs=None):
+    """v and w for a finite density with extrema u_min and u_max.
+
+    Given the cosine coefficients of `values` (consumed), w's source gamma u
+    is scaled in cosine space; so is alpha u at rho = 1 with no dip to clamp,
+    where one forward transform serves both. Exact for unit alpha and gamma.
+    """
+    _check_sign(u_min, u_max)
+    shared = params.rho == 1.0 and u_min >= 0.0
+    if shared and coeffs is None:
+        coeffs = dctn(values, type=2, norm="ortho")
+    if shared:
+        v_hat = np.multiply(coeffs, params.alpha)
+    else:
+        v_hat = dctn(_production(values, u_min, params), type=2, norm="ortho")
+    v = _inverse(v_hat, _screened_denominators(dom, params.beta))
+    if coeffs is None:
+        coeffs = dctn(params.gamma * values, type=2, norm="ortho")
+    else:
+        coeffs *= params.gamma
+    w = _inverse(coeffs, _screened_denominators(dom, params.delta))
+    # NaN propagates through min and max and an infinity is an extreme, so
+    # one pair per signal carries its finiteness check too.
+    extrema = [(name, float(s.min()), float(s.max())) for name, s in (("v", v), ("w", w))]
+    if not all(math.isfinite(mn) and math.isfinite(mx) for _, mn, mx in extrema):
+        raise SolverDiverged("cosine-transform solve produced non-finite values")
+    for name, mn, mx in extrema:
+        if mn < -NEGATIVE_TOL * max(mx, 0.0):
+            raise SolverDiverged(f"signal {name} violates the maximum principle: min {mn}")
+    return v, w
 
 
 def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:
@@ -119,19 +166,11 @@ def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:
     v solves (-Lap + beta) v = alpha u^rho, w solves (-Lap + delta) w = gamma u.
     Both inherit nonnegativity from the source up to rounding (discrete
     maximum principle); a violation beyond tolerance means the solver broke
-    its contract and raises.
+    its contract and raises. A source that overflows fails its solve's
+    finiteness check (SolverDiverged).
     """
-    source_v, source_w = chemical_sources(u, params)
+    require_finite(u, "density")
+    values = u.values
     dom = u.domain
-    # The sources come from a checked density, so they skip solve_helmholtz's
-    # input scan; one that overflowed is caught by the solve's own check.
-    v, w = (
-        Field(_cosine_solve(f.values, _screened_denominators(dom, kappa), "cosine-transform solve"), dom)
-        for f, kappa in ((source_v, params.beta), (source_w, params.delta))
-    )
-    for name, signal in (("v", v), ("w", w)):
-        mn = float(signal.values.min())
-        mx = float(signal.values.max())
-        if mn < -NEGATIVE_TOL * max(mx, 0.0):
-            raise SolverDiverged(f"signal {name} violates the maximum principle: min {mn}")
-    return v, w
+    v, w = _signals(values, float(values.min()), float(values.max()), params, dom)
+    return Field(v, dom), Field(w, dom)

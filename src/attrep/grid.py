@@ -59,11 +59,27 @@ def require_finite(field: Field, what: str = "field") -> None:
         raise NonFiniteField(f"{what} contains NaN or Inf")
 
 
+# The _kernels below skip the scans; the public functions wrap them with checks.
+def _integral(values: np.ndarray, h: float) -> float:
+    return float(values.sum()) * h * h
+
+
 def integrate(field: Field) -> float:
     """Midpoint quadrature: h^2 * sum of cell values."""
     require_finite(field)
-    h = field.h
-    return float(field.values.sum()) * h * h
+    return _integral(field.values, field.h)
+
+
+def _lp_integral(values: np.ndarray, p: float, h: float) -> float:
+    if p < 1.0:
+        raise ValueError(f"lp_norm_p needs p >= 1, got {p}")
+    if p == 1.0:
+        total = np.abs(values).sum()
+    elif p == 2.0:
+        total = (values * values).sum()
+    else:
+        total = np.power(np.abs(values), p).sum()
+    return float(total) * h * h
 
 
 def lp_norm_p(field: Field, p: float) -> float:
@@ -74,21 +90,19 @@ def lp_norm_p(field: Field, p: float) -> float:
     """
     require_finite(field)
     p = float(p)
-    if p < 1.0:
-        raise ValueError(f"lp_norm_p needs p >= 1, got {p}")
     values = field.values
-    if not p.is_integer() and values.min() < 0.0:
+    if p >= 1.0 and not p.is_integer() and values.min() < 0.0:
         raise NegativeFieldWithFractionalPower(
             f"field has min {values.min()} < 0 with fractional p = {p}"
         )
-    h = field.h
-    if p == 1.0:
-        total = np.abs(values).sum()
-    elif p == 2.0:
-        total = (values * values).sum()
-    else:
-        total = np.power(np.abs(values), p).sum()
-    return float(total) * h * h
+    return _lp_integral(values, p, field.h)
+
+
+def _grad_sum(v: np.ndarray) -> float:
+    # (diff / h)^2 * h^2 == diff^2, so h cancels out of the face sum.
+    gx = v[1:, :] - v[:-1, :]
+    gy = v[:, 1:] - v[:, :-1]
+    return float((gx * gx).sum() + (gy * gy).sum())
 
 
 def grad_energy(field: Field) -> float:
@@ -100,11 +114,7 @@ def grad_energy(field: Field) -> float:
     otherwise it under-counts a boundary strip of width h/2.
     """
     require_finite(field)
-    v = field.values
-    # (diff / h)^2 * h^2 == diff^2, so h cancels out of the face sum.
-    gx = v[1:, :] - v[:-1, :]
-    gy = v[:, 1:] - v[:, :-1]
-    return float((gx * gx).sum() + (gy * gy).sum())
+    return _grad_sum(field.values)
 
 
 def neumann_laplacian_apply(field: Field) -> Field:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
-from .elliptic import implicit_diffusion_step, solve_signals
+from .elliptic import _implicit_solve, _signals, solve_signals
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate
 from .model import ModelParams, validate_params
@@ -102,33 +102,38 @@ class FaceFluxes:
     fy: np.ndarray
 
 
+# The left and right cells of the interior faces normal to each axis.
+_FACES = ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:]))
+
+
+def _face_speeds(phi: np.ndarray, h: float) -> list[np.ndarray]:
+    """The face drift V = (phi_R - phi_L)/h on the interior faces of each axis."""
+    speeds = [np.subtract(phi[right], phi[left]) for left, right in _FACES]
+    for speed in speeds:
+        speed /= h
+    return speeds
+
+
+def _fluxes(u: np.ndarray, speeds: list[np.ndarray], h: float, diffusion: bool) -> FaceFluxes:
+    """Overwrite the face speeds V with the flux -u_up V (+ (u_R - u_L)/h),
+    where the donor u_up = u_L where V > 0, else u_R. The arithmetic is the
+    same, operation for operation, as forming each term in a fresh array."""
+    for speed, (left, right) in zip(speeds, _FACES):
+        up = u[right].copy()
+        np.copyto(up, u[left], where=speed > 0.0)
+        np.negative(up, out=up)
+        speed *= up
+        if diffusion:
+            grad = np.subtract(u[right], u[left], out=up)
+            grad /= h
+            speed += grad
+    return FaceFluxes(*speeds)
+
+
 def face_fluxes(u: Field, phi: Field, *, diffusion: bool = True) -> FaceFluxes:
     """Diffusive plus upwinded advective flux on every interior face."""
     h = u.domain.h
-    uv = u.values
-    pv = phi.values
-    return FaceFluxes(
-        _axis_flux(uv[:-1, :], uv[1:, :], pv[:-1, :], pv[1:, :], h, diffusion),
-        _axis_flux(uv[:, :-1], uv[:, 1:], pv[:, :-1], pv[:, 1:], h, diffusion),
-    )
-
-
-def _axis_flux(u_left, u_right, phi_left, phi_right, h, diffusion):
-    """-u_up V (+ (u_R - u_L)/h) on the faces between the left and right
-    cells, with V = (phi_R - phi_L)/h and the donor u_up = u_L where V > 0,
-    else u_R. Works in two buffers; the arithmetic is the same, operation for
-    operation, as forming each term in a fresh array."""
-    speed = np.subtract(phi_right, phi_left)
-    speed /= h
-    flux = u_right.copy()
-    np.copyto(flux, u_left, where=speed > 0.0)
-    np.negative(flux, out=flux)
-    flux *= speed
-    if diffusion:
-        grad = np.subtract(u_right, u_left, out=speed)
-        grad /= h
-        flux += grad
-    return flux
+    return _fluxes(u.values, _face_speeds(phi.values, h), h, diffusion)
 
 
 def _flux_divergence(fluxes: FaceFluxes, u: Field) -> np.ndarray:
@@ -144,28 +149,22 @@ def _flux_divergence(fluxes: FaceFluxes, u: Field) -> np.ndarray:
     return div
 
 
-def _max_face_speed(phi: Field) -> float:
-    pv = phi.values
-    h = phi.domain.h
-    speed = 0.0
-    if pv.shape[0] > 1:
-        speed = _max_abs_difference(pv[1:, :], pv[:-1, :]) / h
-    if pv.shape[1] > 1:
-        speed = max(speed, _max_abs_difference(pv[:, 1:], pv[:, :-1]) / h)
-    return speed
-
-
-def _max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b|, in one temporary."""
-    diff = np.subtract(a, b)
-    return float(np.abs(diff, out=diff).max())
+# Memos kept beside a state's fields: the face speeds stable_dt built, keyed by
+# (chi, xi), for the step after it; the density extrema step found, for run.
+_SPEEDS = "_face_speeds"
+_U_RANGE = "_u_range"
 
 
 def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float:
     """cfl_safety * min(diffusive bound h^2/(2 dim), advective bound h/vmax),
-    clamped to [dt_min, dt_max]; imex-diffusion drops the diffusive bound."""
+    clamped to [dt_min, dt_max]; imex-diffusion drops the diffusive bound.
+    Leaves the face speeds on the state for the step after it."""
     h = state.u.domain.h
-    vmax = _max_face_speed(drift_potential(state, params))
+    speeds = _face_speeds(drift_potential(state, params).values, h)
+    object.__setattr__(state, _SPEEDS, ((params.chi, params.xi), speeds))
+    # max|V| = max(max V, -min V); dividing by h is monotone, so this is
+    # max|phi_R - phi_L| / h to the bit.
+    vmax = max((max(float(s.max()), -float(s.min())) for s in speeds if s.size), default=0.0)
     bounds = []
     if cfg.scheme == "explicit-upwind":
         bounds.append(h * h / (2.0 * state.u.values.ndim))
@@ -177,23 +176,39 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float
 
 
 def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None) -> SimState:
-    """Advance one step of size dt (stable_dt when omitted); recomputes the
-    signals for the new density. Raises NonFiniteState on NaN/Inf."""
+    """Advance one step of size dt (stable_dt when omitted) and solve the
+    signals for the new density. One min and one max of the new density carry
+    its checks: NaN/Inf raises NonFiniteState (SolverDiverged when only the
+    implicit diffusion solve lost finiteness), a dip below -1e-13 max raises
+    NegativeDensity."""
     if dt is None:
         dt = stable_dt(state, params, cfg)
     imex = cfg.scheme == "imex-diffusion"
-    fluxes = face_fluxes(state.u, drift_potential(state, params), diffusion=not imex)
-    # u + dt * div(F), built in the divergence buffer.
-    update = _flux_divergence(fluxes, state.u)
+    u = state.u
+    dom = u.domain
+    key, speeds = vars(state).pop(_SPEEDS, (None, None))
+    if key != (params.chi, params.xi):
+        speeds = _face_speeds(drift_potential(state, params).values, dom.h)
+    # u + dt * div(F), in the divergence buffer; the fluxes overwrite the
+    # speeds and go before the transforms.
+    update = _flux_divergence(_fluxes(u.values, speeds, dom.h, not imex), u)
+    del speeds
     update *= dt
-    update += state.u.values
-    if not np.isfinite(update).all():
-        raise NonFiniteState(f"density lost finiteness at t = {state.t}")
-    new_u = Field(update, state.u.domain)
+    update += u.values
     if imex:
-        new_u = implicit_diffusion_step(new_u, dt)
-    v, w = solve_signals(new_u, params)
-    return SimState(new_u, v, w, t=state.t + dt, step=state.step + 1, status=Status.RUNNING)
+        new_u, coeffs = _implicit_solve(update, dt, dom)
+    else:
+        new_u, coeffs = update, None
+    u_min, u_max = float(new_u.min()), float(new_u.max())
+    if not (math.isfinite(u_min) and math.isfinite(u_max)):
+        if imex and np.isfinite(update).all():
+            raise SolverDiverged("implicit diffusion step produced non-finite values")
+        raise NonFiniteState(f"density lost finiteness at t = {state.t}")
+    del update  # past its check, the forward-Euler update is not needed
+    v, w = _signals(new_u, u_min, u_max, params, dom, coeffs)
+    new = SimState(Field(new_u, dom), Field(v, dom), Field(w, dom), state.t + dt, state.step + 1, Status.RUNNING)
+    object.__setattr__(new, _U_RANGE, (u_min, u_max))
+    return new
 
 
 @dataclass(frozen=True)
@@ -259,13 +274,19 @@ def run(
         for cb in callbacks:
             cb(s, rec)
 
-    # One min and one max per accepted state feed the density ratio, the
-    # blow-up threshold and the steady-state scale max|u| = max(u_max, -u_min).
+    # One min and one max per accepted state (step leaves them on the states it
+    # builds) feed the density ratio, the blow-up threshold and the steady-state
+    # scale max|u| = max(u_max, -u_min).
     u_min, u_max = float(state.u.values.min()), float(state.u.values.max())
     min_ratio = u_min / u_max if u_max > 0.0 else math.inf
     if on_state is not None:
         on_state(state)
     status = Status.RUNNING
+    # One buffer for max|u' - u| over the whole run. A fresh whole-field
+    # temporary would be the last array freed in each step; on large grids
+    # the allocator then returns its pages to the system and faults them in
+    # again next step (about 390 page faults a step at 256^2).
+    work = np.empty(state.u.domain.cells)
     while True:
         if state.t >= t_end:
             status = Status.COMPLETED
@@ -287,14 +308,15 @@ def run(
             status = Status.BLOWUP_SUSPECTED
             break
         scale = max(u_max, -u_min)
-        u_min, u_max = float(new_state.u.values.min()), float(new_state.u.values.max())
+        u_min, u_max = vars(new_state)[_U_RANGE]
         if u_max > 0.0:
             min_ratio = min(min_ratio, u_min / u_max)
         if on_state is not None:
             on_state(new_state)
-        diff = _max_abs_difference(new_state.u.values, state.u.values)
+        diff = np.subtract(new_state.u.values, state.u.values, out=work)
+        change = float(np.abs(diff, out=diff).max())
         state = new_state
-        if scale > 0.0 and diff / (dt * scale) < steady_tol:
+        if scale > 0.0 and change / (dt * scale) < steady_tol:
             status = Status.STEADY_DETECTED
             break
 

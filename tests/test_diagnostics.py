@@ -20,7 +20,8 @@ from attrep.diagnostics import (
     sample,
     write_diagnostics_csv,
 )
-from attrep.errors import InsufficientSamples, MismatchedP
+from attrep.errors import InsufficientSamples, MismatchedP, NonFiniteField
+from attrep.grid import grad_energy, integrate, lp_norm_p
 from attrep.stepper import SimState, Status, StepperConfig, initial_state, run, stable_dt, step
 
 
@@ -112,6 +113,41 @@ class TestSample:
         a = sample(state, (2.0,))
         b = sample(state, (2.0,))
         assert a == b
+
+    def test_bits_match_public_functions(self, unit_square_16, rng):
+        # sample sums through the kernels that lp_norm_p, grad_energy and
+        # integrate wrap, without their scans; the values are the same bits.
+        values = rng.uniform(0.0, 2.0, size=unit_square_16.cells)
+        values[2, 3] = -1e-14
+        state = make_state(Field(values, unit_square_16))
+        ps = (2.0, 1.5, 3.0)
+        rec = sample(state, ps)
+        clamped = Field(np.maximum(values, 0.0), unit_square_16)
+        for p in ps:
+            assert rec.energies[p].hex() == lp_norm_p(clamped, p).hex()
+            root = Field(np.power(clamped.values, p / 2.0), unit_square_16)
+            assert rec.grad_energies[p].hex() == grad_energy(root).hex()
+        assert rec.mass.hex() == integrate(state.u).hex()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_density_rejected(self, unit_square_16, bad):
+        values = np.ones(unit_square_16.cells)
+        values[5, 5] = bad
+        one = Field.full(unit_square_16, 1.0)
+        state = SimState(Field(values, unit_square_16), one, one, t=0.0, step=0, status=Status.RUNNING)
+        with pytest.raises(NonFiniteField):
+            sample(state, (2.0,))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_power_rejected(self, unit_square_16):
+        # u^{p/2} = 1e400 overflows at p = 4; at p = 3 it is 1e300 and stays finite.
+        values = np.ones(unit_square_16.cells)
+        values[5, 5] = 1e200
+        one = Field.full(unit_square_16, 1.0)
+        state = SimState(Field(values, unit_square_16), one, one, t=0.0, step=0, status=Status.RUNNING)
+        sample(state, (3.0,))
+        with pytest.raises(NonFiniteField):
+            sample(state, (4.0,))
 
     def test_signal_maxima_recorded(self, unit_square_16):
         state = make_state(Field.full(unit_square_16, 4.0))

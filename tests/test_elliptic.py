@@ -245,6 +245,26 @@ class TestSolveSignals:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverDiverged):
             solve_signals(u, replace(unit_params, gamma=1e10))
 
+    @pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (1.7, 0.6)])
+    @pytest.mark.parametrize("dip", [False, True])
+    def test_linear_production_shares_one_transform(self, unit_params, rng, alpha, gamma, dip):
+        # At rho = 1 both sources are multiples of u, scaled in cosine space:
+        # to the bit with unit alpha and gamma, to rounding otherwise. A
+        # rounding-level dip is clamped in v's source, so each source then
+        # takes its own transform, as a separate solve does.
+        dom = DomainSpec((1.0, 1.0), (16, 16))
+        params = replace(unit_params, rho=1.0, alpha=alpha, gamma=gamma, beta=2.0, delta=0.5)
+        values = rng.uniform(0.0, 3.0, size=dom.cells)
+        if dip:
+            values[3, 7] = -1e-14
+        v, w = solve_signals(Field(values, dom), params)
+        want_v = fresh_array_solve(alpha * np.maximum(values, 0.0), dom, params.beta)
+        want_w = fresh_array_solve(gamma * values, dom, params.delta)
+        for got, want in ((v.values, want_v), (w.values, want_w)):
+            if dip or alpha == gamma == 1.0:
+                assert got.tobytes() == want.tobytes()
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
     @given(c=st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=25, deadline=None)
     def test_constant_identity_property(self, c):

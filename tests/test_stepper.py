@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import attrep.elliptic as elliptic
 from attrep import DomainSpec, Field, ModelParams
 from attrep.diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
-from attrep.elliptic import implicit_diffusion_step
-from attrep.errors import NonFiniteState
+from attrep.elliptic import implicit_diffusion_step, solve_signals
+from attrep.errors import NegativeDensity, NonFiniteState, SolverDiverged
 from attrep.grid import integrate
 from attrep.stepper import (
     BLOWUP_FACTOR,
@@ -339,6 +340,166 @@ class TestStep:
             want = implicit_diffusion_step(Field(want, dom), dt).values
         assert_same_bits(drift_potential(state, params).values, phi.values)
         assert_same_bits(step(state, params, cfg, dt).u.values, want)
+
+    def test_imex_signals_from_implicit_coefficients(self):
+        # v is solved from the new density as solve_signals does; w is taken
+        # from the implicit solve's cosine coefficients, equal up to rounding.
+        dom = DomainSpec((1.0, 1.0), (24, 24))
+        params = ModelParams(1.0, 1.0, 1.3, 0.7, chi=4.0, xi=0.5, rho=0.5)
+        cfg = StepperConfig(scheme="imex-diffusion")
+        new = step(initial_state(bump_field(dom, width=0.08), params), params, cfg)
+        v, w = solve_signals(new.u, params)
+        assert_same_bits(new.v.values, v.values)
+        np.testing.assert_allclose(new.w.values, w.values, rtol=1e-13, atol=0.0)
+
+
+def spike_state(dom, amplitude):
+    """All density in the centre cell, at the bottom of a steep cone of v, so
+    that it drifts out through all four faces at the largest face speed."""
+    u = np.zeros(dom.cells)
+    u[4, 4] = amplitude
+    i = np.abs(np.arange(dom.cells[0]) - 4)
+    cone = 100.0 * (i[:, None] + i[None, :]).astype(float)
+    return SimState(Field(u, dom), Field(cone, dom), Field.full(dom, 0.0), 0.0, 0, Status.RUNNING)
+
+
+def nan_signal_state(dom):
+    v = np.ones(dom.cells)
+    v[3, 3] = np.nan
+    return SimState(bump_field(dom), Field(v, dom), Field.full(dom, 0.0), 0.0, 0, Status.RUNNING)
+
+
+def uniform_state(dom, value):
+    zero = Field.full(dom, 0.0)
+    return SimState(Field.full(dom, value), zero, zero, 0.0, 0, Status.RUNNING)
+
+
+PARITY_PARAMS = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.0, rho=0.5)
+
+# Hand-built states that fail a step at its own stable dt (cfl_safety = 1):
+# (state maker, params, exception, message).
+PARITY_CASES = {
+    "nan-update": (nan_signal_state, PARITY_PARAMS, NonFiniteState, "density lost finiteness"),
+    "inf-update": (lambda dom: spike_state(dom, 1e308), PARITY_PARAMS, NonFiniteState, "density lost finiteness"),
+    "negative-dip": (lambda dom: spike_state(dom, 1.0), PARITY_PARAMS, NegativeDensity, "below tolerance"),
+    "overflowing-source": (
+        lambda dom: uniform_state(dom, 1e299),
+        replace(PARITY_PARAMS, chi=0.0, gamma=1e10),
+        SolverDiverged,
+        "cosine-transform solve produced non-finite values",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+class TestCheckParity:
+    """One minimum and one maximum of each new field carry every check of the
+    step: the same states fail with the same exception and message."""
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_step_raises(self, scheme, case):
+        make, params, exc, message = PARITY_CASES[case]
+        dom = DomainSpec((1.0, 1.0), (8, 8))
+        cfg = StepperConfig(scheme=scheme, cfl_safety=1.0)
+        state = make(dom)
+        with pytest.raises(exc, match=message):
+            step(state, params, cfg, stable_dt(state, params, cfg))
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_run_reports_blowup_suspected(self, scheme, case):
+        make, params, _, _ = PARITY_CASES[case]
+        dom = DomainSpec((1.0, 1.0), (8, 8))
+        cfg = StepperConfig(scheme=scheme, cfl_safety=1.0)
+        result = run(make(dom), params, cfg, 1.0, blowup_threshold=math.inf)
+        assert result.state.status is Status.BLOWUP_SUSPECTED
+        assert result.steps == 0
+
+    @pytest.mark.parametrize(
+        "scheme, message",
+        [
+            ("explicit-upwind", "cosine-transform solve produced non-finite values"),
+            ("imex-diffusion", "implicit diffusion step produced non-finite values"),
+        ],
+    )
+    def test_overflowing_transform_is_solver_diverged(self, scheme, message):
+        # The update is finite; its cosine transform overflows, in the signal
+        # solve (explicit) or already in the implicit diffusion solve (IMEX).
+        dom = DomainSpec((1.0, 1.0), (8, 8))
+        params = replace(PARITY_PARAMS, chi=0.0)
+        with pytest.raises(SolverDiverged, match=message):
+            step(uniform_state(dom, 1e308), params, StepperConfig(scheme=scheme), 1e-3)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestDriftMemo:
+    """stable_dt leaves the face speeds on the state for the step after it."""
+
+    def test_step_uses_its_own_params(self, scheme):
+        dom = DomainSpec((1.0, 1.0), (24, 24))
+        params_a = ModelParams(1.0, 1.0, 1.0, 1.0, chi=4.0, xi=0.5, rho=0.5)
+        params_b = replace(params_a, chi=1.0, xi=2.0)
+        cfg = StepperConfig(scheme=scheme)
+        state = initial_state(bump_field(dom, width=0.08), params_a)
+        fresh = initial_state(bump_field(dom, width=0.08), params_a)
+        dt = stable_dt(state, params_a, cfg)
+        got = step(state, params_b, cfg, dt)
+        want = step(fresh, params_b, cfg, dt)
+        for name in ("u", "v", "w"):
+            assert_same_bits(getattr(got, name).values, getattr(want, name).values)
+
+    def test_stepping_twice_gives_same_bits(self, scheme):
+        dom = DomainSpec((1.0, 1.0), (24, 24))
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=4.0, xi=0.5, rho=0.5)
+        cfg = StepperConfig(scheme=scheme)
+        state = initial_state(bump_field(dom, width=0.08), params)
+        dt = stable_dt(state, params, cfg)
+        first = step(state, params, cfg, dt)
+        second = step(state, params, cfg, dt)
+        for name in ("u", "v", "w"):
+            assert_same_bits(getattr(first, name).values, getattr(second, name).values)
+
+
+class TestTransformBudget:
+    """Cosine transforms per call: one forward transform per distinct source."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+        for name in ("dctn", "idctn"):
+            original = getattr(elliptic, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(elliptic, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "scheme, rho, transforms",
+        [
+            ("explicit-upwind", 0.5, 4),
+            ("explicit-upwind", 1.0, 3),
+            ("imex-diffusion", 0.5, 5),
+            ("imex-diffusion", 1.0, 4),
+        ],
+    )
+    def test_step(self, count, scheme, rho, transforms):
+        dom = DomainSpec((1.0, 1.0), (16, 16))
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=rho)
+        cfg = StepperConfig(scheme=scheme)
+        state = initial_state(bump_field(dom), params)
+        count.clear()
+        step(state, params, cfg, stable_dt(state, params, cfg))
+        assert len(count) == transforms
+
+    @pytest.mark.parametrize("rho, transforms", [(0.5, 4), (1.0, 3)])
+    def test_solve_signals(self, count, rho, transforms):
+        dom = DomainSpec((1.0, 1.0), (16, 16))
+        solve_signals(bump_field(dom), ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=rho))
+        assert len(count) == transforms
 
 
 class TestRun:
