@@ -14,11 +14,10 @@ from .diagnostics import (
     DiagnosticsRecord,
     check_absorptive_bound,
     check_energy_inequality,
-    detect_blowup,
     sample,
     write_diagnostics_csv,
 )
-from .elliptic import chemical_sources, solve_helmholtz, solve_signals
+from .elliptic import solve_helmholtz, solve_signals
 from .grid import (
     Field,
     grad_energy,
@@ -44,8 +43,6 @@ from .stepper import (
     SimState,
     Status,
     StepperConfig,
-    drift_potential,
-    face_fluxes,
     initial_state,
     run,
     stable_dt,
@@ -73,15 +70,11 @@ __all__ = [
     "build_initial_data",
     "check_absorptive_bound",
     "check_energy_inequality",
-    "chemical_sources",
     "classify_regime",
     "compute_bounds",
     "critical_mass",
-    "detect_blowup",
-    "drift_potential",
     "estimate_ehrling_constant",
     "estimate_gn_constant",
-    "face_fluxes",
     "from_dict",
     "grad_energy",
     "initial_state",

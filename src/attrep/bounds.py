@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EtaOutOfRange, RhoNotSublinear
-from .grid import Field, grad_energy
+from .grid import _grad_sum
 from .model import DomainSpec, ModelParams, validate_params
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
@@ -199,10 +199,11 @@ _FAMILY_SEED = 2024
 _FAMILY_RANDOM = 24
 
 
-def _test_family(dom: DomainSpec, seed: int, n_random: int) -> list[np.ndarray]:
+def _test_family(dom: DomainSpec, seed: int, n_random: int) -> list[tuple[np.ndarray, float, float]]:
     """Cosine modes, off-center and corner bumps, and seeded smooth random
     fields. Definitions depend only on physical coordinates, so the family is
-    stable under mesh refinement."""
+    stable under mesh refinement. Each member comes with its sum of squares
+    and its gradient sum (grid._grad_sum), which both estimators read."""
     x, y = dom.cell_centers()
     lx, ly = dom.lengths
     xn = x[:, None] / lx
@@ -228,7 +229,7 @@ def _test_family(dom: DomainSpec, seed: int, n_random: int) -> list[np.ndarray]:
         coeff = rng.standard_normal((modes, modes)) / (1.0 + np.add.outer(np.arange(modes), np.arange(modes)))
         f = cos_x @ coeff @ cos_y.T
         fields.append(f * f)  # squared to stay smooth and nonnegative
-    return fields
+    return [(f, float((f * f).sum()), _grad_sum(f)) for f in fields]
 
 
 def _low_norm(values: np.ndarray, dom: DomainSpec, q: float) -> float:
@@ -254,14 +255,14 @@ def estimate_gn_constant(
     return _gn_over_family(_test_family(dom, seed, n_random), dom, p)
 
 
-def _gn_over_family(family: list[np.ndarray], dom: DomainSpec, p: float) -> float:
+def _gn_over_family(family: list, dom: DomainSpec, p: float) -> float:
     theta = interpolation_exponent(p, 2)
     q = 2.0 / p
     h = dom.h
     best = 0.0
-    for values in family:
-        l2 = math.sqrt(float((values * values).sum()) * h * h)
-        ge = math.sqrt(grad_energy(Field(values, dom)))
+    for values, squares, grad in family:
+        l2 = math.sqrt(squares * h * h)
+        ge = math.sqrt(grad)
         low = _low_norm(values, dom, q)
         denom = ge**theta * low ** (1.0 - theta) + low
         if denom > 0.0:
@@ -286,15 +287,14 @@ def estimate_ehrling_constant(
     return _ehrling_over_family(_test_family(dom, seed, n_random), dom, eta, p)
 
 
-def _ehrling_over_family(family: list[np.ndarray], dom: DomainSpec, eta: float, p: float) -> float:
+def _ehrling_over_family(family: list, dom: DomainSpec, eta: float, p: float) -> float:
     q = 2.0 / (p + 1.0)
     h = dom.h
     best = 0.0
-    for values in family:
-        l2_sq = float((values * values).sum()) * h * h
-        ge_sq = grad_energy(Field(values, dom))
+    for values, squares, grad in family:
+        l2_sq = squares * h * h
         low = _low_norm(values, dom, q)
-        needed = (l2_sq * (1.0 - eta) - eta * ge_sq) / (low * low)
+        needed = (l2_sq * (1.0 - eta) - eta * grad) / (low * low)
         best = max(best, needed)
     return best
 

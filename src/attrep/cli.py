@@ -57,10 +57,6 @@ def _json_safe(value):
     return value
 
 
-def _default_bounds_p(cfg: ExperimentConfig) -> float:
-    return 0.75 * cfg.params.dim
-
-
 def _bounds_report(cfg: ExperimentConfig, mass: float, p: float):
     """compute_bounds at exponent p with the config's domain and constant overrides."""
     return compute_bounds(cfg.params, mass, p, dom=cfg.domain, cgn=cfg.bounds_cgn, ce=cfg.bounds_ce)
@@ -172,7 +168,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
 def cmd_bounds(cfg: ExperimentConfig, p_override: float | None) -> int:
     p = p_override if p_override is not None else cfg.bounds_p
     if p is None:
-        p = _default_bounds_p(cfg)
+        p = 0.75 * cfg.params.dim  # 3n/4
     if p <= 1.0:
         print(f"error: the energy exponent must satisfy p > 1, got {p}", file=sys.stderr)
         return EXIT_ERROR

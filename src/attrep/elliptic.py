@@ -73,7 +73,9 @@ def solve_helmholtz(source: Field, kappa: float) -> Field:
 
 
 def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(I - dt Lap)^-1 values, and its cosine coefficients for the signals."""
+    """(I - dt Lap)^-1 values, the backward-Euler heat step, and its cosine
+    coefficients for the signals. The zero mode has eigenvalue 0, so the mean
+    (hence the mass) is kept exactly; every other mode is damped."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     denom = dt * _mode_eigenvalues(dom)
@@ -81,24 +83,6 @@ def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> tuple[np.
     coeffs = dctn(values, type=2, norm="ortho")
     coeffs /= denom
     return idctn(coeffs, type=2, norm="ortho"), coeffs
-
-
-def implicit_diffusion_step(field: Field, dt: float) -> Field:
-    """Backward-Euler heat step (I - dt Lap) u' = u via the same mode basis.
-
-    The zero mode has eigenvalue 0, so the mean (hence the mass) is preserved
-    exactly; all other modes are damped, never amplified.
-    """
-    require_finite(field, "implicit diffusion input")
-    out, _ = _implicit_solve(field.values, dt, field.domain)
-    if not np.isfinite(out).all():
-        raise SolverDiverged("implicit diffusion step produced non-finite values")
-    return Field(out, field.domain)
-
-
-def _check_sign(u_min: float, u_max: float) -> None:
-    if u_min < -NEGATIVE_TOL * max(u_max, 0.0):
-        raise NegativeDensity(f"density min {u_min} below tolerance for max {u_max}")
 
 
 def _production(values: np.ndarray, u_min: float, params: ModelParams) -> np.ndarray:
@@ -114,20 +98,6 @@ def _production(values: np.ndarray, u_min: float, params: ModelParams) -> np.nda
     return params.alpha * powered
 
 
-def chemical_sources(u: Field, params: ModelParams) -> tuple[Field, Field]:
-    """Source fields alpha u^rho and gamma u for the two signal equations.
-
-    u may dip to -NEGATIVE_TOL * max(u) from rounding; such dips are clamped
-    to zero before the fractional power. Anything more negative raises.
-    """
-    require_finite(u, "density")
-    values = u.values
-    u_min = float(values.min())
-    _check_sign(u_min, float(values.max()))
-    dom = u.domain
-    return Field(_production(values, u_min, params), dom), Field(params.gamma * values, dom)
-
-
 def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec, coeffs=None):
     """v and w for a finite density with extrema u_min and u_max.
 
@@ -135,7 +105,8 @@ def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: Domai
     is scaled in cosine space; so is alpha u at rho = 1 with no dip to clamp,
     where one forward transform serves both. Exact for unit alpha and gamma.
     """
-    _check_sign(u_min, u_max)
+    if u_min < -NEGATIVE_TOL * max(u_max, 0.0):
+        raise NegativeDensity(f"density min {u_min} below tolerance for max {u_max}")
     shared = params.rho == 1.0 and u_min >= 0.0
     if shared and coeffs is None:
         coeffs = dctn(values, type=2, norm="ortho")
@@ -164,10 +135,12 @@ def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:
     """Solve both signal equations for the given density.
 
     v solves (-Lap + beta) v = alpha u^rho, w solves (-Lap + delta) w = gamma u.
-    Both inherit nonnegativity from the source up to rounding (discrete
-    maximum principle); a violation beyond tolerance means the solver broke
-    its contract and raises. A source that overflows fails its solve's
-    finiteness check (SolverDiverged).
+    u must be finite (NonFiniteField); a rounding-level dip, down to
+    -NEGATIVE_TOL * max(u), is clamped to zero before the power, and a deeper
+    one raises NegativeDensity. Both signals inherit nonnegativity from the
+    source up to rounding (discrete maximum principle); a violation beyond
+    tolerance means the solver broke its contract and raises. A source that
+    overflows fails its solve's finiteness check (SolverDiverged).
     """
     require_finite(u, "density")
     values = u.values

@@ -17,6 +17,7 @@ calls on the same field are bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,14 @@ def require_finite(field: Field, what: str = "field") -> None:
         raise NonFiniteField(f"{what} contains NaN or Inf")
 
 
-# The _kernels below skip the scans; the public functions wrap them with checks.
+# The _kernels below skip the scans of their input; the public functions wrap
+# them with checks. _lp_integral and _grad_sum check their sums for overflow.
+def _finite(total: float, what: str) -> float:
+    if not math.isfinite(total):
+        raise NonFiniteField(f"{what} is not finite: {total}")
+    return total
+
+
 def _integral(values: np.ndarray, h: float) -> float:
     return float(values.sum()) * h * h
 
@@ -79,7 +87,7 @@ def _lp_integral(values: np.ndarray, p: float, h: float) -> float:
         total = (values * values).sum()
     else:
         total = np.power(np.abs(values), p).sum()
-    return float(total) * h * h
+    return _finite(float(total) * h * h, f"integral of |f|^{p}")
 
 
 def lp_norm_p(field: Field, p: float) -> float:
@@ -102,7 +110,7 @@ def _grad_sum(v: np.ndarray) -> float:
     # (diff / h)^2 * h^2 == diff^2, so h cancels out of the face sum.
     gx = v[1:, :] - v[:-1, :]
     gy = v[:, 1:] - v[:, :-1]
-    return float((gx * gx).sum() + (gy * gy).sum())
+    return _finite(float((gx * gx).sum() + (gy * gy).sum()), "gradient energy")
 
 
 def grad_energy(field: Field) -> float:

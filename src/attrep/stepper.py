@@ -34,7 +34,7 @@ from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
 from .elliptic import _implicit_solve, _signals, solve_signals
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate
-from .model import ModelParams, validate_params
+from .model import DomainSpec, ModelParams, validate_params
 
 SCHEMES = ("explicit-upwind", "imex-diffusion")
 
@@ -84,22 +84,11 @@ def initial_state(u0: Field, params: ModelParams) -> SimState:
     return SimState(u0, v, w, t=0.0, step=0, status=Status.RUNNING)
 
 
-def drift_potential(state: SimState, params: ModelParams) -> Field:
+def _drift(state: SimState, params: ModelParams) -> np.ndarray:
     """phi = chi v - xi w; cells drift up its gradient."""
     phi = np.multiply(state.v.values, params.chi)
     phi -= np.multiply(state.w.values, params.xi)
-    return Field(phi, state.u.domain)
-
-
-@dataclass(frozen=True)
-class FaceFluxes:
-    """Interior face fluxes: fx has shape (Nx-1, Ny), fy has shape (Nx, Ny-1).
-
-    Boundary faces are implicit zeros.
-    """
-
-    fx: np.ndarray
-    fy: np.ndarray
+    return phi
 
 
 # The left and right cells of the interior faces normal to each axis.
@@ -114,10 +103,10 @@ def _face_speeds(phi: np.ndarray, h: float) -> list[np.ndarray]:
     return speeds
 
 
-def _fluxes(u: np.ndarray, speeds: list[np.ndarray], h: float, diffusion: bool) -> FaceFluxes:
+def _fluxes(u: np.ndarray, speeds: list[np.ndarray], h: float, diffusion: bool) -> list[np.ndarray]:
     """Overwrite the face speeds V with the flux -u_up V (+ (u_R - u_L)/h),
-    where the donor u_up = u_L where V > 0, else u_R. The arithmetic is the
-    same, operation for operation, as forming each term in a fresh array."""
+    where the donor u_up = u_L where V > 0, else u_R, and return them. The
+    arithmetic is the same, operation for operation, as in fresh arrays."""
     for speed, (left, right) in zip(speeds, _FACES):
         up = u[right].copy()
         np.copyto(up, u[left], where=speed > 0.0)
@@ -127,25 +116,18 @@ def _fluxes(u: np.ndarray, speeds: list[np.ndarray], h: float, diffusion: bool) 
             grad = np.subtract(u[right], u[left], out=up)
             grad /= h
             speed += grad
-    return FaceFluxes(*speeds)
+    return speeds
 
 
-def face_fluxes(u: Field, phi: Field, *, diffusion: bool = True) -> FaceFluxes:
-    """Diffusive plus upwinded advective flux on every interior face."""
-    h = u.domain.h
-    return _fluxes(u.values, _face_speeds(phi.values, h), h, diffusion)
-
-
-def _flux_divergence(fluxes: FaceFluxes, u: Field) -> np.ndarray:
-    h = u.domain.h
-    div = np.empty(u.domain.cells)
+def _flux_divergence(fx: np.ndarray, fy: np.ndarray, dom: DomainSpec) -> np.ndarray:
+    div = np.empty(dom.cells)
     # 0.0 + fx, as accumulating onto zeros would give: it turns -0.0 into 0.0.
-    np.add(fluxes.fx, 0.0, out=div[:-1, :])
+    np.add(fx, 0.0, out=div[:-1, :])
     div[-1, :] = 0.0
-    div[1:, :] -= fluxes.fx
-    div[:, :-1] += fluxes.fy
-    div[:, 1:] -= fluxes.fy
-    div /= h
+    div[1:, :] -= fx
+    div[:, :-1] += fy
+    div[:, 1:] -= fy
+    div /= dom.h
     return div
 
 
@@ -157,22 +139,25 @@ _U_RANGE = "_u_range"
 
 def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float:
     """cfl_safety * min(diffusive bound h^2/(2 dim), advective bound h/vmax),
-    clamped to [dt_min, dt_max]; imex-diffusion drops the diffusive bound.
-    Leaves the face speeds on the state for the step after it."""
+    clamped to [dt_min, dt_max]; imex-diffusion drops the diffusive bound. A
+    drift with NaN or Inf raises NonFiniteState. Leaves the face speeds on the
+    state for the step after it."""
     h = state.u.domain.h
-    speeds = _face_speeds(drift_potential(state, params).values, h)
-    object.__setattr__(state, _SPEEDS, ((params.chi, params.xi), speeds))
+    speeds = _face_speeds(_drift(state, params), h)
     # max|V| = max(max V, -min V); dividing by h is monotone, so this is
-    # max|phi_R - phi_L| / h to the bit.
-    vmax = max((max(float(s.max()), -float(s.min())) for s in speeds if s.size), default=0.0)
+    # max|phi_R - phi_L| / h to the bit. NaN propagates through min and max.
+    extrema = [x for s in speeds if s.size for x in (float(s.max()), -float(s.min()))]
+    if not all(map(math.isfinite, extrema)):
+        raise NonFiniteState(f"drift lost finiteness at t = {state.t}")
+    object.__setattr__(state, _SPEEDS, ((params.chi, params.xi), speeds))
+    vmax = max(extrema, default=0.0)
     bounds = []
     if cfg.scheme == "explicit-upwind":
         bounds.append(h * h / (2.0 * state.u.values.ndim))
     if vmax > 0.0:
         bounds.append(h / vmax)
     dt = cfg.cfl_safety * min(bounds) if bounds else math.inf
-    dt = min(dt, cfg.dt_max)
-    return max(dt, cfg.dt_min)
+    return max(min(dt, cfg.dt_max), cfg.dt_min)
 
 
 def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None) -> SimState:
@@ -188,10 +173,10 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
     dom = u.domain
     key, speeds = vars(state).pop(_SPEEDS, (None, None))
     if key != (params.chi, params.xi):
-        speeds = _face_speeds(drift_potential(state, params).values, dom.h)
+        speeds = _face_speeds(_drift(state, params), dom.h)
     # u + dt * div(F), in the divergence buffer; the fluxes overwrite the
     # speeds and go before the transforms.
-    update = _flux_divergence(_fluxes(u.values, speeds, dom.h, not imex), u)
+    update = _flux_divergence(*_fluxes(u.values, speeds, dom.h, not imex), dom)
     del speeds
     update *= dt
     update += u.values
@@ -296,11 +281,11 @@ def run(
             break
         if diagnostics is not None and state.step % diagnostics.every == 0:
             take_sample(state)
-        dt = stable_dt(state, params, cfg)
-        if dt <= cfg.dt_min:
-            status = Status.BLOWUP_SUSPECTED
-            break
         try:
+            dt = stable_dt(state, params, cfg)
+            if dt <= cfg.dt_min:
+                status = Status.BLOWUP_SUSPECTED
+                break
             new_state = step(state, params, cfg, dt)
         except (NonFiniteState, NegativeDensity, SolverDiverged):
             # The discrete solution left the regime the scheme is built for;

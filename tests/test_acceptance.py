@@ -1,7 +1,8 @@
 """Acceptance suite: one test per shipped guarantee, at its stated tolerance.
 
-Expensive runs are shared through module-scoped fixtures. The terminal
-summary hook in conftest.py prints one PASS/FAIL line per criterion.
+Expensive runs are shared through module-scoped fixtures; the criteria that
+use them carry the `slow` marker, so `-m "not slow"` leaves them out. The
+terminal summary hook in conftest.py prints one PASS/FAIL line per criterion.
 """
 
 import json
@@ -198,6 +199,7 @@ def criterion9_runs(tmp_path_factory):
     return SimpleNamespace(dirs=dirs, exits=exits, summaries=summaries)
 
 
+@pytest.mark.slow
 def test_criterion_1_mass_conservation(criterion1_run):
     r = criterion1_run
     assert r.max_drift / r.mass <= 1e-10
@@ -262,6 +264,7 @@ def test_criterion_3_heat_reduction():
     assert abs(observed - expected) / expected <= 1e-6
 
 
+@pytest.mark.slow
 def test_criterion_4_sublinear_boundedness(criterion4_run):
     result = criterion4_run.result
     assert result.state.status is Status.COMPLETED
@@ -275,6 +278,7 @@ def test_criterion_4_sublinear_boundedness(criterion4_run):
     assert max(umax) <= 1.05 * statistics.median(umax)
 
 
+@pytest.mark.slow
 def test_criterion_5_critical_mass_dichotomy(criterion5_runs):
     r = criterion5_runs
     assert r.sub.state.status is not Status.BLOWUP_SUSPECTED
@@ -332,6 +336,7 @@ def test_criterion_6_constants_oracle():
     assert skipped <= count * 0.05
 
 
+@pytest.mark.slow
 def test_criterion_7_absorptive_consistency(criterion4_run):
     params = criterion4_run.params
     p = 0.75 * params.dim
@@ -353,6 +358,7 @@ def test_criterion_7_absorptive_consistency(criterion4_run):
     assert report.ce > 0.0
 
 
+@pytest.mark.slow
 def test_criterion_8_positivity(criterion1_run, criterion4_run, criterion5_runs, criterion9_runs):
     ratios = {
         "mass-conservation run": criterion1_run.min_ratio,
@@ -365,6 +371,7 @@ def test_criterion_8_positivity(criterion1_run, criterion4_run, criterion5_runs,
         assert ratio >= -1e-13, label
 
 
+@pytest.mark.slow
 def test_criterion_9_cli_determinism(criterion9_runs):
     r = criterion9_runs
     assert r.exits == [EXIT_OK, EXIT_OK]

@@ -11,7 +11,7 @@ from scipy.fft import dctn, idctn
 
 from _oracles import dense_helmholtz_matrix
 from attrep import DomainSpec, Field, solve_helmholtz, solve_signals
-from attrep.elliptic import _mode_eigenvalues, chemical_sources, implicit_diffusion_step
+from attrep.elliptic import _implicit_solve, _mode_eigenvalues, _production
 from attrep.errors import NegativeDensity, NonFiniteField, NonPositiveKappa, SolverDiverged
 from attrep.grid import integrate, neumann_laplacian_apply
 
@@ -136,15 +136,17 @@ class TestSolveHelmholtz:
 
 
 class TestImplicitDiffusion:
+    """The backward-Euler heat step (I - dt Lap) u' = u of the IMEX scheme."""
+
     @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
     def test_bits_match_fresh_array_step(self, rng, lengths, cells):
         dom = DomainSpec(lengths, cells)
         for dt in (1e-4, 3.3e-3, 0.2):
-            field = Field(rng.uniform(0.0, 2.0, size=cells), dom)
+            values = rng.uniform(0.0, 2.0, size=cells)
             eig = _mode_eigenvalues(dom)
-            coeffs = dctn(field.values, type=2, norm="ortho")
+            coeffs = dctn(values, type=2, norm="ortho")
             want = idctn(coeffs / (1.0 + dt * eig), type=2, norm="ortho")
-            assert implicit_diffusion_step(field, dt).values.tobytes() == want.tobytes()
+            assert _implicit_solve(values, dt, dom)[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k,l", [(1, 0), (2, 2)])
     def test_mode_damped_by_resolvent(self, k, l):
@@ -152,63 +154,69 @@ class TestImplicitDiffusion:
         dt = 1e-3
         mode = cosine_mode(dom, k, l)
         lam = mode_eigenvalue(dom, k, l)
-        stepped = implicit_diffusion_step(mode, dt)
-        np.testing.assert_allclose(
-            stepped.values, mode.values / (1.0 + dt * lam), rtol=0, atol=1e-13
-        )
+        stepped, _ = _implicit_solve(mode.values, dt, dom)
+        np.testing.assert_allclose(stepped, mode.values / (1.0 + dt * lam), rtol=0, atol=1e-13)
 
     def test_mean_preserved(self, rng):
         dom = DomainSpec((1.0, 1.0), (32, 32))
         field = Field(rng.uniform(0.0, 2.0, size=dom.cells), dom)
-        stepped = implicit_diffusion_step(field, 5e-3)
-        assert integrate(stepped) == pytest.approx(integrate(field), rel=1e-13)
+        stepped, _ = _implicit_solve(field.values, 5e-3, dom)
+        assert integrate(Field(stepped, dom)) == pytest.approx(integrate(field), rel=1e-13)
 
     def test_requires_positive_dt(self, unit_square_16):
-        field = Field.full(unit_square_16, 1.0)
         with pytest.raises(ValueError):
-            implicit_diffusion_step(field, 0.0)
+            _implicit_solve(np.ones(unit_square_16.cells), 0.0, unit_square_16)
 
 
 class TestChemicalSources:
+    """v's source alpha u^rho (the production kernel, given u's minimum) and
+    the density checks of solve_signals."""
+
     def test_constant_density_sublinear(self, unit_square_16, unit_params):
         params = replace(unit_params, alpha=2.0, gamma=3.0, rho=0.5)
-        u = Field.full(unit_square_16, 1.0)
-        sv, sw = chemical_sources(u, params)
-        np.testing.assert_allclose(sv.values, 2.0, rtol=1e-15)
-        np.testing.assert_allclose(sw.values, 3.0, rtol=1e-15)
+        sv = _production(np.ones(unit_square_16.cells), 1.0, params)
+        np.testing.assert_allclose(sv, 2.0, rtol=1e-15)
 
     def test_sqrt_branch(self, unit_square_16, unit_params):
         params = replace(unit_params, rho=0.5)
-        u = Field.full(unit_square_16, 4.0)
-        sv, _ = chemical_sources(u, params)
-        np.testing.assert_allclose(sv.values, 2.0, rtol=1e-15)
+        sv = _production(np.full(unit_square_16.cells, 4.0), 4.0, params)
+        np.testing.assert_allclose(sv, 2.0, rtol=1e-15)
 
     def test_linear_branch_is_identity_scaling(self, unit_square_16, unit_params, rng):
         params = replace(unit_params, rho=1.0, alpha=1.7)
         values = rng.uniform(0.0, 3.0, size=unit_square_16.cells)
-        sv, _ = chemical_sources(Field(values, unit_square_16), params)
-        np.testing.assert_array_equal(sv.values, 1.7 * values)
+        sv = _production(values, float(values.min()), params)
+        np.testing.assert_array_equal(sv, 1.7 * values)
 
     def test_general_power_branch(self, unit_square_16, unit_params):
         params = replace(unit_params, rho=0.25)
-        u = Field.full(unit_square_16, 16.0)
-        sv, _ = chemical_sources(u, params)
-        np.testing.assert_allclose(sv.values, 2.0, rtol=1e-14)
+        sv = _production(np.full(unit_square_16.cells, 16.0), 16.0, params)
+        np.testing.assert_allclose(sv, 2.0, rtol=1e-14)
 
     def test_small_negative_dip_clamped_before_power(self, unit_square_16, unit_params):
         # the clamp protects the fractional power only; the linear source
         # carries the raw value through
         values = np.ones(unit_square_16.cells)
         values[0, 0] = -1e-14
-        sv, sw = chemical_sources(Field(values, unit_square_16), unit_params)
-        assert sv.values[0, 0] == 0.0
-        assert sw.values[0, 0] == -1e-14
+        sv = _production(values, -1e-14, unit_params)
+        assert sv[0, 0] == 0.0
+        u = Field(values, unit_square_16)
+        _, w = solve_signals(u, unit_params)
+        want = solve_helmholtz(Field(unit_params.gamma * values, unit_square_16), unit_params.delta)
+        assert w.values.tobytes() == want.values.tobytes()
 
     def test_large_negative_rejected(self, unit_square_16, unit_params):
         values = np.ones(unit_square_16.cells)
         values[0, 0] = -1e-3
         with pytest.raises(NegativeDensity):
-            chemical_sources(Field(values, unit_square_16), unit_params)
+            solve_signals(Field(values, unit_square_16), unit_params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_density_rejected(self, unit_square_16, unit_params, bad):
+        values = np.ones(unit_square_16.cells)
+        values[2, 3] = bad
+        with pytest.raises(NonFiniteField, match="density"):
+            solve_signals(Field(values, unit_square_16), unit_params)
 
 
 class TestSolveSignals:

@@ -121,6 +121,15 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm_p(Field.full(unit_square_16, 1.0), 0.5)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+    def test_overflowing_sum_rejected(self, unit_square_16, p):
+        # The field is finite; 1e200^p and the sum of it are not.
+        values = np.ones(unit_square_16.cells)
+        values[5, 5] = 1e200
+        with pytest.raises(NonFiniteField):
+            lp_norm_p(Field(values, unit_square_16), p)
+
     @given(c=st.floats(min_value=0.0, max_value=50.0), p=st.sampled_from([1.0, 2.0, 2.5, 3.0]))
     @settings(max_examples=40, deadline=None)
     def test_homogeneity(self, c, p):
@@ -164,6 +173,16 @@ class TestGradEnergy:
         dom = DomainSpec((1.0, 1.0), (256, 256))
         field = cosine_mode(dom, 1, 0)
         assert grad_energy(field) == pytest.approx(math.pi**2 / 2.0, rel=1e-2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("top", [1e200, 1e154])
+    def test_overflowing_sum_rejected(self, unit_square_16, top):
+        # A finite field whose squared face differences (1e400), or the sum
+        # of its four finite ones (4 * 1e308), leave the float range.
+        values = np.ones(unit_square_16.cells)
+        values[5, 5] = top
+        with pytest.raises(NonFiniteField):
+            grad_energy(Field(values, unit_square_16))
 
     def test_cosine_mode_matches_discrete_eigenvalue(self):
         # grad_energy(f) = <-Lap f, f> h^2 = lambda_h * ||f||_2^2 exactly

@@ -22,15 +22,11 @@ PUBLIC_NAMES = [
     "build_initial_data",
     "check_absorptive_bound",
     "check_energy_inequality",
-    "chemical_sources",
     "classify_regime",
     "compute_bounds",
     "critical_mass",
-    "detect_blowup",
-    "drift_potential",
     "estimate_ehrling_constant",
     "estimate_gn_constant",
-    "face_fluxes",
     "from_dict",
     "grad_energy",
     "initial_state",

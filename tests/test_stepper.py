@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 import attrep.elliptic as elliptic
 from attrep import DomainSpec, Field, ModelParams
 from attrep.diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
-from attrep.elliptic import implicit_diffusion_step, solve_signals
+from attrep.elliptic import _implicit_solve, solve_signals
 from attrep.errors import NegativeDensity, NonFiniteState, SolverDiverged
 from attrep.grid import integrate
 from attrep.stepper import (
     BLOWUP_FACTOR,
     SCHEMES,
-    FaceFluxes,
     SimState,
     Status,
     StepperConfig,
+    _drift,
+    _face_speeds,
     _flux_divergence,
-    drift_potential,
-    face_fluxes,
+    _fluxes,
     initial_state,
     run,
     stable_dt,
@@ -56,11 +56,13 @@ def no_drift_params(rho=0.5):
     return ModelParams(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0, chi=0.0, xi=0.0, rho=rho)
 
 
-def where_face_fluxes(u, phi, diffusion=True):
-    """The np.where formulation of face_fluxes, kept as its bitwise oracle."""
-    h = u.domain.h
-    uv = u.values
-    pv = phi.values
+def kernel_fluxes(u, phi, h, diffusion=True):
+    """The flux kernel on the face speeds of the raw potential phi."""
+    return _fluxes(u, _face_speeds(phi, h), h, diffusion)
+
+
+def where_face_fluxes(uv, pv, h, diffusion=True):
+    """The np.where formulation of the flux kernel, kept as its bitwise oracle."""
     vx = (pv[1:, :] - pv[:-1, :]) / h
     fx = -np.where(vx > 0.0, uv[:-1, :], uv[1:, :]) * vx
     vy = (pv[:, 1:] - pv[:, :-1]) / h
@@ -68,17 +70,17 @@ def where_face_fluxes(u, phi, diffusion=True):
     if diffusion:
         fx = fx + (uv[1:, :] - uv[:-1, :]) / h
         fy = fy + (uv[:, 1:] - uv[:, :-1]) / h
-    return FaceFluxes(fx, fy)
+    return fx, fy
 
 
-def zeros_flux_divergence(fluxes, u):
+def zeros_flux_divergence(fx, fy, dom):
     """The np.zeros formulation of _flux_divergence, kept as its bitwise oracle."""
-    div = np.zeros(u.domain.cells)
-    div[:-1, :] += fluxes.fx
-    div[1:, :] -= fluxes.fx
-    div[:, :-1] += fluxes.fy
-    div[:, 1:] -= fluxes.fy
-    div /= u.domain.h
+    div = np.zeros(dom.cells)
+    div[:-1, :] += fx
+    div[1:, :] -= fx
+    div[:, :-1] += fy
+    div[:, 1:] -= fy
+    div /= dom.h
     return div
 
 
@@ -100,7 +102,7 @@ def oracle_inputs(dom, rng):
     u[rng.random(dom.cells) < 0.2] = 0.0
     u[rng.random(dom.cells) < 0.2] = 1.0
     phi = rng.integers(0, 3, size=dom.cells) * 0.7
-    return Field(u, dom), Field(phi, dom)
+    return u, phi
 
 
 class TestStepperConfig:
@@ -129,34 +131,33 @@ class TestFaceFluxes:
         # donor, advective flux -1/h; diffusion adds (0 - 1)/h. Total -2/h.
         dom = DomainSpec((1.0, 0.5), (2, 1))
         h = dom.h
-        u = Field(np.array([[1.0], [0.0]]), dom)
-        phi = Field(np.array([[0.0], [1.0]]), dom)
-        fluxes = face_fluxes(u, phi)
-        assert fluxes.fx.shape == (1, 1)
-        assert fluxes.fx[0, 0] == pytest.approx(-2.0 / h, rel=1e-14)
+        u = np.array([[1.0], [0.0]])
+        phi = np.array([[0.0], [1.0]])
+        fx, _ = kernel_fluxes(u, phi, h)
+        assert fx.shape == (1, 1)
+        assert fx[0, 0] == pytest.approx(-2.0 / h, rel=1e-14)
 
     def test_uniform_state_has_zero_fluxes(self, unit_square_16):
-        u = Field.full(unit_square_16, 3.0)
-        phi = Field.full(unit_square_16, 1.0)
-        fluxes = face_fluxes(u, phi)
-        assert (fluxes.fx == 0.0).all()
-        assert (fluxes.fy == 0.0).all()
+        u = np.full(unit_square_16.cells, 3.0)
+        phi = np.full(unit_square_16.cells, 1.0)
+        fx, fy = kernel_fluxes(u, phi, unit_square_16.h)
+        assert (fx == 0.0).all()
+        assert (fy == 0.0).all()
 
     def test_constant_potential_leaves_pure_diffusion(self, unit_square_16, rng):
-        u = Field(rng.uniform(0.5, 1.5, size=unit_square_16.cells), unit_square_16)
-        phi = Field.full(unit_square_16, 7.0)
+        u = rng.uniform(0.5, 1.5, size=unit_square_16.cells)
+        phi = np.full(unit_square_16.cells, 7.0)
         h = unit_square_16.h
-        fluxes = face_fluxes(u, phi)
-        np.testing.assert_allclose(fluxes.fx, np.diff(u.values, axis=0) / h, rtol=0, atol=0)
+        fx, _ = kernel_fluxes(u, phi, h)
+        np.testing.assert_allclose(fx, np.diff(u, axis=0) / h, rtol=0, atol=0)
 
     def test_donor_switches_with_drift_sign(self):
         dom = DomainSpec((1.0, 0.5), (2, 1))
-        h = dom.h
-        u = Field(np.array([[1.0], [0.0]]), dom)
-        phi_down = Field(np.array([[1.0], [0.0]]), dom)
-        fluxes = face_fluxes(u, phi_down, diffusion=False)
+        u = np.array([[1.0], [0.0]])
+        phi_down = np.array([[1.0], [0.0]])
+        fx, _ = kernel_fluxes(u, phi_down, dom.h, diffusion=False)
         # drift velocity -1/h points left, donor is the right cell (u = 0)
-        assert fluxes.fx[0, 0] == 0.0
+        assert fx[0, 0] == 0.0
 
     @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
     @pytest.mark.parametrize("diffusion", [True, False])
@@ -164,10 +165,10 @@ class TestFaceFluxes:
         dom = DomainSpec(lengths, cells)
         for _ in range(5):
             u, phi = oracle_inputs(dom, rng)
-            got = face_fluxes(u, phi, diffusion=diffusion)
-            want = where_face_fluxes(u, phi, diffusion=diffusion)
-            assert_same_bits(got.fx, want.fx)
-            assert_same_bits(got.fy, want.fy)
+            got = kernel_fluxes(u, phi, dom.h, diffusion=diffusion)
+            want = where_face_fluxes(u, phi, dom.h, diffusion=diffusion)
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
 
     @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
     @pytest.mark.parametrize("diffusion", [True, False])
@@ -175,8 +176,8 @@ class TestFaceFluxes:
         dom = DomainSpec(lengths, cells)
         for _ in range(5):
             u, phi = oracle_inputs(dom, rng)
-            fluxes = where_face_fluxes(u, phi, diffusion=diffusion)
-            assert_same_bits(_flux_divergence(fluxes, u), zeros_flux_divergence(fluxes, u))
+            fluxes = where_face_fluxes(u, phi, dom.h, diffusion=diffusion)
+            assert_same_bits(_flux_divergence(*fluxes, dom), zeros_flux_divergence(*fluxes, dom))
 
 
 class TestDriftPotential:
@@ -184,13 +185,13 @@ class TestDriftPotential:
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
         sig = Field(rng.uniform(0.0, 1.0, size=unit_square_16.cells), unit_square_16)
         state = SimState(sig, sig, sig, t=0.0, step=0, status=Status.RUNNING)
-        assert (drift_potential(state, params).values == 0.0).all()
+        assert (_drift(state, params) == 0.0).all()
 
     def test_constant_signals(self, unit_square_16):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=2.0, xi=1.0, rho=0.5)
         one = Field.full(unit_square_16, 1.0)
         state = SimState(one, one, one, t=0.0, step=0, status=Status.RUNNING)
-        np.testing.assert_array_equal(drift_potential(state, params).values, 1.0)
+        np.testing.assert_array_equal(_drift(state, params), 1.0)
 
 
 class TestStableDt:
@@ -225,6 +226,17 @@ class TestStableDt:
         state = initial_state(Field.full(dom, 1.0), no_drift_params())
         cfg = StepperConfig(dt_max=1.0, dt_min=1e-3)
         assert stable_dt(state, no_drift_params(), cfg) == 1e-3
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_non_finite_drift_raises(self, scheme, bad):
+        # A NaN face speed fails every comparison, so the advective bound
+        # would silently drop out and leave dt_max.
+        state = nan_signal_state(DomainSpec((1.0, 1.0), (8, 8)), bad)
+        cfg = StepperConfig(scheme=scheme)
+        with pytest.raises(NonFiniteState, match="drift lost finiteness at t = 0.0"):
+            stable_dt(state, PARITY_PARAMS, cfg)
 
 
 class TestStep:
@@ -332,13 +344,13 @@ class TestStep:
         cfg = StepperConfig(scheme=scheme)
         state = initial_state(bump_field(dom, width=0.08), params)
         dt = stable_dt(state, params, cfg)
-        phi = Field(params.chi * state.v.values - params.xi * state.w.values, dom)
+        phi = params.chi * state.v.values - params.xi * state.w.values
         explicit = scheme == "explicit-upwind"
-        fluxes = where_face_fluxes(state.u, phi, diffusion=explicit)
-        want = state.u.values + dt * zeros_flux_divergence(fluxes, state.u)
+        fluxes = where_face_fluxes(state.u.values, phi, dom.h, diffusion=explicit)
+        want = state.u.values + dt * zeros_flux_divergence(*fluxes, dom)
         if not explicit:
-            want = implicit_diffusion_step(Field(want, dom), dt).values
-        assert_same_bits(drift_potential(state, params).values, phi.values)
+            want, _ = _implicit_solve(want, dt, dom)
+        assert_same_bits(_drift(state, params), phi)
         assert_same_bits(step(state, params, cfg, dt).u.values, want)
 
     def test_imex_signals_from_implicit_coefficients(self):
@@ -363,9 +375,9 @@ def spike_state(dom, amplitude):
     return SimState(Field(u, dom), Field(cone, dom), Field.full(dom, 0.0), 0.0, 0, Status.RUNNING)
 
 
-def nan_signal_state(dom):
+def nan_signal_state(dom, bad=np.nan):
     v = np.ones(dom.cells)
-    v[3, 3] = np.nan
+    v[3, 3] = bad
     return SimState(bump_field(dom), Field(v, dom), Field.full(dom, 0.0), 0.0, 0, Status.RUNNING)
 
 
@@ -403,8 +415,10 @@ class TestCheckParity:
         dom = DomainSpec((1.0, 1.0), (8, 8))
         cfg = StepperConfig(scheme=scheme, cfl_safety=1.0)
         state = make(dom)
+        # stable_dt already rejects the NaN drift, so step gets its own dt.
+        dt = 1e-3 if case == "nan-update" else stable_dt(state, params, cfg)
         with pytest.raises(exc, match=message):
-            step(state, params, cfg, stable_dt(state, params, cfg))
+            step(state, params, cfg, dt)
 
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     @pytest.mark.parametrize("scheme", SCHEMES)
