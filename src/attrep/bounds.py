@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,27 +200,30 @@ _FAMILY_SEED = 2024
 _FAMILY_RANDOM = 24
 
 
-def _test_family(dom: DomainSpec, seed: int, n_random: int) -> list[tuple[np.ndarray, float, float]]:
+def _test_family(dom: DomainSpec, seed: int, n_random: int) -> Iterator[tuple[np.ndarray, float, float]]:
     """Cosine modes, off-center and corner bumps, and seeded smooth random
     fields. Definitions depend only on physical coordinates, so the family is
     stable under mesh refinement. Each member comes with its sum of squares
-    and its gradient sum (grid._grad_sum), which both estimators read."""
+    and its gradient sum (grid._grad_sum), which both estimators read.
+
+    Members are built one at a time, so a consumer that drops each before
+    asking for the next holds a single grid field of the family."""
     x, y = dom.cell_centers()
     lx, ly = dom.lengths
     xn = x[:, None] / lx
     yn = y[None, :] / ly
-    fields = [np.ones(dom.cells)]
+    yield _member(np.ones(dom.cells))
     for k in range(4):
         for l in range(4):
             if k == 0 and l == 0:
                 continue
-            fields.append(np.cos(np.pi * k * xn) * np.cos(np.pi * l * yn))
+            yield _member(np.cos(np.pi * k * xn) * np.cos(np.pi * l * yn))
     scale = min(lx, ly)
     centers = [(0.5 * lx, 0.5 * ly), (0.25 * lx, 0.25 * ly), (0.0, 0.0)]
     for cx, cy in centers:
+        r2 = (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2
         for width in (0.04, 0.08, 0.16, 0.32):
-            r2 = (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2
-            fields.append(np.exp(-r2 / (2.0 * (width * scale) ** 2)))
+            yield _member(np.exp(-r2 / (2.0 * (width * scale) ** 2)))
     rng = np.random.default_rng(seed)
     modes = 6
     kk = np.pi * np.arange(modes)
@@ -228,8 +232,11 @@ def _test_family(dom: DomainSpec, seed: int, n_random: int) -> list[tuple[np.nda
     for _ in range(n_random):
         coeff = rng.standard_normal((modes, modes)) / (1.0 + np.add.outer(np.arange(modes), np.arange(modes)))
         f = cos_x @ coeff @ cos_y.T
-        fields.append(f * f)  # squared to stay smooth and nonnegative
-    return [(f, float((f * f).sum()), _grad_sum(f)) for f in fields]
+        yield _member(f * f)  # squared to stay smooth and nonnegative
+
+
+def _member(f: np.ndarray) -> tuple[np.ndarray, float, float]:
+    return f, float((f * f).sum()), _grad_sum(f)
 
 
 def _low_norm(values: np.ndarray, dom: DomainSpec, q: float) -> float:
@@ -238,6 +245,30 @@ def _low_norm(values: np.ndarray, dom: DomainSpec, q: float) -> float:
     h = dom.h
     total = float(np.power(np.abs(values), q).sum()) * h * h
     return total ** (1.0 / q)
+
+
+def _family_maxima(
+    family: Iterable[tuple[np.ndarray, float, float]], dom: DomainSpec, p: float, eta: float | None, gn: bool
+) -> tuple[float, float]:
+    """(C_GN, c_E(eta)) lower estimates from one pass over `family`.
+
+    Each member feeds the Ehrling requirement (when eta is given) and then
+    the GN ratio (when gn is set) before the next member is drawn; a
+    constant not asked for reads 0.0.
+    """
+    theta = interpolation_exponent(p, 2)
+    h = dom.h
+    best_gn = best_e = 0.0
+    for values, squares, grad in family:
+        if eta is not None:
+            low = _low_norm(values, dom, 2.0 / (p + 1.0))
+            best_e = max(best_e, (squares * h * h * (1.0 - eta) - eta * grad) / (low * low))
+        if gn:
+            low = _low_norm(values, dom, 2.0 / p)
+            denom = math.sqrt(grad) ** theta * low ** (1.0 - theta) + low
+            if denom > 0.0:
+                best_gn = max(best_gn, math.sqrt(squares * h * h) / denom)
+    return best_gn, best_e
 
 
 def estimate_gn_constant(
@@ -252,22 +283,7 @@ def estimate_gn_constant(
     family is enlarged.
     """
     p = _require("p", p, above=1.0)
-    return _gn_over_family(_test_family(dom, seed, n_random), dom, p)
-
-
-def _gn_over_family(family: list, dom: DomainSpec, p: float) -> float:
-    theta = interpolation_exponent(p, 2)
-    q = 2.0 / p
-    h = dom.h
-    best = 0.0
-    for values, squares, grad in family:
-        l2 = math.sqrt(squares * h * h)
-        ge = math.sqrt(grad)
-        low = _low_norm(values, dom, q)
-        denom = ge**theta * low ** (1.0 - theta) + low
-        if denom > 0.0:
-            best = max(best, l2 / denom)
-    return best
+    return _family_maxima(_test_family(dom, seed, n_random), dom, p, None, True)[0]
 
 
 def estimate_ehrling_constant(
@@ -284,19 +300,7 @@ def estimate_ehrling_constant(
     eta = float(eta)
     if not (0.0 < eta < 0.5):
         raise EtaOutOfRange(f"estimator defined for eta in (0, 1/2), got {eta}")
-    return _ehrling_over_family(_test_family(dom, seed, n_random), dom, eta, p)
-
-
-def _ehrling_over_family(family: list, dom: DomainSpec, eta: float, p: float) -> float:
-    q = 2.0 / (p + 1.0)
-    h = dom.h
-    best = 0.0
-    for values, squares, grad in family:
-        l2_sq = squares * h * h
-        low = _low_norm(values, dom, q)
-        needed = (l2_sq * (1.0 - eta) - eta * grad) / (low * low)
-        best = max(best, needed)
-    return best
+    return _family_maxima(_test_family(dom, seed, n_random), dom, p, eta, False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +374,8 @@ def compute_bounds(
 
     The GN and Ehrling constants are estimated on `dom` unless supplied;
     estimation requires n == 2 since the grid is two dimensional. Both
-    estimates maximize over the same default test family, built once here.
+    estimates maximize over the same default test family, streamed once
+    here.
     `volume` defaults to the domain volume.
     """
     validate_params(params)
@@ -385,19 +390,16 @@ def compute_bounds(
     theta = interpolation_exponent(p, n)
     c1 = sublinear_production_bound(p, params.rho, params.alpha, params.chi, params.gamma, params.xi, volume)
     eta = ehrling_eta(p, params.gamma, params.xi, params.delta)
-    family = None
-    if ce is None:
-        if dom is None or n != 2:
-            raise DomainError("Ehrling estimation needs a 2D domain; supply ce for other n")
+    if ce is None and (dom is None or n != 2):
+        raise DomainError("Ehrling estimation needs a 2D domain; supply ce for other n")
+    if cgn is None and (dom is None or n != 2):
+        raise DomainError("GN estimation needs a 2D domain; supply cgn for other n")
+    if ce is None or cgn is None:
         family = _test_family(dom, _FAMILY_SEED, _FAMILY_RANDOM)
-        ce = _ehrling_over_family(family, dom, eta, p)
+        est_gn, est_e = _family_maxima(family, dom, p, eta if ce is None else None, cgn is None)
+        ce = est_e if ce is None else ce
+        cgn = est_gn if cgn is None else cgn
     schedule = ehrling_schedule(p, params.gamma, params.xi, params.delta, ce)
-    if cgn is None:
-        if dom is None or n != 2:
-            raise DomainError("GN estimation needs a 2D domain; supply cgn for other n")
-        if family is None:
-            family = _test_family(dom, _FAMILY_SEED, _FAMILY_RANDOM)
-        cgn = _gn_over_family(family, dom, p)
     c_star = gn_absorption_constant(p, n, m, cgn)
     cbar, total = combine_bounds(c1, schedule.c_tilde, m, p, c_star)
     crit = critical_mass(params.chi, params.alpha, params.xi, params.gamma)

@@ -409,6 +409,8 @@ def main(argv=None) -> int:
             if args.t_end is not None:
                 cfg = replace(cfg, t_end=finite_float("--t-end", args.t_end))
             if args.snapshot_every is not None:
+                if args.snapshot_every < 0:
+                    raise ConfigError("--snapshot-every", f"must be >= 0, got {args.snapshot_every}")
                 cfg = replace(cfg, snapshot_every=args.snapshot_every)
             if args.blowup_threshold is not None:
                 threshold = finite_float("--blowup-threshold", args.blowup_threshold)

@@ -61,7 +61,8 @@ def require_finite(field: Field, what: str = "field") -> None:
 
 
 # The _kernels below skip the scans of their input; the public functions wrap
-# them with checks. _lp_integral and _grad_sum check their sums for overflow.
+# them with checks. _integral, _lp_integral and _grad_sum check their sums for
+# overflow.
 def _finite(total: float, what: str) -> float:
     if not math.isfinite(total):
         raise NonFiniteField(f"{what} is not finite: {total}")
@@ -69,7 +70,7 @@ def _finite(total: float, what: str) -> float:
 
 
 def _integral(values: np.ndarray, h: float) -> float:
-    return float(values.sum()) * h * h
+    return _finite(float(values.sum()) * h * h, "integral")
 
 
 def integrate(field: Field) -> float:

@@ -8,8 +8,10 @@ overflow or underflow double precision convert to inf/0.0, matching the
 saturating convention of the float implementations.
 
 Also here: a compensated-summation quadrature reference, an elementwise
-arbitrary-precision energy reference, and a dense matrix assembly of the
-zero-flux Helmholtz operator for direct-solve comparisons.
+arbitrary-precision energy reference, a dense matrix assembly of the
+zero-flux Helmholtz operator for direct-solve comparisons, and the
+list-based test family with one estimator per constant that the streamed
+single-pass estimator in attrep.bounds must match bit for bit.
 """
 
 import math
@@ -122,6 +124,76 @@ def dense_helmholtz_matrix(dom, kappa):
         mat[:, j] = kappa * basis.ravel() - lap.values.ravel()
         basis.ravel()[j] = 0.0
     return mat
+
+
+def list_test_family(dom, seed, n_random):
+    """Every test-family member built up front, with its sum of squares and
+    face-difference gradient sum, in the order attrep.bounds streams them."""
+    x, y = dom.cell_centers()
+    lx, ly = dom.lengths
+    xn = x[:, None] / lx
+    yn = y[None, :] / ly
+    fields = [np.ones(dom.cells)]
+    for k in range(4):
+        for l in range(4):
+            if k == 0 and l == 0:
+                continue
+            fields.append(np.cos(np.pi * k * xn) * np.cos(np.pi * l * yn))
+    scale = min(lx, ly)
+    centers = [(0.5 * lx, 0.5 * ly), (0.25 * lx, 0.25 * ly), (0.0, 0.0)]
+    for cx, cy in centers:
+        for width in (0.04, 0.08, 0.16, 0.32):
+            r2 = (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2
+            fields.append(np.exp(-r2 / (2.0 * (width * scale) ** 2)))
+    rng = np.random.default_rng(seed)
+    modes = 6
+    kk = np.pi * np.arange(modes)
+    cos_x = np.cos(kk[None, :] * xn[:, :1])
+    cos_y = np.cos(kk[None, :] * yn.T[:, :1])
+    for _ in range(n_random):
+        coeff = rng.standard_normal((modes, modes)) / (1.0 + np.add.outer(np.arange(modes), np.arange(modes)))
+        f = cos_x @ coeff @ cos_y.T
+        fields.append(f * f)
+    members = []
+    for f in fields:
+        gx = f[1:, :] - f[:-1, :]
+        gy = f[:, 1:] - f[:, :-1]
+        members.append((f, float((f * f).sum()), float((gx * gx).sum() + (gy * gy).sum())))
+    return members
+
+
+def _list_low_norm(values, h, q):
+    total = float(np.power(np.abs(values), q).sum()) * h * h
+    return total ** (1.0 / q)
+
+
+def list_gn_over_family(family, dom, p):
+    """Largest GN ratio ||f||_2 / (||grad f||^theta ||f||_{2/p}^{1-theta} + ||f||_{2/p})."""
+    theta = (p / 2.0 - 0.5) / (p / 2.0 + 1.0 / 2 - 0.5)
+    q = 2.0 / p
+    h = dom.h
+    best = 0.0
+    for values, squares, grad in family:
+        l2 = math.sqrt(squares * h * h)
+        ge = math.sqrt(grad)
+        low = _list_low_norm(values, h, q)
+        denom = ge**theta * low ** (1.0 - theta) + low
+        if denom > 0.0:
+            best = max(best, l2 / denom)
+    return best
+
+
+def list_ehrling_over_family(family, dom, eta, p):
+    """Largest (||f||_2^2 (1 - eta) - eta ||grad f||^2) / ||f||_{2/(p+1)}^2."""
+    q = 2.0 / (p + 1.0)
+    h = dom.h
+    best = 0.0
+    for values, squares, grad in family:
+        l2_sq = squares * h * h
+        low = _list_low_norm(values, h, q)
+        needed = (l2_sq * (1.0 - eta) - eta * grad) / (low * low)
+        best = max(best, needed)
+    return best
 
 
 def random_tuple_stream(seed, count):

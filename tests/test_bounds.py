@@ -6,6 +6,7 @@ evaluation in tests/_oracles.py, frozen before this module was written.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,9 @@ from _oracles import (
     o_critical_mass,
     o_eta,
     o_sigma,
+    list_ehrling_over_family,
+    list_gn_over_family,
+    list_test_family,
     o_theta,
     random_tuple_stream,
 )
@@ -400,3 +404,53 @@ class TestComputeBounds:
         small = compute_bounds(params, m, 2.0, volume=1.0, cgn=1.0, ce=1.0)
         large = compute_bounds(params, 2.0 * m, 2.0, volume=1.0, cgn=1.0, ce=1.0)
         assert large.c_star_total > small.c_star_total
+
+
+class TestStreamedFamily:
+    """The single streamed pass against the list-based, one-estimator-per-
+    constant reference in _oracles: same arithmetic per member, same order of
+    the max, so every constant must match exactly."""
+
+    PARAMS = ModelParams(1.0, 1.0, 1.0, 1.0, chi=5.0, xi=0.1, rho=0.5)
+    M = 100.0
+
+    @staticmethod
+    def reference(dom, eta, p, seed=bounds_module._FAMILY_SEED, n_random=bounds_module._FAMILY_RANDOM):
+        family = list_test_family(dom, seed, n_random)
+        return list_gn_over_family(family, dom, p), list_ehrling_over_family(family, dom, eta, p)
+
+    @pytest.mark.parametrize("lengths, cells", [((1.0, 1.0), (64, 64)), ((2.0, 1.0), (48, 24))])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_compute_bounds_matches_reference(self, lengths, cells, p):
+        dom = DomainSpec(lengths, cells)
+        report = compute_bounds(self.PARAMS, self.M, p, dom=dom)
+        cgn, ce = self.reference(dom, report.eta, p)
+        assert (report.cgn, report.ce) == (cgn, ce)
+        assert report == compute_bounds(self.PARAMS, self.M, p, dom=dom, cgn=cgn, ce=ce)
+
+        ce_only = compute_bounds(self.PARAMS, self.M, p, dom=dom, cgn=1.3)
+        assert ce_only.ce == ce
+        assert ce_only == compute_bounds(self.PARAMS, self.M, p, dom=dom, cgn=1.3, ce=ce)
+        cgn_only = compute_bounds(self.PARAMS, self.M, p, dom=dom, ce=0.7)
+        assert cgn_only.cgn == cgn
+        assert cgn_only == compute_bounds(self.PARAMS, self.M, p, dom=dom, cgn=cgn, ce=0.7)
+
+    @pytest.mark.parametrize("n_random", [0, 7])
+    def test_public_estimators_match_reference(self, n_random):
+        dom = DomainSpec((2.0, 1.0), (48, 24))
+        cgn, ce = self.reference(dom, 0.1, 2.5, seed=11, n_random=n_random)
+        assert estimate_gn_constant(dom, 2.5, n_random=n_random, seed=11) == cgn
+        assert estimate_ehrling_constant(dom, 0.1, 2.5, n_random=n_random, seed=11) == ce
+
+    def test_holds_a_few_fields_at_a_time(self):
+        dom = DomainSpec((1.0, 1.0), (128, 128))
+        compute_bounds(self.PARAMS, self.M, 1.5, dom=dom)  # warm
+        tracemalloc.start()
+        try:
+            compute_bounds(self.PARAMS, self.M, 1.5, dom=dom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field_bytes = 128 * 128 * 8
+        # The list-based family held all 52 members at once: ~57 fields.
+        assert peak < 12 * field_bytes, f"peak {peak / field_bytes:.1f} fields"

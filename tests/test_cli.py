@@ -254,6 +254,13 @@ class TestSimulate:
         assert flag in err and "finite" in err
         assert not out_dir.exists()
 
+    def test_negative_snapshot_every_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir), "--snapshot-every", "-3"]) == EXIT_ERROR
+        assert "--snapshot-every" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_dim_other_than_two_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, params={"dim": 3})
         out_dir = tmp_path / "run"

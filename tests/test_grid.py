@@ -89,6 +89,13 @@ class TestIntegrate:
         with pytest.raises(NonFiniteField):
             integrate(Field(values, unit_square_16))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_sum_rejected(self):
+        # Every cell is finite; their sum is not.
+        dom = DomainSpec((16.0, 16.0), (16, 16))
+        with pytest.raises(NonFiniteField, match="integral"):
+            integrate(Field.full(dom, 1e307))
+
 
 class TestLpNorm:
     def test_unit_constant_p2(self):
