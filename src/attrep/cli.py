@@ -21,14 +21,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bounds import compute_bounds
-from .config import ExperimentConfig, finite_float, from_dict, load_config, set_sweep_value
+from .config import ExperimentConfig, exponent, from_dict, integer, load_config, number, set_sweep_value
 from .diagnostics import (
     DiagnosticsConfig,
     check_absorptive_bound,
     check_energy_inequality,
     write_diagnostics_csv,
 )
-from .errors import ConfigError, RhoNotSublinear, SimulationError
+from .errors import ConfigError, SimulationError
 from .grid import Field, write_field_csv
 from .model import Regime, build_initial_data, classify_regime
 from .stepper import RunResult, Status, initial_state, run
@@ -73,10 +73,8 @@ def _require_2d(cfg: ExperimentConfig) -> None:
 def _run_experiment(cfg: ExperimentConfig, u0: Field, mass: float, out: Path) -> RunResult:
     """Run cfg from the initial density u0 of the given mass and write the
     simulate output set into out: diagnostics.csv and .svg, the u, v and w
-    final fields, density snapshots (after deleting an earlier run's) and summary.json."""
-    out.mkdir(parents=True, exist_ok=True)
-    for stale in out.glob("u_" + "[0-9]" * 8 + ".csv"):
-        stale.unlink()
+    final fields, density snapshots (after deleting an earlier run's) and summary.json.
+    Everything that can reject the config runs before out is created."""
     state = initial_state(u0, cfg.params)
 
     # The bounds report exists only for sublinear production and a chosen p.
@@ -87,6 +85,9 @@ def _run_experiment(cfg: ExperimentConfig, u0: Field, mass: float, out: Path) ->
     if bounds is not None and bounds.p not in ps:
         ps = ps + (bounds.p,)
     diag = DiagnosticsConfig(ps=ps, every=cfg.sample_every, bounds=bounds)
+    out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("u_" + "[0-9]" * 8 + ".csv"):
+        stale.unlink()
 
     on_state = None
     if cfg.snapshot_every > 0:
@@ -166,18 +167,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_bounds(cfg: ExperimentConfig, p_override: float | None) -> int:
-    p = p_override if p_override is not None else cfg.bounds_p
+    p = exponent("--p", p_override) if p_override is not None else cfg.bounds_p
     if p is None:
         p = 0.75 * cfg.params.dim  # 3n/4
-    if p <= 1.0:
-        print(f"error: the energy exponent must satisfy p > 1, got {p}", file=sys.stderr)
-        return EXIT_ERROR
     _, mass = build_initial_data(cfg.initial, cfg.domain)
-    try:
-        report = _bounds_report(cfg, mass, p)
-    except RhoNotSublinear as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    report = _bounds_report(cfg, mass, p)
     print(json.dumps(_json_safe(report.to_dict()), indent=2))
     return EXIT_OK
 
@@ -231,11 +225,9 @@ def _workers_from_env(default: int) -> int:
         return default
     try:
         value = int(raw)
-    except ValueError as exc:
-        raise ConfigError("SIM_WORKERS", f"expected an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError("SIM_WORKERS", f"must be >= 1, got {value}")
-    return value
+    except ValueError:
+        value = raw
+    return integer(1)("SIM_WORKERS", value)
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -246,9 +238,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         print("error: sweep.values is empty", file=sys.stderr)
         return EXIT_ERROR
     _require_2d(cfg)
+    workers = _workers_from_env(cfg.workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = _workers_from_env(cfg.workers)
 
     jobs = [
         (cfg.raw, cfg.sweep_axis, value, str(out / f"point_{i:03d}"))
@@ -407,14 +399,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.command == "simulate":
             if args.t_end is not None:
-                cfg = replace(cfg, t_end=finite_float("--t-end", args.t_end))
+                cfg = replace(cfg, t_end=number("--t-end", args.t_end))
             if args.snapshot_every is not None:
-                if args.snapshot_every < 0:
-                    raise ConfigError("--snapshot-every", f"must be >= 0, got {args.snapshot_every}")
-                cfg = replace(cfg, snapshot_every=args.snapshot_every)
+                cfg = replace(cfg, snapshot_every=integer(0)("--snapshot-every", args.snapshot_every))
             if args.blowup_threshold is not None:
-                threshold = finite_float("--blowup-threshold", args.blowup_threshold)
-                cfg = replace(cfg, blowup_threshold=threshold)
+                cfg = replace(cfg, blowup_threshold=number("--blowup-threshold", args.blowup_threshold))
             if args.scheme is not None:
                 cfg = replace(cfg, stepper=replace(cfg.stepper, scheme=args.scheme))
             return cmd_simulate(cfg, args.out or cfg.out_dir)

@@ -1,7 +1,9 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
-Parse errors always name the offending field by its dotted path so a bad
-config fails with a message like "config field 'params.rho': missing".
+Every leaf goes through one reader per kind (`number`, `exponent`,
+`integer`, `string`, `_pair`), and the `sim` flags go through the same
+readers. Errors name the offending field by its dotted path, so a bad config
+fails with a message like "config field 'params.rho': missing".
 """
 
 from __future__ import annotations
@@ -36,54 +38,69 @@ def _section(raw: dict, name: str, required: bool = True) -> dict:
     return value
 
 
-def _num(obj: dict, path: str, key: str, default=None, required: bool = False) -> float:
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing")
-        return default
-    return _number(f"{path}.{key}", obj[key])
+_REQUIRED = object()
 
 
-def _number(field: str, value) -> float:
-    """A JSON number (not a bool) that is finite, as a float."""
+def _get(obj: dict, path: str, key: str, read, default=_REQUIRED):
+    """obj[key] passed through read(field, value), where field is the dotted
+    name path.key. An absent key gives default, or fails when it is required;
+    an explicit null is present, so its reader rejects it."""
+    field = f"{path}.{key}" if path else key
+    if key in obj:
+        return read(field, obj[key])
+    if default is _REQUIRED:
+        raise ConfigError(field, "missing")
+    return default
+
+
+def number(field: str, value) -> float:
+    """A finite JSON number, not a string or a bool, as a float. Python's json
+    reads NaN and Infinity; an int beyond the float range is infinite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
-    return finite_float(field, value)
-
-
-def finite_float(field: str, value) -> float:
-    """value as a float; a non-number, NaN, +-inf or an int beyond float range
-    raises ConfigError. Python's json reads NaN and Infinity, and argparse's
-    float() reads "nan"."""
     try:
-        number = float(value)
+        result = float(value)
     except OverflowError:
-        number = math.inf
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected a number, got {value!r}") from None
-    if not math.isfinite(number):
+        result = math.inf
+    if not math.isfinite(result):
         raise ConfigError(field, f"expected a finite number, got {value!r}")
-    return number
+    return result
 
 
-def _int(obj: dict, path: str, key: str, default=None, required: bool = False) -> int:
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
+def exponent(field: str, value) -> float:
+    """An energy exponent: a number p > 1."""
+    p = number(field, value)
+    if p <= 1.0:
+        raise ConfigError(field, f"expected an exponent p > 1, got {value!r}")
+    return p
+
+
+def integer(minimum: int):
+    """A reader of JSON integers, not bools or 2.0, that are >= minimum."""
+
+    def read(field: str, value) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigError(field, f"expected an integer >= {minimum}, got {value!r}")
+        return value
+
+    return read
+
+
+def string(field: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(field, f"expected a string, got {value!r}")
     return value
 
 
-def _pair(obj: dict, path: str, key: str):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}", "missing")
-    value = obj[key]
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}.{key}", f"expected a pair, got {value!r}")
-    return value
+def _pair(read):
+    """A reader of two-element lists whose entries pass read, as a tuple."""
+
+    def read_pair(field: str, value) -> tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ConfigError(field, f"expected a pair, got {value!r}")
+        return tuple(read(field, v) for v in value)
+
+    return read_pair
 
 
 @dataclass(frozen=True)
@@ -110,40 +127,33 @@ class ExperimentConfig:
 
 def _parse_domain(raw: dict) -> DomainSpec:
     obj = _section(raw, "domain")
-    lengths = _pair(obj, "domain", "lengths")
-    cells = _pair(obj, "domain", "cells")
+    lengths = _get(obj, "domain", "lengths", _pair(number))
+    cells = _get(obj, "domain", "cells", _pair(integer(1)))
     try:
-        return DomainSpec(tuple(float(v) for v in lengths), tuple(int(v) for v in cells))
-    except (TypeError, ValueError) as exc:
+        return DomainSpec(lengths, cells)
+    except ValueError as exc:
         raise ConfigError("domain", str(exc)) from exc
 
 
 def _parse_params(raw: dict) -> ModelParams:
     obj = _section(raw, "params")
-    kwargs = {name: _num(obj, "params", name, required=True) for name in _COEFFS}
-    kwargs["dim"] = _int(obj, "params", "dim", default=2)
+    kwargs = {name: _get(obj, "params", name, number) for name in _COEFFS}
+    kwargs["dim"] = _get(obj, "params", "dim", integer(2), 2)
     return ModelParams(**kwargs)
 
 
 def _parse_initial(raw: dict) -> InitialData:
     obj = _section(raw, "initial")
-    kind = obj.get("kind")
-    if kind is None:
-        raise ConfigError("initial.kind", "missing")
-    if not isinstance(kind, str):
-        raise ConfigError("initial.kind", f"expected a string, got {kind!r}")
-    mass = _num(obj, "initial", "mass", default=None)
+    kind = _get(obj, "initial", "kind", string)
+    mass = _get(obj, "initial", "mass", number, None)
     if kind == "uniform":
-        return InitialData(kind=kind, amplitude=_num(obj, "initial", "amplitude", required=True), mass=mass)
+        return InitialData(kind=kind, amplitude=_get(obj, "initial", "amplitude", number), mass=mass)
     if kind == "gaussian-bump":
-        center = obj.get("center")
-        if center is not None:
-            center = tuple(finite_float("initial.center", v) for v in _pair(obj, "initial", "center"))
         return InitialData(
             kind=kind,
-            amplitude=_num(obj, "initial", "amplitude", default=1.0),
-            center=center,
-            width=_num(obj, "initial", "width", required=True),
+            amplitude=_get(obj, "initial", "amplitude", number, 1.0),
+            center=_get(obj, "initial", "center", _pair(number), None),
+            width=_get(obj, "initial", "width", number),
             mass=mass,
         )
     if kind == "multi-bump":
@@ -152,38 +162,26 @@ def _parse_initial(raw: dict) -> InitialData:
             raise ConfigError("initial.bumps", "expected a non-empty list")
         bumps = []
         for i, b in enumerate(raw_bumps):
-            if not isinstance(b, dict):
-                raise ConfigError(f"initial.bumps[{i}]", "expected an object")
             path = f"initial.bumps[{i}]"
-            center = tuple(finite_float(f"{path}.center", v) for v in _pair(b, path, "center"))
-            bumps.append(
-                BumpSpec(
-                    center=center,
-                    width=_num(b, path, "width", required=True),
-                    amplitude=_num(b, path, "amplitude", required=True),
-                )
-            )
+            if not isinstance(b, dict):
+                raise ConfigError(path, "expected an object")
+            center = _get(b, path, "center", _pair(number))
+            bumps.append(BumpSpec(center, _get(b, path, "width", number), _get(b, path, "amplitude", number)))
         return InitialData(kind=kind, bumps=tuple(bumps), mass=mass)
     if kind == "from-file":
-        path = obj.get("path")
-        if not isinstance(path, str):
-            raise ConfigError("initial.path", "missing or not a string")
-        return InitialData(kind=kind, path=path, mass=mass)
+        return InitialData(kind=kind, path=_get(obj, "initial", "path", string), mass=mass)
     raise ConfigError("initial.kind", f"unknown kind {kind!r}")
 
 
 def _parse_stepper(raw: dict) -> StepperConfig:
     obj = _section(raw, "stepper", required=False)
     defaults = StepperConfig()
-    scheme = obj.get("scheme", defaults.scheme)
-    if not isinstance(scheme, str):
-        raise ConfigError("stepper.scheme", f"expected a string, got {scheme!r}")
     try:
         return StepperConfig(
-            dt_max=_num(obj, "stepper", "dt_max", default=defaults.dt_max),
-            cfl_safety=_num(obj, "stepper", "cfl_safety", default=defaults.cfl_safety),
-            dt_min=_num(obj, "stepper", "dt_min", default=defaults.dt_min),
-            scheme=scheme,
+            dt_max=_get(obj, "stepper", "dt_max", number, defaults.dt_max),
+            cfl_safety=_get(obj, "stepper", "cfl_safety", number, defaults.cfl_safety),
+            dt_min=_get(obj, "stepper", "dt_min", number, defaults.dt_min),
+            scheme=_get(obj, "stepper", "scheme", string, defaults.scheme),
         )
     except ValueError as exc:
         raise ConfigError("stepper", str(exc)) from exc
@@ -192,38 +190,19 @@ def _parse_stepper(raw: dict) -> StepperConfig:
 def from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "top level must be a JSON object")
-    domain = _parse_domain(raw)
-    params = _parse_params(raw)
-    initial = _parse_initial(raw)
-    stepper = _parse_stepper(raw)
-
     diag = _section(raw, "diagnostics", required=False)
-    ps_raw = diag.get("p", [2.0])
-    if isinstance(ps_raw, (int, float)) and not isinstance(ps_raw, bool):
-        ps_raw = [ps_raw]
-    if not isinstance(ps_raw, list) or not ps_raw:
-        raise ConfigError("diagnostics.p", f"expected a number or list, got {ps_raw!r}")
-    diag_ps = tuple(finite_float("diagnostics.p", p) for p in ps_raw)
-    sample_every = _int(diag, "diagnostics", "sample_every", default=10)
-    if sample_every < 1:
-        raise ConfigError("diagnostics.sample_every", f"must be >= 1, got {sample_every}")
-
+    ps = diag.get("p", [2.0])
+    ps = ps if isinstance(ps, list) else [ps]
+    if not ps:
+        raise ConfigError("diagnostics.p", "expected a number or a non-empty list, got []")
+    diag_ps = tuple(exponent("diagnostics.p", p) for p in ps)
     outputs = _section(raw, "outputs", required=False)
-    out_dir = outputs.get("directory", "sim_out")
-    if not isinstance(out_dir, str):
-        raise ConfigError("outputs.directory", f"expected a string, got {out_dir!r}")
-    snapshot_every = _int(outputs, "outputs", "snapshot_every", default=0)
-    if snapshot_every < 0:
-        raise ConfigError("outputs.snapshot_every", f"must be >= 0, got {snapshot_every}")
-
     bounds = _section(raw, "bounds", required=False)
     sweep = _section(raw, "sweep", required=False)
     sweep_axis = None
     sweep_values = None
     if sweep:
-        sweep_axis = sweep.get("axis")
-        if not isinstance(sweep_axis, str):
-            raise ConfigError("sweep.axis", "missing or not a string")
+        sweep_axis = _get(sweep, "sweep", "axis", string)
         if sweep_axis not in SWEEPABLE:
             raise ConfigError("sweep.axis", f"{sweep_axis!r} is not sweepable; choose from {sorted(SWEEPABLE)}")
         values = sweep.get("values")
@@ -231,31 +210,27 @@ def from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError("sweep.values", "missing or not a list")
         # Checked as numbers but kept as given, so an int params.dim sweep stays int.
         for i, value in enumerate(values):
-            _number(f"sweep.values[{i}]", value)
+            number(f"sweep.values[{i}]", value)
         sweep_values = tuple(values)
 
-    workers = _int(raw, "<root>", "workers", default=1)
-    if workers < 1:
-        raise ConfigError("workers", f"must be >= 1, got {workers}")
-
     return ExperimentConfig(
-        domain=domain,
-        params=params,
-        initial=initial,
-        t_end=_num(raw, "<root>", "t_end", default=1.0),
-        stepper=stepper,
+        domain=_parse_domain(raw),
+        params=_parse_params(raw),
+        initial=_parse_initial(raw),
+        t_end=_get(raw, "", "t_end", number, 1.0),
+        stepper=_parse_stepper(raw),
         diag_ps=diag_ps,
-        sample_every=sample_every,
-        out_dir=out_dir,
-        snapshot_every=snapshot_every,
-        blowup_threshold=_num(raw, "<root>", "blowup_threshold", default=None),
-        steady_tol=_num(raw, "<root>", "steady_tol", default=1e-10),
-        bounds_p=_num(bounds, "bounds", "p", default=None),
-        bounds_cgn=_num(bounds, "bounds", "cgn", default=None),
-        bounds_ce=_num(bounds, "bounds", "ce", default=None),
+        sample_every=_get(diag, "diagnostics", "sample_every", integer(1), 10),
+        out_dir=_get(outputs, "outputs", "directory", string, "sim_out"),
+        snapshot_every=_get(outputs, "outputs", "snapshot_every", integer(0), 0),
+        blowup_threshold=_get(raw, "", "blowup_threshold", number, None),
+        steady_tol=_get(raw, "", "steady_tol", number, 1e-10),
+        bounds_p=_get(bounds, "bounds", "p", exponent, None),
+        bounds_cgn=_get(bounds, "bounds", "cgn", number, None),
+        bounds_ce=_get(bounds, "bounds", "ce", number, None),
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
-        workers=workers,
+        workers=_get(raw, "", "workers", integer(1), 1),
         raw=raw,
     )
 

@@ -131,8 +131,9 @@ def _flux_divergence(fx: np.ndarray, fy: np.ndarray, dom: DomainSpec) -> np.ndar
     return div
 
 
-# Memos kept beside a state's fields: the face speeds stable_dt built, keyed by
-# (chi, xi), for the step after it; the density extrema step found, for run.
+# Memos kept beside a state's fields: the face speeds stable_dt built, for the
+# step after it, keyed by (id(state), chi, xi) because step overwrites them and a
+# copy of the state shares them; the density extrema step found, for run.
 _SPEEDS = "_face_speeds"
 _U_RANGE = "_u_range"
 
@@ -149,7 +150,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float
     extrema = [x for s in speeds if s.size for x in (float(s.max()), -float(s.min()))]
     if not all(map(math.isfinite, extrema)):
         raise NonFiniteState(f"drift lost finiteness at t = {state.t}")
-    object.__setattr__(state, _SPEEDS, ((params.chi, params.xi), speeds))
+    object.__setattr__(state, _SPEEDS, ((id(state), params.chi, params.xi), speeds))
     vmax = max(extrema, default=0.0)
     bounds = []
     if cfg.scheme == "explicit-upwind":
@@ -172,7 +173,7 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
     u = state.u
     dom = u.domain
     key, speeds = vars(state).pop(_SPEEDS, (None, None))
-    if key != (params.chi, params.xi):
+    if key != (id(state), params.chi, params.xi):
         speeds = _face_speeds(_drift(state, params), dom.h)
     # u + dt * div(F), in the divergence buffer; the fluxes overwrite the
     # speeds and go before the transforms.

@@ -349,6 +349,13 @@ class TestComputeBounds:
         with pytest.raises(DomainError):
             compute_bounds(params, 1.0, 2.0)
 
+    def test_overflowing_domain_area_rejected(self):
+        # (width * scale) ** 2 of the family's bumps would overflow a float
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=5.0, xi=0.1, rho=0.5)
+        dom = DomainSpec((1e160, 1e160), (16, 16))
+        with pytest.raises(DomainError, match="domain volume"):
+            compute_bounds(params, 100.0, 1.5, dom=dom, volume=1.0)
+
     def test_higher_dimension_needs_explicit_estimates(self):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5, dim=3)
         with pytest.raises(DomainError):

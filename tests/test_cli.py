@@ -2,6 +2,8 @@
 JSON payloads, and sweep aggregation. Everything runs in-process through
 cli.main so coverage and determinism are easy to reason about."""
 
+import hashlib
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -11,12 +13,16 @@ import pytest
 
 from attrep import DomainSpec, Field, ModelParams, compute_bounds
 from attrep.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, main
-from attrep.config import load_config, set_sweep_value
+from attrep.config import from_dict, load_config, set_sweep_value
 from attrep.grid import read_field_csv, write_field_csv
 
 FOUR_PI = 4.0 * math.pi
 
-REPO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+REPO_ROOT = Path(__file__).resolve().parents[1]
+REPO_CONFIGS = sorted((REPO_ROOT / "configs").glob("*.json"))
+
+# An override value that writes an explicit JSON null; None deletes the key.
+JSON_NULL = object()
 
 
 def base_config(**overrides):
@@ -50,7 +56,7 @@ def base_config(**overrides):
                 if v is None:
                     cfg[key].pop(inner, None)
                 else:
-                    cfg[key][inner] = v
+                    cfg[key][inner] = None if v is JSON_NULL else v
         else:
             cfg[key] = value
     return cfg
@@ -141,6 +147,11 @@ class TestBounds:
         cfg = write_config(tmp_path)
         assert main(["bounds", cfg, "--p", "1.0"]) == EXIT_ERROR
         assert "p > 1" in capsys.readouterr().err
+
+    def test_non_finite_p_names_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["bounds", cfg, "--p", "nan"]) == EXIT_ERROR
+        assert "'--p': expected a finite number" in capsys.readouterr().err
 
     def test_linear_production_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, params={"rho": 1.0})
@@ -234,6 +245,30 @@ class TestSimulate:
             ({"initial": {"center": [None, 0.5]}}, "initial.center"),
             # an integer literal beyond float range is infinite, not an OverflowError
             ({"t_end": 10**400}, "t_end"),
+            # a cell count is a JSON integer: no truncation, no string, no bool
+            ({"domain": {"cells": [16.7, 16.2]}}, "domain.cells"),
+            ({"domain": {"cells": ["16", "16"]}}, "domain.cells"),
+            ({"domain": {"lengths": [1, 1], "cells": [True, True]}}, "domain.cells"),
+            # a number is a JSON number, not a string or a bool
+            ({"domain": {"lengths": ["1", "1"]}}, "domain.lengths"),
+            ({"initial": {"center": ["0.5", "0.5"]}}, "initial.center"),
+            ({"initial": {"center": [True, False]}}, "initial.center"),
+            (
+                {
+                    "initial": {
+                        "kind": "multi-bump",
+                        "bumps": [{"center": ["0.5", "0.5"], "width": 0.1, "amplitude": 1.0}],
+                    }
+                },
+                "initial.bumps[0].center",
+            ),
+            ({"diagnostics": {"p": ["3"]}}, "diagnostics.p"),
+            ({"diagnostics": {"p": [2.0, True]}}, "diagnostics.p"),
+            # an explicit null is not an omitted key
+            ({"initial": {"center": JSON_NULL}}, "initial.center"),
+            # energy exponents are numbers above 1
+            ({"diagnostics": {"p": [1.0]}}, "diagnostics.p"),
+            ({"bounds": {"p": 0.5}}, "bounds.p"),
         ],
     )
     def test_bad_config_number_rejected(self, tmp_path, capsys, overrides, field):
@@ -242,6 +277,14 @@ class TestSimulate:
         assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert field in err and "expected a" in err
+        assert not out_dir.exists()
+
+    def test_bounds_failure_leaves_no_output_directory(self, tmp_path, capsys):
+        # the config parses; compute_bounds rejects the constant inside the run pipeline
+        cfg = write_config(tmp_path, bounds={"p": 2.0, "cgn": -1.0})
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        assert "C_GN estimate must be finite and > 0" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag", ["--t-end", "--blowup-threshold"])
@@ -485,6 +528,14 @@ class TestSweep:
         assert main(["sweep", cfg]) == EXIT_ERROR
         assert "SIM_WORKERS" in capsys.readouterr().err
 
+    def test_workers_env_below_one_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SIM_WORKERS", "0")
+        cfg = write_config(tmp_path, sweep={"axis": "initial.mass", "values": [1.0]})
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        assert "'SIM_WORKERS': expected an integer >= 1, got 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestRepoConfigs:
     @pytest.mark.parametrize("path", REPO_CONFIGS, ids=lambda p: p.stem)
@@ -494,3 +545,29 @@ class TestRepoConfigs:
 
     def test_examples_exist(self):
         assert len(REPO_CONFIGS) >= 3
+
+    # sha256 of repr(ExperimentConfig), first 16 hex digits, as the config
+    # parser built it before its leaf readers were merged into one per kind.
+    @pytest.mark.parametrize(
+        "name, seed, digest",
+        [
+            ("critical_mass_sweep", None, "14a7796203e22ff0"),
+            ("diffusion_bump", None, "df43be1ec55d9380"),
+            ("sublinear_bounded", None, "10eb286d14701282"),
+            ("diag-io-64", 1, "8e0c9e463bcc22e0"),
+            ("diag-io-64", 2, "b27ea2032517de0b"),
+            ("imex-cli-128", 1, "9a153189678c097c"),
+            ("imex-cli-128", 2, "980c84449d0eb9c5"),
+            ("sweep-64", 1, "80012f4e119482c5"),
+            ("sweep-64", 2, "48044dd854f73d57"),
+        ],
+    )
+    def test_parses_as_before(self, name, seed, digest):
+        if seed is None:
+            cfg = load_config(str(REPO_ROOT / "configs" / f"{name}.json"))
+        else:
+            spec = importlib.util.spec_from_file_location("workloads", REPO_ROOT / "perfbench" / "workloads.py")
+            workloads = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(workloads)
+            cfg = from_dict(workloads.make_spec(name, seed)["config"])
+        assert hashlib.sha256(repr(cfg).encode()).hexdigest()[:16] == digest

@@ -1,5 +1,6 @@
 """Upwind transport, CFL control, and the outer run loop."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -473,6 +474,21 @@ class TestDriftMemo:
         second = step(state, params, cfg, dt)
         for name in ("u", "v", "w"):
             assert_same_bits(getattr(first, name).values, getattr(second, name).values)
+
+    def test_copy_builds_its_own_speeds(self, scheme):
+        # A copy carries the memo's arrays, which stepping the original overwrites.
+        dom = DomainSpec((1.0, 1.0), (24, 24))
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=4.0, xi=0.5, rho=0.5)
+        cfg = StepperConfig(scheme=scheme)
+        state = initial_state(bump_field(dom, width=0.08), params)
+        fresh = initial_state(bump_field(dom, width=0.08), params)
+        dt = stable_dt(state, params, cfg)
+        twin = copy.copy(state)
+        step(state, params, cfg, dt)
+        got = step(twin, params, cfg, dt)
+        want = step(fresh, params, cfg, dt)
+        for name in ("u", "v", "w"):
+            assert_same_bits(getattr(got, name).values, getattr(want, name).values)
 
 
 class TestTransformBudget:
