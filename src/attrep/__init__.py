@@ -36,7 +36,6 @@ from .model import (
     RegimeResult,
     build_initial_data,
     classify_regime,
-    validate_params,
 )
 from .stepper import (
     RunResult,
@@ -89,7 +88,6 @@ __all__ = [
     "solve_signals",
     "stable_dt",
     "step",
-    "validate_params",
     "write_diagnostics_csv",
     "write_field_csv",
 ]

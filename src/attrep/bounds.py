@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DomainError, EtaOutOfRange, RhoNotSublinear
 from .grid import _grad_sum
-from .model import DomainSpec, ModelParams, validate_params
+from .model import DomainSpec, ModelParams
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 
@@ -82,7 +82,7 @@ def sublinear_production_bound(
     chi = _require("chi", chi)
     gamma = _require("gamma", gamma)
     xi = _require("xi", xi)
-    volume = _require("volume", volume)
+    volume = _require("domain volume", volume)
 
     prefactor = alpha * chi * (p - 1.0) * (1.0 - rho) / (p + 1.0)
     base = ((p + 1.0) * gamma * xi) / ((p + rho) * 3.0 * alpha * chi)
@@ -343,24 +343,9 @@ class BoundsReport:
     provenance: dict
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "m": self.m,
-            "theta": self.theta,
-            "c1": self.c1,
-            "sigma": self.sigma,
-            "c_hat": self.c_hat,
-            "eta": self.eta,
-            "c_tilde": self.c_tilde,
-            "cbar": self.cbar,
-            "c_star": self.c_star,
-            "c_star_total": self.c_star_total,
-            "critical_mass": self.critical_mass,
-            "cgn_estimate": self.cgn,
-            "ce_estimate": self.ce,
-            "provenance": dict(self.provenance),
-        }
+        """The fields in order, with cgn and ce named as the estimates they are."""
+        renamed = {"cgn": "cgn_estimate", "ce": "ce_estimate"}
+        return {renamed.get(name, name): value for name, value in asdict(self).items()}
 
 
 def compute_bounds(
@@ -368,7 +353,6 @@ def compute_bounds(
     m: float,
     p: float,
     dom: DomainSpec | None = None,
-    volume: float | None = None,
     cgn: float | None = None,
     ce: float | None = None,
 ) -> BoundsReport:
@@ -378,23 +362,19 @@ def compute_bounds(
     estimation requires n == 2 since the grid is two dimensional. Both
     estimates maximize over the same default test family, streamed once
     here.
-    `volume` defaults to the domain volume.
     """
-    validate_params(params)
     p = _require("p", p, above=1.0)
     m = _require("m", m)
-    if volume is None:
-        if dom is None:
-            raise DomainError("need a domain or an explicit volume")
-        volume = dom.volume
+    if dom is None:
+        raise DomainError("need a domain")
     n = int(params.dim)
 
     theta = interpolation_exponent(p, n)
-    c1 = sublinear_production_bound(p, params.rho, params.alpha, params.chi, params.gamma, params.xi, volume)
+    c1 = sublinear_production_bound(p, params.rho, params.alpha, params.chi, params.gamma, params.xi, dom.volume)
     eta = ehrling_eta(p, params.gamma, params.xi, params.delta)
-    if ce is None and (dom is None or n != 2):
+    if ce is None and n != 2:
         raise DomainError("Ehrling estimation needs a 2D domain; supply ce for other n")
-    if cgn is None and (dom is None or n != 2):
+    if cgn is None and n != 2:
         raise DomainError("GN estimation needs a 2D domain; supply cgn for other n")
     if ce is None or cgn is None:
         family = _test_family(dom, _FAMILY_SEED, _FAMILY_RANDOM)

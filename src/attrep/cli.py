@@ -31,7 +31,7 @@ from .diagnostics import (
 from .errors import ConfigError, SimulationError
 from .grid import Field, write_field_csv
 from .model import Regime, build_initial_data, classify_regime
-from .stepper import RunResult, Status, initial_state, run
+from .stepper import SCHEMES, RunResult, Status, initial_state, run
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -377,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--t-end", type=float, default=None, help="override t_end")
     p_sim.add_argument("--snapshot-every", type=int, default=None, help="density snapshot cadence in steps")
     p_sim.add_argument("--blowup-threshold", type=float, default=None, help="override the blow-up threshold on max u")
-    p_sim.add_argument("--scheme", choices=("explicit-upwind", "imex-diffusion"), default=None)
+    p_sim.add_argument("--scheme", choices=SCHEMES, default=None)
     p_sim.add_argument("--out", default=None, help="output directory (default from config)")
 
     p_bounds = sub.add_parser("bounds", help="emit the analytic-constants report as JSON")

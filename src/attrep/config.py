@@ -12,9 +12,10 @@ import json
 import math
 from dataclasses import dataclass
 
+from .diagnostics import DiagnosticsConfig
 from .errors import ConfigError
 from .model import BumpSpec, DomainSpec, InitialData, ModelParams
-from .stepper import StepperConfig
+from .stepper import STEADY_TOL, StepperConfig
 
 _COEFFS = ("alpha", "beta", "gamma", "delta", "chi", "xi", "rho")
 
@@ -191,11 +192,13 @@ def from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "top level must be a JSON object")
     diag = _section(raw, "diagnostics", required=False)
-    ps = diag.get("p", [2.0])
+    ps = diag.get("p", list(DiagnosticsConfig.ps))
     ps = ps if isinstance(ps, list) else [ps]
     if not ps:
         raise ConfigError("diagnostics.p", "expected a number or a non-empty list, got []")
     diag_ps = tuple(exponent("diagnostics.p", p) for p in ps)
+    if len(set(diag_ps)) < len(diag_ps):
+        raise ConfigError("diagnostics.p", f"expected a list of distinct exponents, got {ps!r}")
     outputs = _section(raw, "outputs", required=False)
     bounds = _section(raw, "bounds", required=False)
     sweep = _section(raw, "sweep", required=False)
@@ -220,11 +223,11 @@ def from_dict(raw: dict) -> ExperimentConfig:
         t_end=_get(raw, "", "t_end", number, 1.0),
         stepper=_parse_stepper(raw),
         diag_ps=diag_ps,
-        sample_every=_get(diag, "diagnostics", "sample_every", integer(1), 10),
+        sample_every=_get(diag, "diagnostics", "sample_every", integer(1), DiagnosticsConfig.every),
         out_dir=_get(outputs, "outputs", "directory", string, "sim_out"),
         snapshot_every=_get(outputs, "outputs", "snapshot_every", integer(0), 0),
         blowup_threshold=_get(raw, "", "blowup_threshold", number, None),
-        steady_tol=_get(raw, "", "steady_tol", number, 1e-10),
+        steady_tol=_get(raw, "", "steady_tol", number, STEADY_TOL),
         bounds_p=_get(bounds, "bounds", "p", exponent, None),
         bounds_cgn=_get(bounds, "bounds", "cgn", number, None),
         bounds_ce=_get(bounds, "bounds", "ce", number, None),
@@ -252,12 +255,9 @@ def set_sweep_value(raw: dict, axis: str, value) -> dict:
         raise ConfigError("sweep.axis", f"{axis!r} is not sweepable")
     out = dict(raw)
     out.pop("sweep", None)
-    parts = axis.split(".")
-    if len(parts) == 1:
-        out[parts[0]] = value
-        return out
-    section, leaf = parts
-    sub = dict(out.get(section) or {})
-    sub[leaf] = value
-    out[section] = sub
+    section, _, leaf = axis.rpartition(".")
+    target = out
+    if section:
+        target = out[section] = dict(out.get(section) or {})
+    target[leaf] = value
     return out

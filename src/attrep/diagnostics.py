@@ -36,6 +36,8 @@ class DiagnosticsConfig:
             raise ValueError("need at least one exponent p")
         if any(p <= 1.0 for p in self.ps):
             raise ValueError(f"every exponent must satisfy p > 1, got {self.ps}")
+        if len(set(self.ps)) < len(self.ps):
+            raise ValueError(f"each exponent must appear once, got {self.ps}")
         if self.every < 1:
             raise ValueError(f"sample interval must be >= 1, got {self.every}")
         if self.bounds is not None and self.bounds.p not in self.ps:

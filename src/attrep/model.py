@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,20 +31,24 @@ from .errors import (
     ZeroField,
 )
 
-_POSITIVE_COEFFICIENTS = ("alpha", "beta", "gamma", "delta")
-_NONNEGATIVE_COEFFICIENTS = ("chi", "xi")
-
 # Relative tolerance on |m * (chi*alpha - xi*gamma) - 4*pi| for the knife-edge
 # critical-mass classification.
 CRITICAL_MASS_RTOL = 1e-9
+
+
+def _is(kind, value) -> bool:
+    """isinstance(value, kind) for a numbers ABC, with bools left out."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Coefficients of the coupled system; `dim` is the space dimension n.
 
-    Simulation supports dim == 2 only; the analytic-bounds arithmetic accepts
-    any dim >= 2.
+    Construction admits only the admissible set, so every instance is valid:
+    finite real alpha, beta, gamma, delta > 0, chi, xi >= 0 and 0 < rho <= 1
+    (not bools or strings), and an integer dim >= 2. Simulation supports
+    dim == 2 only; the analytic-bounds arithmetic accepts any dim >= 2.
     """
 
     alpha: float
@@ -55,22 +60,24 @@ class ModelParams:
     rho: float
     dim: int = 2
 
-
-def validate_params(params: ModelParams) -> None:
-    """Raise if any coefficient is out of its admissible range."""
-    for name in _POSITIVE_COEFFICIENTS:
-        value = float(getattr(params, name))
-        if not math.isfinite(value) or value <= 0.0:
-            raise NonPositiveCoefficient(name, value)
-    for name in _NONNEGATIVE_COEFFICIENTS:
-        value = float(getattr(params, name))
-        if not math.isfinite(value) or value < 0.0:
-            raise NonPositiveCoefficient(name, value, requirement="nonnegative")
-    rho = float(params.rho)
-    if not math.isfinite(rho) or rho <= 0.0 or rho > 1.0:
-        raise RhoOutOfRange(rho)
-    if int(params.dim) < 2:
-        raise NonPositiveCoefficient("dim", params.dim)
+    def __post_init__(self):
+        # A real number out of range is reported by its range, before the type check.
+        for name in ("alpha", "beta", "gamma", "delta", "chi", "xi", "rho"):
+            raw = getattr(self, name)
+            if isinstance(raw, numbers.Real):
+                value = float(raw)
+                if name == "rho" and not 0.0 < value <= 1.0:
+                    raise RhoOutOfRange(value)
+                if name in ("chi", "xi") and not 0.0 <= value < math.inf:
+                    raise NonPositiveCoefficient(name, value, requirement="nonnegative")
+                if name in ("alpha", "beta", "gamma", "delta") and not 0.0 < value < math.inf:
+                    raise NonPositiveCoefficient(name, value)
+            if not _is(numbers.Real, raw):
+                raise NonPositiveCoefficient(name, raw, f"a real number, not a {type(raw).__name__}")
+        if isinstance(self.dim, numbers.Real) and self.dim < 2:
+            raise NonPositiveCoefficient("dim", self.dim)
+        if not _is(numbers.Integral, self.dim):
+            raise NonPositiveCoefficient("dim", self.dim, f"an integer, not a {type(self.dim).__name__}")
 
 
 @dataclass(frozen=True)
@@ -79,13 +86,16 @@ class DomainSpec:
 
     The cell size h = lengths[axis] / cells[axis] must be identical on both
     axes; zero-flux boundary handling and the cosine-transform solver both
-    rely on that.
+    rely on that. Lengths are stored as floats and cell counts as ints.
     """
 
     lengths: tuple[float, float]
     cells: tuple[int, int]
 
     def __post_init__(self):
+        kinds = [_is(numbers.Real, v) for v in self.lengths] + [_is(numbers.Integral, c) for c in self.cells]
+        if not all(kinds):
+            raise ValueError(f"domain needs real lengths and integer cell counts, got {self.lengths!r}, {self.cells!r}")
         object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
         object.__setattr__(self, "cells", tuple(int(v) for v in self.cells))
         if len(self.lengths) != 2 or len(self.cells) != 2:
@@ -221,7 +231,6 @@ def classify_regime(params: ModelParams, mass: float) -> RegimeResult:
     products chi*alpha and xi*gamma are preserved, since only those products
     enter.
     """
-    validate_params(params)
     mass = float(mass)
     if not math.isfinite(mass) or mass <= 0:
         raise ZeroField(f"regime classification needs positive mass, got {mass}")

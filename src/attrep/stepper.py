@@ -34,7 +34,7 @@ from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
 from .elliptic import _implicit_solve, _signals, solve_signals
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate
-from .model import DomainSpec, ModelParams, validate_params
+from .model import DomainSpec, ModelParams
 
 SCHEMES = ("explicit-upwind", "imex-diffusion")
 
@@ -79,7 +79,6 @@ class SimState:
 
 
 def initial_state(u0: Field, params: ModelParams) -> SimState:
-    validate_params(params)
     v, w = solve_signals(u0, params)
     return SimState(u0, v, w, t=0.0, step=0, status=Status.RUNNING)
 
@@ -223,7 +222,6 @@ def run(
     diagnostics: DiagnosticsConfig | None = None,
     blowup_threshold: float | None = None,
     steady_tol: float = STEADY_TOL,
-    callbacks: tuple = (),
     on_state=None,
 ) -> RunResult:
     """Step until t_end, steady state, or blow-up suspicion.
@@ -234,16 +232,14 @@ def run(
     relative change per unit time below steady_tol (SteadyDetected).
 
     Diagnostics are sampled at the top of every diagnostics.every-th step and
-    once for the final state; `callbacks` receive (state, record) at each
-    sample and `on_state` receives every accepted state. With t_end = 0 the
-    loop exits before the first sample, so the series is empty.
+    once for the final state; `on_state` receives every accepted state. With
+    t_end = 0 the loop exits before the first sample, so the series is empty.
 
     Checks sit at the edge: `initial_state` and `step` accept only a state
     whose density is finite and nonnegative up to rounding and whose signals
     are finite, and run does not re-check the states it reduces, samples or
     integrates. Pass it a state that one of them built.
     """
-    validate_params(params)
     mass_initial = integrate(state.u)
     vol = state.u.domain.volume
     threshold = blowup_threshold if blowup_threshold is not None else BLOWUP_FACTOR * mass_initial / vol
@@ -254,11 +250,8 @@ def run(
 
     def take_sample(s: SimState) -> None:
         nonlocal last_sampled
-        rec = sample(s, diagnostics.ps, bounds=diagnostics.bounds)
-        records.append(rec)
+        records.append(sample(s, diagnostics.ps, bounds=diagnostics.bounds))
         last_sampled = s.step
-        for cb in callbacks:
-            cb(s, rec)
 
     # One min and one max per accepted state (step leaves them on the states it
     # builds) feed the density ratio, the blow-up threshold and the steady-state

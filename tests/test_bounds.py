@@ -44,6 +44,9 @@ from attrep.bounds import (
 )
 from attrep.errors import DomainError, EtaOutOfRange, RhoNotSublinear
 
+# A unit square: compute_bounds reads |Omega| = 1 from it.
+UNIT_SQUARE = DomainSpec((1.0, 1.0), (16, 16))
+
 
 class TestInterpolationExponent:
     def test_p2_n2(self):
@@ -300,7 +303,7 @@ class TestEstimators:
 class TestComputeBounds:
     def test_unit_report(self):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
-        report = compute_bounds(params, 1.0, 2.0, volume=1.0, cgn=1.0, ce=1.0)
+        report = compute_bounds(params, 1.0, 2.0, dom=UNIT_SQUARE, cgn=1.0, ce=1.0)
         assert report.theta == pytest.approx(0.5, rel=1e-14)
         assert report.c1 == pytest.approx(16.276041666666668, rel=1e-13)
         assert report.sigma == pytest.approx(1.0 / 3.0, rel=1e-14)
@@ -314,7 +317,7 @@ class TestComputeBounds:
 
     def test_attraction_dominant_carries_threshold(self):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=2.0, xi=1.0, rho=0.5)
-        report = compute_bounds(params, 1.0, 2.0, volume=1.0, cgn=1.0, ce=1.0)
+        report = compute_bounds(params, 1.0, 2.0, dom=UNIT_SQUARE, cgn=1.0, ce=1.0)
         assert report.critical_mass == pytest.approx(4.0 * math.pi, rel=1e-14)
 
     def test_estimates_filled_from_domain(self):
@@ -342,7 +345,7 @@ class TestComputeBounds:
     def test_linear_production_has_no_c1(self):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=1.0)
         with pytest.raises(RhoNotSublinear):
-            compute_bounds(params, 1.0, 2.0, volume=1.0, cgn=1.0, ce=1.0)
+            compute_bounds(params, 1.0, 2.0, dom=UNIT_SQUARE, cgn=1.0, ce=1.0)
 
     def test_needs_domain_or_volume(self):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
@@ -354,19 +357,19 @@ class TestComputeBounds:
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=5.0, xi=0.1, rho=0.5)
         dom = DomainSpec((1e160, 1e160), (16, 16))
         with pytest.raises(DomainError, match="domain volume"):
-            compute_bounds(params, 100.0, 1.5, dom=dom, volume=1.0)
+            compute_bounds(params, 100.0, 1.5, dom=dom)
 
     def test_higher_dimension_needs_explicit_estimates(self):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5, dim=3)
         with pytest.raises(DomainError):
-            compute_bounds(params, 1.0, 2.0, volume=1.0)
-        report = compute_bounds(params, 1.0, 2.0, volume=1.0, cgn=1.2, ce=0.9)
+            compute_bounds(params, 1.0, 2.0, dom=UNIT_SQUARE)
+        report = compute_bounds(params, 1.0, 2.0, dom=UNIT_SQUARE, cgn=1.2, ce=0.9)
         assert report.n == 3
         assert report.theta == pytest.approx(o_theta(2.0, 3), rel=1e-13)
 
     def test_provenance_labels(self):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
-        report = compute_bounds(params, 1.0, 2.0, volume=1.0, cgn=1.0, ce=1.0)
+        report = compute_bounds(params, 1.0, 2.0, dom=UNIT_SQUARE, cgn=1.0, ce=1.0)
         assert report.provenance == {
             "theta": "exact-formula",
             "c1": "exact-formula",
@@ -382,9 +385,9 @@ class TestComputeBounds:
 
     def test_to_dict_keys(self):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
-        report = compute_bounds(params, 1.0, 2.0, volume=1.0, cgn=1.0, ce=1.0)
+        report = compute_bounds(params, 1.0, 2.0, dom=UNIT_SQUARE, cgn=1.0, ce=1.0)
         d = report.to_dict()
-        assert set(d) == {
+        assert list(d) == [
             "p",
             "n",
             "m",
@@ -401,15 +404,15 @@ class TestComputeBounds:
             "cgn_estimate",
             "ce_estimate",
             "provenance",
-        }
+        ]
         assert d["cgn_estimate"] == 1.0
 
     @given(m=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=30, deadline=None)
     def test_total_monotone_in_mass(self, m):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
-        small = compute_bounds(params, m, 2.0, volume=1.0, cgn=1.0, ce=1.0)
-        large = compute_bounds(params, 2.0 * m, 2.0, volume=1.0, cgn=1.0, ce=1.0)
+        small = compute_bounds(params, m, 2.0, dom=UNIT_SQUARE, cgn=1.0, ce=1.0)
+        large = compute_bounds(params, 2.0 * m, 2.0, dom=UNIT_SQUARE, cgn=1.0, ce=1.0)
         assert large.c_star_total > small.c_star_total
 
 

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from attrep import DomainSpec, Field, ModelParams, compute_bounds
 from attrep.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, main
 from attrep.config import from_dict, load_config, set_sweep_value
+from attrep.errors import SimulationError
 from attrep.grid import read_field_csv, write_field_csv
 
 FOUR_PI = 4.0 * math.pi
@@ -269,6 +271,9 @@ class TestSimulate:
             # energy exponents are numbers above 1
             ({"diagnostics": {"p": [1.0]}}, "diagnostics.p"),
             ({"bounds": {"p": 0.5}}, "bounds.p"),
+            # one column per exponent: a repeat would write E_2 twice
+            ({"diagnostics": {"p": [2.0, 2.0]}}, "diagnostics.p"),
+            ({"diagnostics": {"p": [2.0, 2]}}, "diagnostics.p"),
         ],
     )
     def test_bad_config_number_rejected(self, tmp_path, capsys, overrides, field):
@@ -277,6 +282,35 @@ class TestSimulate:
         assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert field in err and "expected a" in err
+        assert not out_dir.exists()
+
+    def test_bounds_exponent_joins_sampled_exponents(self, tmp_path):
+        cfg = write_config(tmp_path, bounds={"p": 1.5}, diagnostics={"p": [2.0]})
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_OK
+        header = (out_dir / "diagnostics.csv").read_text().splitlines()[0]
+        assert header == "t,mass,u_min,u_max,E_2,E_1.5,gradE_2,gradE_1.5,v_max,w_max,dEdt,rhs_bound"
+        summary = read_json(out_dir / "summary.json")
+        assert list(summary["final_energies"]) == ["2", "1.5"]
+        assert summary["bounds"]["p"] == 1.5
+        assert summary["energy_inequality"]["n_pairs"] >= 1
+        assert 0.0 < summary["absorptive"]["max_ratio"]
+
+    @pytest.mark.parametrize(
+        "params, text",
+        [
+            ({"rho": 2.0}, "rho must lie in (0, 1]"),
+            ({"gamma": 0.0}, "coefficient 'gamma' must be strictly positive"),
+            ({"chi": -1.0}, "coefficient 'chi' must be nonnegative"),
+        ],
+    )
+    def test_inadmissible_params_fail_at_load(self, tmp_path, capsys, params, text):
+        cfg = write_config(tmp_path, params=params)
+        out_dir = tmp_path / "run"
+        with pytest.raises(SimulationError, match=re.escape(text)):
+            load_config(cfg)
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        assert text in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_bounds_failure_leaves_no_output_directory(self, tmp_path, capsys):
@@ -482,6 +516,24 @@ class TestSweep:
         assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_ERROR
         assert "'sweep.values[1]'" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_inadmissible_base_fails_at_load(self, tmp_path, capsys):
+        # the axis would override the bad leaf, but the base config must stand alone
+        cfg = write_config(tmp_path, params={"rho": 2.0}, sweep={"axis": "params.rho", "values": [0.5]})
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        assert "rho must lie in (0, 1]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_root_level_axis(self):
+        raw = base_config(sweep={"axis": "t_end", "values": [0.5]})
+        point = set_sweep_value(raw, "t_end", 0.5)
+        assert point["t_end"] == 0.5 and "sweep" not in point
+        assert raw["t_end"] == 2e-3 and "sweep" in raw
+        assert point["params"] is raw["params"]
+        assert from_dict(point).t_end == 0.5
+        nested = set_sweep_value(raw, "params.rho", 0.7)
+        assert nested["params"]["rho"] == 0.7 and raw["params"]["rho"] == 0.5
 
     def test_int_values_kept(self, tmp_path):
         cfg = load_config(write_config(tmp_path, sweep={"axis": "params.dim", "values": [2, 3]}))

@@ -65,6 +65,11 @@ class TestDiagnosticsConfig:
     def test_ints_coerced_to_floats(self):
         assert DiagnosticsConfig(ps=(2,)).ps == (2.0,)
 
+    @pytest.mark.parametrize("ps", [(2.0, 2.0), (2.0, 2), (3.0, 2.0, 3)])
+    def test_repeated_exponent_rejected(self, ps):
+        with pytest.raises(ValueError, match="each exponent must appear once"):
+            DiagnosticsConfig(ps=ps)
+
 
 class TestSample:
     def test_uniform_one(self, unit_square_16):
@@ -319,17 +324,17 @@ class TestBoundsWiring:
         from attrep import compute_bounds
 
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
-        report = compute_bounds(params, 1.0, 2.0, volume=1.0, cgn=1.0, ce=1.0)
+        report = compute_bounds(params, 1.0, 2.0, dom=unit_square_16, cgn=1.0, ce=1.0)
         state = make_state(Field.full(unit_square_16, 1.0))
         rec = sample(state, (2.0,), bounds=report)
         # uniform state has zero gradient term, so the bound is just cbar
         assert rec.rhs_bound == pytest.approx(report.cbar, rel=1e-12)
 
-    def test_config_rejects_foreign_bounds(self):
+    def test_config_rejects_foreign_bounds(self, unit_square_16):
         from attrep import compute_bounds
 
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
-        report = compute_bounds(params, 1.0, 3.0, volume=1.0, cgn=1.0, ce=1.0)
+        report = compute_bounds(params, 1.0, 3.0, dom=unit_square_16, cgn=1.0, ce=1.0)
         with pytest.raises(MismatchedP):
             DiagnosticsConfig(ps=(2.0,), bounds=report)
 
@@ -337,7 +342,7 @@ class TestBoundsWiring:
         from attrep import compute_bounds
 
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
-        report = compute_bounds(params, 1.0, 3.0, volume=1.0, cgn=1.0, ce=1.0)
+        report = compute_bounds(params, 1.0, 3.0, dom=unit_square_16, cgn=1.0, ce=1.0)
         state = make_state(Field.full(unit_square_16, 1.0))
         with pytest.raises(MismatchedP):
             sample(state, (2.0,), bounds=report)

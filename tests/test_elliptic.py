@@ -12,7 +12,13 @@ from scipy.fft import dctn, idctn
 from _oracles import dense_helmholtz_matrix
 from attrep import DomainSpec, Field, solve_helmholtz, solve_signals
 from attrep.elliptic import _implicit_solve, _mode_eigenvalues, _production
-from attrep.errors import NegativeDensity, NonFiniteField, NonPositiveKappa, SolverDiverged
+from attrep.errors import (
+    NegativeDensity,
+    NonFiniteField,
+    NonPositiveCoefficient,
+    NonPositiveKappa,
+    SolverDiverged,
+)
 from attrep.grid import integrate, neumann_laplacian_apply
 
 
@@ -123,10 +129,12 @@ class TestSolveHelmholtz:
 
     @pytest.mark.parametrize("name", ["beta", "delta"])
     @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
-    def test_signal_kappas_must_be_positive(self, unit_square_16, unit_params, name, kappa):
-        params = replace(unit_params, **{name: kappa})
-        with pytest.raises(NonPositiveKappa):
-            solve_signals(Field.full(unit_square_16, 1.0), params)
+    def test_signal_kappas_must_be_positive(self, unit_params, name, kappa):
+        # The signal solves take their kappas from ModelParams, which admits
+        # only finite beta, delta > 0.
+        with pytest.raises(NonPositiveCoefficient) as err:
+            replace(unit_params, **{name: kappa})
+        assert err.value.name == name
 
     def test_nonfinite_source_rejected(self, unit_square_16):
         values = np.ones(unit_square_16.cells)
@@ -277,12 +285,11 @@ class TestSolveSignals:
     @settings(max_examples=25, deadline=None)
     def test_constant_identity_property(self, c):
         dom = DomainSpec((1.0, 1.0), (8, 8))
-        from attrep import validate_params, ModelParams
+        from attrep import ModelParams
 
         params = ModelParams(
             alpha=1.0, beta=1.0, gamma=1.0, delta=1.0, chi=1.0, xi=1.0, rho=1.0, dim=2
         )
-        validate_params(params)
         v, w = solve_signals(Field.full(dom, c), params)
         np.testing.assert_allclose(v.values, c, rtol=1e-11)
         np.testing.assert_allclose(w.values, c, rtol=1e-11)

@@ -1,4 +1,4 @@
-"""Parameter validation, domain geometry, initial data, regime taxonomy."""
+"""Admissible parameters, domain geometry, initial data, regime taxonomy."""
 
 import math
 
@@ -16,7 +16,6 @@ from attrep import (
     Regime,
     build_initial_data,
     classify_regime,
-    validate_params,
 )
 from attrep.errors import (
     NegativeAmplitude,
@@ -36,37 +35,69 @@ def params_with(**overrides):
 
 
 class TestValidateParams:
+    """ModelParams admits only the admissible set: building it is the check."""
+
     def test_all_ones_ok(self):
-        validate_params(params_with())
+        params_with()
 
     @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "delta"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_production_coefficients_strictly_positive(self, name, bad):
         with pytest.raises(NonPositiveCoefficient) as err:
-            validate_params(params_with(**{name: bad}))
+            params_with(**{name: bad})
         assert err.value.name == name
+        assert str(err.value) == f"coefficient {name!r} must be strictly positive, got {float(bad)}"
 
     @pytest.mark.parametrize("name", ["chi", "xi"])
     def test_negative_sensitivity_rejected(self, name):
         with pytest.raises(NonPositiveCoefficient) as err:
-            validate_params(params_with(**{name: -1.0}))
+            params_with(**{name: -1.0})
+        assert err.value.name == name
+        assert str(err.value) == f"coefficient {name!r} must be nonnegative, got -1.0"
+
+    @pytest.mark.parametrize("name", ["chi", "xi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sensitivity_rejected(self, name, bad):
+        # a NaN chi once reached stable_dt and failed there as a lost drift
+        with pytest.raises(NonPositiveCoefficient) as err:
+            params_with(**{name: bad})
         assert err.value.name == name
 
     def test_zero_sensitivities_admitted(self):
         # chi = xi = 0 switches drift off; the heat reduction depends on it.
-        validate_params(params_with(chi=0.0, xi=0.0))
+        params_with(chi=0.0, xi=0.0)
 
-    @pytest.mark.parametrize("rho", [1.2, 0.0, -0.5, math.nan])
+    @pytest.mark.parametrize("rho", [1.2, 0.0, -0.5, math.nan, 2.0])
     def test_rho_out_of_range(self, rho):
-        with pytest.raises(RhoOutOfRange):
-            validate_params(params_with(rho=rho))
+        with pytest.raises(RhoOutOfRange) as err:
+            params_with(rho=rho)
+        assert str(err.value).endswith(f"got {rho}")
 
     def test_rho_one_admitted(self):
-        validate_params(params_with(rho=1.0))
+        params_with(rho=1.0)
 
     def test_dim_below_two_rejected(self):
-        with pytest.raises(NonPositiveCoefficient):
-            validate_params(params_with(dim=1))
+        with pytest.raises(NonPositiveCoefficient) as err:
+            params_with(dim=1)
+        assert str(err.value) == "coefficient 'dim' must be strictly positive, got 1"
+
+    @pytest.mark.parametrize("name", ["alpha", "chi", "rho"])
+    @pytest.mark.parametrize("bad", ["1.0", True, b"1"])
+    def test_bool_or_string_coefficient_rejected(self, name, bad):
+        with pytest.raises(NonPositiveCoefficient) as err:
+            params_with(**{name: bad})
+        assert err.value.name == name
+        assert "must be a real number" in str(err.value)
+
+    @pytest.mark.parametrize("dim", [2.7, "2", 2.0, True])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(NonPositiveCoefficient) as err:
+            params_with(dim=dim)
+        assert err.value.name == "dim"
+
+    def test_numpy_scalars_admitted_and_kept(self):
+        params = params_with(alpha=np.float64(2.0), dim=np.int64(3))
+        assert type(params.alpha) is np.float64 and params.dim == 3
 
 
 class TestDomainSpec:
@@ -88,6 +119,27 @@ class TestDomainSpec:
     def test_bad_lengths_rejected(self, lengths):
         with pytest.raises(ValueError):
             DomainSpec(lengths, (8, 8))
+
+    @pytest.mark.parametrize(
+        "lengths, cells",
+        [
+            ((1.0, 1.0), (16.7, 16.2)),
+            ((1.0, 1.0), (16.0, 16.0)),
+            ((1.0, 1.0), ("16", "16")),
+            ((1.0, 1.0), (True, True)),
+            (("1", "1"), (16, 16)),
+            ((True, True), (16, 16)),
+            (("1", "1"), (True, True)),
+        ],
+    )
+    def test_non_numeric_lengths_or_cells_rejected(self, lengths, cells):
+        with pytest.raises(ValueError, match="real lengths and integer cell counts"):
+            DomainSpec(lengths, cells)
+
+    def test_numbers_stored_as_float_lengths_and_int_cells(self):
+        dom = DomainSpec((1, np.float32(1.0)), (np.int64(16), 16))
+        assert dom.lengths == (1.0, 1.0) and dom.cells == (16, 16)
+        assert [type(v) for v in dom.lengths + dom.cells] == [float, float, int, int]
 
     def test_cell_centers_are_midpoints(self):
         dom = DomainSpec((1.0, 1.0), (4, 4))

@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "solve_signals",
     "stable_dt",
     "step",
-    "validate_params",
     "write_diagnostics_csv",
     "write_field_csv",
 ]

@@ -658,22 +658,23 @@ class TestRun:
         assert seen == list(range(result.steps + 1))
 
     def test_callbacks_fire_per_sample(self):
+        # A sample every 5 steps and one for the final state, at step 10.
         dom = DomainSpec((1.0, 1.0), (16, 16))
         params = no_drift_params()
         state = initial_state(bump_field(dom), params)
         cfg = StepperConfig()
         dt = stable_dt(state, params, cfg)
-        got = []
+        times = []
         result = run(
             state,
             params,
             cfg,
             9.5 * dt,
             diagnostics=DiagnosticsConfig(every=5),
-            callbacks=(lambda s, rec: got.append((s.step, rec.t)),),
+            on_state=lambda s: times.append(s.t),
         )
-        assert len(got) == len(result.records)
-        assert [g[0] for g in got] == [0, 5, 10]
+        assert result.steps == 10
+        assert [rec.t for rec in result.records] == [times[0], times[5], times[10]]
 
     def test_mass_conserved_over_run(self):
         dom = DomainSpec((1.0, 1.0), (32, 32))
