@@ -20,10 +20,7 @@ from .diagnostics import (
 from .elliptic import solve_helmholtz, solve_signals
 from .grid import (
     Field,
-    grad_energy,
     integrate,
-    lp_norm_p,
-    neumann_laplacian_apply,
     read_field_csv,
     write_field_csv,
 )
@@ -75,12 +72,9 @@ __all__ = [
     "estimate_ehrling_constant",
     "estimate_gn_constant",
     "from_dict",
-    "grad_energy",
     "initial_state",
     "integrate",
     "load_config",
-    "lp_norm_p",
-    "neumann_laplacian_apply",
     "read_field_csv",
     "run",
     "sample",

@@ -64,14 +64,14 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
     """Pure snapshot of the state; identical states give identical records.
 
     Rounding-level negative dips in u are clamped to zero inside the
-    fractional powers only; u_min reports the true minimum.
-    """
+    fractional powers only; u_min reports the true minimum, which the state
+    carries."""
     ps = tuple(float(p) for p in ps)
     h = state.u.h
     uv = state.u.values
     # NaN propagates through min and max and an infinity is an extreme, so
-    # this pair checks u for every sum below.
-    u_min, u_max = float(uv.min()), float(uv.max())
+    # the state's pair checks u for every sum below.
+    u_min, u_max = state.u_min, state.u_max
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         raise NonFiniteField("field contains NaN or Inf")
     clamped = np.maximum(uv, 0.0) if u_min < 0.0 else uv
@@ -80,9 +80,9 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
     for p in ps:
         # An overflowing u^p or u^{p/2} fails its kernel's sum (NonFiniteField).
         energies[p] = _lp_integral(clamped, p, h)
-        # root outlives the sum: freed at once, it moved the allocator's pages
-        # and cost the next stable_dt about 130 extra page faults at 256^2.
-        root = np.power(clamped, p / 2.0)
+        # At p = 2 that is u itself, as np.power(u, 1.0) returns it to the bit.
+        # root outlives the sum: freed at once, it cost 130 page faults at 256^2.
+        root = clamped if p == 2.0 else np.power(clamped, p / 2.0)
         grads[p] = _grad_sum(root)
 
     rhs_bound = math.nan

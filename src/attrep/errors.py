@@ -33,10 +33,6 @@ class NonFiniteField(SimulationError):
     """A field operation received NaN or Inf values."""
 
 
-class NegativeFieldWithFractionalPower(SimulationError):
-    """|f|^p with non-integer p needs a nonnegative field."""
-
-
 class NonPositiveKappa(SimulationError):
     """The screened solve (-Lap + kappa) requires kappa > 0."""
 

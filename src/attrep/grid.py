@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeFieldWithFractionalPower, NonFiniteField
+from .errors import NonFiniteField
 from .model import DomainSpec
 
 
@@ -60,8 +60,8 @@ def require_finite(field: Field, what: str = "field") -> None:
         raise NonFiniteField(f"{what} contains NaN or Inf")
 
 
-# The _kernels below skip the scans of their input; the public functions wrap
-# them with checks. _integral, _lp_integral and _grad_sum check their sums for
+# The _kernels below skip the scans of their input; integrate wraps _integral
+# with its check. _integral, _lp_integral and _grad_sum check their sums for
 # overflow.
 def _finite(total: float, what: str) -> float:
     if not math.isfinite(total):
@@ -80,8 +80,9 @@ def integrate(field: Field) -> float:
 
 
 def _lp_integral(values: np.ndarray, p: float, h: float) -> float:
+    """Integral of |f|^p (no 1/p root), for p >= 1."""
     if p < 1.0:
-        raise ValueError(f"lp_norm_p needs p >= 1, got {p}")
+        raise ValueError(f"the integral of |f|^p needs p >= 1, got {p}")
     if p == 1.0:
         total = np.abs(values).sum()
     elif p == 2.0:
@@ -91,55 +92,11 @@ def _lp_integral(values: np.ndarray, p: float, h: float) -> float:
     return _finite(float(total) * h * h, f"integral of |f|^{p}")
 
 
-def lp_norm_p(field: Field, p: float) -> float:
-    """Integral of |f|^p (no 1/p root), for p >= 1.
-
-    Non-integer p requires a nonnegative field; |f|^p with fractional p and
-    negative values would silently leave the reals.
-    """
-    require_finite(field)
-    p = float(p)
-    values = field.values
-    if p >= 1.0 and not p.is_integer() and values.min() < 0.0:
-        raise NegativeFieldWithFractionalPower(
-            f"field has min {values.min()} < 0 with fractional p = {p}"
-        )
-    return _lp_integral(values, p, field.h)
-
-
 def _grad_sum(v: np.ndarray) -> float:
-    # (diff / h)^2 * h^2 == diff^2, so h cancels out of the face sum.
+    """Integral of |grad f|^2: each interior face gives (diff/h)^2 h^2 = diff^2."""
     gx = v[1:, :] - v[:-1, :]
     gy = v[:, 1:] - v[:, :-1]
     return _finite(float((gx * gx).sum() + (gy * gy).sum()), "gradient energy")
-
-
-def grad_energy(field: Field) -> float:
-    """Integral of |grad f|^2 from two-point face differences.
-
-    Each interior face contributes (difference / h)^2 * h^2; boundary faces
-    contribute exactly zero by the reflected-ghost convention. For fields
-    compatible with the zero-flux boundary this is second-order accurate;
-    otherwise it under-counts a boundary strip of width h/2.
-    """
-    require_finite(field)
-    return _grad_sum(field.values)
-
-
-def neumann_laplacian_apply(field: Field) -> Field:
-    """Five-point Laplacian with reflected ghost cells (zero-flux exact)."""
-    require_finite(field)
-    v = field.values
-    h = field.h
-    padded = np.pad(v, 1, mode="edge")
-    lap = (
-        padded[:-2, 1:-1]
-        + padded[2:, 1:-1]
-        + padded[1:-1, :-2]
-        + padded[1:-1, 2:]
-        - 4.0 * v
-    ) / (h * h)
-    return Field(lap, field.domain)
 
 
 def write_field_csv(field: Field, path) -> None:

@@ -19,6 +19,9 @@ Two schemes: "explicit-upwind" treats everything explicitly and obeys both
 the diffusive and the advective dt bound; "imex-diffusion" advects explicitly
 but diffuses with a backward-Euler cosine-transform solve, dropping the
 diffusive bound.
+
+A state is plain data: the fields, the clock and the density extrema. run
+builds the face speeds V once a step and hands them to stable_dt and step.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -70,12 +73,24 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class SimState:
+    """The fields and clock of one state, and the extrema u_min, u_max of its
+    density: `extrema` when given (step passes the pair it checked), else
+    taken from u, as for any other construction, dataclasses.replace too."""
+
     u: Field
     v: Field
     w: Field
     t: float
     step: int
     status: Status
+    extrema: InitVar[tuple[float, float] | None] = None
+    u_min: float = field(init=False)
+    u_max: float = field(init=False)
+
+    def __post_init__(self, extrema):
+        u_min, u_max = extrema or (float(self.u.values.min()), float(self.u.values.max()))
+        object.__setattr__(self, "u_min", u_min)
+        object.__setattr__(self, "u_max", u_max)
 
 
 def initial_state(u0: Field, params: ModelParams) -> SimState:
@@ -130,54 +145,45 @@ def _flux_divergence(fx: np.ndarray, fy: np.ndarray, dom: DomainSpec) -> np.ndar
     return div
 
 
-# Memos kept beside a state's fields: the face speeds stable_dt built, for the
-# step after it, keyed by (id(state), chi, xi) because step overwrites them and a
-# copy of the state shares them; the density extrema step found, for run.
-_SPEEDS = "_face_speeds"
-_U_RANGE = "_u_range"
-
-
-def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float:
+def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speeds=None) -> float:
     """cfl_safety * min(diffusive bound h^2/(2 dim), advective bound h/vmax),
     clamped to [dt_min, dt_max]; imex-diffusion drops the diffusive bound. A
-    drift with NaN or Inf raises NonFiniteState. Leaves the face speeds on the
-    state for the step after it."""
+    drift with NaN or Inf raises NonFiniteState. `speeds`, the list of face
+    speeds of the state's drift under params, is built when omitted."""
     h = state.u.domain.h
-    speeds = _face_speeds(_drift(state, params), h)
+    if speeds is None:
+        speeds = _face_speeds(_drift(state, params), h)
     # max|V| = max(max V, -min V); dividing by h is monotone, so this is
     # max|phi_R - phi_L| / h to the bit. NaN propagates through min and max.
     extrema = [x for s in speeds if s.size for x in (float(s.max()), -float(s.min()))]
     if not all(map(math.isfinite, extrema)):
         raise NonFiniteState(f"drift lost finiteness at t = {state.t}")
-    object.__setattr__(state, _SPEEDS, ((id(state), params.chi, params.xi), speeds))
     vmax = max(extrema, default=0.0)
-    bounds = []
-    if cfg.scheme == "explicit-upwind":
-        bounds.append(h * h / (2.0 * state.u.values.ndim))
+    bounds = [h * h / (2.0 * state.u.values.ndim)] if cfg.scheme == "explicit-upwind" else []
     if vmax > 0.0:
         bounds.append(h / vmax)
     dt = cfg.cfl_safety * min(bounds) if bounds else math.inf
     return max(min(dt, cfg.dt_max), cfg.dt_min)
 
 
-def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None) -> SimState:
+def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None, *, speeds=None) -> SimState:
     """Advance one step of size dt (stable_dt when omitted) and solve the
     signals for the new density. One min and one max of the new density carry
     its checks: NaN/Inf raises NonFiniteState (SolverDiverged when only the
     implicit diffusion solve lost finiteness), a dip below -1e-13 max raises
-    NegativeDensity."""
-    if dt is None:
-        dt = stable_dt(state, params, cfg)
-    imex = cfg.scheme == "imex-diffusion"
+    NegativeDensity; the new state carries the pair. `speeds` as for
+    stable_dt: step writes the fluxes into them and empties the list."""
     u = state.u
     dom = u.domain
-    key, speeds = vars(state).pop(_SPEEDS, (None, None))
-    if key != (id(state), params.chi, params.xi):
+    if speeds is None:
         speeds = _face_speeds(_drift(state, params), dom.h)
+    if dt is None:
+        dt = stable_dt(state, params, cfg, speeds=speeds)
+    imex = cfg.scheme == "imex-diffusion"
     # u + dt * div(F), in the divergence buffer; the fluxes overwrite the
-    # speeds and go before the transforms.
+    # speeds and go before the transforms, the caller's list emptied too.
     update = _flux_divergence(*_fluxes(u.values, speeds, dom.h, not imex), dom)
-    del speeds
+    speeds.clear()
     update *= dt
     update += u.values
     if imex:
@@ -191,9 +197,9 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
         raise NonFiniteState(f"density lost finiteness at t = {state.t}")
     del update  # past its check, the forward-Euler update is not needed
     v, w = _signals(new_u, u_min, u_max, params, dom, coeffs)
-    new = SimState(Field(new_u, dom), Field(v, dom), Field(w, dom), state.t + dt, state.step + 1, Status.RUNNING)
-    object.__setattr__(new, _U_RANGE, (u_min, u_max))
-    return new
+    return SimState(
+        Field(new_u, dom), Field(v, dom), Field(w, dom), state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max)
+    )
 
 
 @dataclass(frozen=True)
@@ -241,59 +247,52 @@ def run(
     integrates. Pass it a state that one of them built.
     """
     mass_initial = integrate(state.u)
-    vol = state.u.domain.volume
+    h, vol = state.u.h, state.u.domain.volume
     threshold = blowup_threshold if blowup_threshold is not None else BLOWUP_FACTOR * mass_initial / vol
 
     records: list = []
     last_sampled = -1
     started = time.perf_counter()
 
-    def take_sample(s: SimState) -> None:
-        nonlocal last_sampled
-        records.append(sample(s, diagnostics.ps, bounds=diagnostics.bounds))
-        last_sampled = s.step
-
-    # One min and one max per accepted state (step leaves them on the states it
-    # builds) feed the density ratio, the blow-up threshold and the steady-state
-    # scale max|u| = max(u_max, -u_min).
-    u_min, u_max = float(state.u.values.min()), float(state.u.values.max())
-    min_ratio = u_min / u_max if u_max > 0.0 else math.inf
+    # The extrema each state carries feed the density ratio, the blow-up
+    # threshold and the steady-state scale max|u| = max(u_max, -u_min).
+    min_ratio = state.u_min / state.u_max if state.u_max > 0.0 else math.inf
     if on_state is not None:
         on_state(state)
     status = Status.RUNNING
-    # One buffer for max|u' - u| over the whole run. A fresh whole-field
-    # temporary would be the last array freed in each step; on large grids
-    # the allocator then returns its pages to the system and faults them in
-    # again next step (about 390 page faults a step at 256^2).
+    # One buffer for max|u' - u| over the run: a fresh one, freed last in each
+    # step, cost about 390 page faults a step at 256^2 (README, Performance).
     work = np.empty(state.u.domain.cells)
     while True:
         if state.t >= t_end:
             status = Status.COMPLETED
             break
-        if u_max > threshold:
+        if state.u_max > threshold:
             status = Status.BLOWUP_SUSPECTED
             break
         if diagnostics is not None and state.step % diagnostics.every == 0:
-            take_sample(state)
+            records.append(sample(state, diagnostics.ps, bounds=diagnostics.bounds))
+            last_sampled = state.step
         try:
-            dt = stable_dt(state, params, cfg)
+            # One build of the face speeds serves stable_dt and then step.
+            speeds = _face_speeds(_drift(state, params), h)
+            dt = stable_dt(state, params, cfg, speeds=speeds)
             if dt <= cfg.dt_min:
                 status = Status.BLOWUP_SUSPECTED
                 break
-            new_state = step(state, params, cfg, dt)
+            new_state = step(state, params, cfg, dt, speeds=speeds)
         except (NonFiniteState, NegativeDensity, SolverDiverged):
             # The discrete solution left the regime the scheme is built for;
             # report suspicion rather than crash mid-experiment.
             status = Status.BLOWUP_SUSPECTED
             break
-        scale = max(u_max, -u_min)
-        u_min, u_max = vars(new_state)[_U_RANGE]
-        if u_max > 0.0:
-            min_ratio = min(min_ratio, u_min / u_max)
+        if new_state.u_max > 0.0:
+            min_ratio = min(min_ratio, new_state.u_min / new_state.u_max)
         if on_state is not None:
             on_state(new_state)
         diff = np.subtract(new_state.u.values, state.u.values, out=work)
         change = float(np.abs(diff, out=diff).max())
+        scale = max(state.u_max, -state.u_min)
         state = new_state
         if scale > 0.0 and change / (dt * scale) < steady_tol:
             status = Status.STEADY_DETECTED
@@ -301,7 +300,7 @@ def run(
 
     if diagnostics is not None:
         if records and state.step != last_sampled:
-            take_sample(state)
+            records.append(sample(state, diagnostics.ps, bounds=diagnostics.bounds))
         records = backfill_rate_estimates(records, diagnostics.ps[0])
 
     state = replace(state, status=status)

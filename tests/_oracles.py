@@ -8,16 +8,21 @@ overflow or underflow double precision convert to inf/0.0, matching the
 saturating convention of the float implementations.
 
 Also here: a compensated-summation quadrature reference, an elementwise
-arbitrary-precision energy reference, a dense matrix assembly of the
-zero-flux Helmholtz operator for direct-solve comparisons, and the
-list-based test family with one estimator per constant that the streamed
-single-pass estimator in attrep.bounds must match bit for bit.
+arbitrary-precision energy reference, checked wrappers of the grid's norm and
+gradient kernels, the five-point zero-flux Laplacian stencil and a dense
+matrix assembly of the Helmholtz operator built from it for direct-solve
+comparisons, and the list-based test family with one estimator per constant
+that the streamed single-pass estimator in attrep.bounds must match bit for
+bit.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+
+from attrep.errors import SimulationError
+from attrep.grid import Field, _grad_sum, _lp_integral, require_finite
 
 mp.mp.dps = 60
 
@@ -110,10 +115,46 @@ def mp_energy(values, h, p):
     return total * mp.mpf(h) ** 2
 
 
-def dense_helmholtz_matrix(dom, kappa):
-    """(kappa I - Lap_h) assembled column by column from the grid operator."""
-    from attrep.grid import Field, neumann_laplacian_apply
+class NegativeFieldWithFractionalPower(SimulationError):
+    """|f|^p with non-integer p needs a nonnegative field."""
 
+
+def lp_norm_p(field, p):
+    """Integral of |f|^p (no 1/p root), for p >= 1, of a finite field.
+
+    Non-integer p requires a nonnegative field; |f|^p with fractional p and
+    negative values would silently leave the reals.
+    """
+    require_finite(field)
+    p = float(p)
+    values = field.values
+    if p >= 1.0 and not p.is_integer() and values.min() < 0.0:
+        raise NegativeFieldWithFractionalPower(f"field has min {values.min()} < 0 with fractional p = {p}")
+    return _lp_integral(values, p, field.h)
+
+
+def grad_energy(field):
+    """Integral of |grad f|^2 of a finite field, from face differences.
+
+    Second-order accurate for fields that meet the zero-flux boundary;
+    otherwise it under-counts a boundary strip of width h/2.
+    """
+    require_finite(field)
+    return _grad_sum(field.values)
+
+
+def neumann_laplacian_apply(field):
+    """Five-point Laplacian with reflected ghost cells (zero-flux exact)."""
+    require_finite(field)
+    v = field.values
+    h = field.h
+    padded = np.pad(v, 1, mode="edge")
+    lap = (padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:] - 4.0 * v) / (h * h)
+    return Field(lap, field.domain)
+
+
+def dense_helmholtz_matrix(dom, kappa):
+    """(kappa I - Lap_h) assembled column by column from the stencil above."""
     nx, ny = dom.cells
     size = nx * ny
     mat = np.zeros((size, size))

@@ -6,7 +6,7 @@ from dataclasses import replace as dc_replace
 import numpy as np
 import pytest
 
-from _oracles import mp_energy, assert_close_to_oracle
+from _oracles import assert_close_to_oracle, grad_energy, lp_norm_p, mp_energy
 from attrep import DomainSpec, Field, ModelParams
 from attrep.diagnostics import (
     AbsorptiveReport,
@@ -20,7 +20,7 @@ from attrep.diagnostics import (
     write_diagnostics_csv,
 )
 from attrep.errors import InsufficientSamples, MismatchedP, NonFiniteField
-from attrep.grid import grad_energy, integrate, lp_norm_p
+from attrep.grid import integrate
 from attrep.stepper import SimState, Status, StepperConfig, initial_state, run, stable_dt, step
 
 
@@ -119,8 +119,9 @@ class TestSample:
         assert a == b
 
     def test_bits_match_public_functions(self, unit_square_16, rng):
-        # sample sums through the kernels that lp_norm_p, grad_energy and
-        # integrate wrap, without their scans; the values are the same bits.
+        # sample sums through the kernels that the checked wrappers (the test
+        # oracles lp_norm_p and grad_energy, and integrate) call after their
+        # scans; the values are the same bits.
         values = rng.uniform(0.0, 2.0, size=unit_square_16.cells)
         values[2, 3] = -1e-14
         state = make_state(Field(values, unit_square_16))

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dctn, idctn
 
-from _oracles import dense_helmholtz_matrix
+from _oracles import dense_helmholtz_matrix, neumann_laplacian_apply
 from attrep import DomainSpec, Field, solve_helmholtz, solve_signals
-from attrep.elliptic import _implicit_solve, _mode_eigenvalues, _production
+from attrep.elliptic import NEGATIVE_TOL, _implicit_solve, _mode_eigenvalues, _production
 from attrep.errors import (
     NegativeDensity,
     NonFiniteField,
@@ -19,7 +19,7 @@ from attrep.errors import (
     NonPositiveKappa,
     SolverDiverged,
 )
-from attrep.grid import integrate, neumann_laplacian_apply
+from attrep.grid import integrate
 
 
 def cosine_mode(dom, k, l, amplitude=1.0):
@@ -101,6 +101,25 @@ class TestSolveHelmholtz:
         residual = kappa * phi.values - neumann_laplacian_apply(phi).values - f.values
         tol = 1e-10 * (np.abs(f.values).max() + kappa * np.abs(phi.values).max())
         assert np.abs(residual).max() <= tol
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        nx=st.integers(min_value=4, max_value=24),
+        ny=st.integers(min_value=4, max_value=24),
+        kappa=st.floats(min_value=1e-3, max_value=1e3),
+        zeros=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_maximum_principle(self, seed, nx, ny, kappa, zeros):
+        # -Lap_h + kappa is an M-matrix, so a nonnegative source gives a
+        # nonnegative solution up to rounding. The step checks this on v and
+        # w every step; sparse sources (isolated spikes) are the hard case.
+        dom = DomainSpec((1.0, ny / nx), (nx, ny))
+        rng = np.random.default_rng(seed)
+        source = rng.uniform(0.0, 1.0, size=dom.cells) * 10.0 ** rng.uniform(-3.0, 3.0)
+        source[rng.random(dom.cells) < zeros] = 0.0
+        phi = solve_helmholtz(Field(source, dom), kappa).values
+        assert phi.min() >= -NEGATIVE_TOL * phi.max()
 
     def test_linearity(self, rng):
         dom = DomainSpec((1.0, 1.0), (16, 16))

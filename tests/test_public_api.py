@@ -28,12 +28,9 @@ PUBLIC_NAMES = [
     "estimate_ehrling_constant",
     "estimate_gn_constant",
     "from_dict",
-    "grad_energy",
     "initial_state",
     "integrate",
     "load_config",
-    "lp_norm_p",
-    "neumann_laplacian_apply",
     "read_field_csv",
     "run",
     "sample",
