@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .elliptic import _signals_from
 from .errors import InsufficientSamples, MismatchedP, NonFiniteField
 from .grid import _grad_sum, _integral, _lp_integral
 
@@ -65,7 +66,8 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
 
     Rounding-level negative dips in u are clamped to zero inside the
     fractional powers only; u_min reports the true minimum, which the state
-    carries."""
+    carries. v and w are built from the state's coefficients, with one
+    inverse transform, and checked (SolverDiverged)."""
     ps = tuple(float(p) for p in ps)
     h = state.u.h
     uv = state.u.values
@@ -92,6 +94,7 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
         p = bounds.p
         rhs_bound = -(4.0 * (p - 1.0) / p) * grads[p] + bounds.cbar
 
+    v, w = _signals_from(state.signal_coeffs)
     return DiagnosticsRecord(
         t=float(state.t),
         mass=_integral(uv, h),
@@ -99,8 +102,8 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
         u_max=u_max,
         energies=energies,
         grad_energies=grads,
-        v_max=float(state.v.values.max()),
-        w_max=float(state.w.values.max()),
+        v_max=float(v.max()),
+        w_max=float(w.max()),
         dedt_estimate=math.nan,
         rhs_bound=rhs_bound,
     )

@@ -10,6 +10,7 @@ sits at rounding level.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -85,50 +86,99 @@ def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> tuple[np.
     return idctn(coeffs, type=2, norm="ortho"), coeffs
 
 
-def _production(values: np.ndarray, u_min: float, params: ModelParams) -> np.ndarray:
-    """alpha u^rho, with rounding-level dips clamped to zero before the power."""
-    work = np.maximum(values, 0.0) if u_min < 0.0 else values
+def _forward(buf: np.ndarray) -> np.ndarray:
+    """The DCT-II of the float64 array `buf`, written over it: with
+    overwrite_x scipy transforms it where it lies, so it neither copies the
+    input nor allocates the output."""
+    dctn(buf, type=2, norm="ortho", overwrite_x=True)
+    return buf
+
+
+def _production(values: np.ndarray, u_min: float, params: ModelParams, out: np.ndarray) -> np.ndarray:
+    """alpha u^rho into `out`, with rounding-level dips clamped to zero
+    before the power."""
+    if u_min < 0.0:
+        values = np.maximum(values, 0.0, out=out)
     rho = params.rho
     if rho == 1.0:
-        powered = work
-    elif rho == 0.5:
-        powered = np.sqrt(work)
+        return np.multiply(values, params.alpha, out=out)
+    if rho == 0.5:
+        np.sqrt(values, out=out)
     else:
-        powered = np.power(work, rho)
-    return params.alpha * powered
+        np.power(values, rho, out=out)
+    out *= params.alpha
+    return out
 
 
-def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec, coeffs=None):
-    """v and w for a finite density with extrema u_min and u_max.
+# A zero mode at most this large bounds every mode of the stack (below).
+_ZERO_MODE_LIMIT = sys.float_info.max / 4.0
 
-    Given the cosine coefficients of `values` (consumed), w's source gamma u
-    is scaled in cosine space; so is alpha u at rho = 1 with no dip to clamp,
-    where one forward transform serves both. Exact for unit alpha and gamma.
+
+def _signal_coefficients(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec, coeffs=None) -> np.ndarray:
+    """The cosine coefficients of v and w, stacked (2, Nx, Ny), for a finite
+    density with extrema u_min and u_max.
+
+    Each source is written into its slot of the stack and transformed there.
+    Given the cosine coefficients of `values`, w's source gamma u is scaled in
+    cosine space; so is alpha u at rho = 1 with no dip to clamp, where one
+    forward transform serves both. Exact for unit alpha and gamma.
+
+    The check is O(1): a nonnegative source has |c_k| <= 2 c_0 in 2D, and no
+    mode divisor is below its kappa, so a finite zero mode at most float_max/4
+    in each slot keeps every coefficient finite (else SolverDiverged). The
+    signals themselves are checked when they are read (_signals_from).
     """
     if u_min < -NEGATIVE_TOL * max(u_max, 0.0):
         raise NegativeDensity(f"density min {u_min} below tolerance for max {u_max}")
+    stack = np.empty((2, *values.shape))
+    v_hat, w_hat = stack
     shared = params.rho == 1.0 and u_min >= 0.0
     if shared and coeffs is None:
-        coeffs = dctn(values, type=2, norm="ortho")
+        # u's coefficients, in w's slot until v's are taken from them.
+        np.copyto(w_hat, values)
+        coeffs = _forward(w_hat)
     if shared:
-        v_hat = np.multiply(coeffs, params.alpha)
+        np.multiply(coeffs, params.alpha, out=v_hat)
     else:
-        v_hat = dctn(_production(values, u_min, params), type=2, norm="ortho")
-    v = _inverse(v_hat, _screened_denominators(dom, params.beta))
+        _forward(_production(values, u_min, params, out=v_hat))
     if coeffs is None:
-        coeffs = dctn(params.gamma * values, type=2, norm="ortho")
+        _forward(np.multiply(values, params.gamma, out=w_hat))
     else:
-        coeffs *= params.gamma
-    w = _inverse(coeffs, _screened_denominators(dom, params.delta))
+        np.multiply(coeffs, params.gamma, out=w_hat)
+    v_hat /= _screened_denominators(dom, params.beta)
+    w_hat /= _screened_denominators(dom, params.delta)
+    if not (abs(v_hat[0, 0]) <= _ZERO_MODE_LIMIT and abs(w_hat[0, 0]) <= _ZERO_MODE_LIMIT):
+        raise SolverDiverged("cosine-transform solve produced non-finite values")
+    return stack
+
+
+def _signals_from(coeffs: np.ndarray, names: str = "vw") -> np.ndarray:
+    """The signals named by `names` from their stacked cosine coefficients,
+    with one inverse transform for the stack; `coeffs` is left as it is.
+
+    Checked here, where they are read: a NaN or an infinity, or a dip below
+    -NEGATIVE_TOL * max (a broken maximum principle), raises SolverDiverged.
+    """
+    signals = idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
     # NaN propagates through min and max and an infinity is an extreme, so
     # one pair per signal carries its finiteness check too.
-    extrema = [(name, float(s.min()), float(s.max())) for name, s in (("v", v), ("w", w))]
+    extrema = [(name, float(s.min()), float(s.max())) for name, s in zip(names, signals)]
     if not all(math.isfinite(mn) and math.isfinite(mx) for _, mn, mx in extrema):
         raise SolverDiverged("cosine-transform solve produced non-finite values")
     for name, mn, mx in extrema:
         if mn < -NEGATIVE_TOL * max(mx, 0.0):
             raise SolverDiverged(f"signal {name} violates the maximum principle: min {mn}")
-    return v, w
+    return signals
+
+
+def _drift(coeffs: np.ndarray, params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
+    """phi = chi v - xi w from the signals' stacked cosine coefficients, with
+    one inverse transform; cells drift up its gradient. phi's coefficients,
+    then phi, are built in `out` (a new array when omitted)."""
+    v_hat, w_hat = coeffs
+    phi_hat = np.multiply(v_hat, params.chi, out=out)
+    phi_hat -= np.multiply(w_hat, params.xi)
+    return idctn(phi_hat, type=2, norm="ortho", overwrite_x=True)
 
 
 def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:
@@ -145,5 +195,6 @@ def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:
     require_finite(u, "density")
     values = u.values
     dom = u.domain
-    v, w = _signals(values, float(values.min()), float(values.max()), params, dom)
+    coeffs = _signal_coefficients(values, float(values.min()), float(values.max()), params, dom)
+    v, w = _signals_from(coeffs)
     return Field(v, dom), Field(w, dom)

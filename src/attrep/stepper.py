@@ -20,8 +20,12 @@ the diffusive and the advective dt bound; "imex-diffusion" advects explicitly
 but diffuses with a backward-Euler cosine-transform solve, dropping the
 diffusive bound.
 
-A state is plain data: the fields, the clock and the density extrema. run
-builds the face speeds V once a step and hands them to stable_dt and step.
+A state is plain data: the density, its extrema, the clock and the cosine
+coefficients of the two signals. The transport reads the signals only through
+phi, so run forms phi's coefficients from the state's and makes one inverse
+transform a step; it builds the face speeds V from phi and hands them to
+stable_dt and step. v and w are built only where they are read (SimState.v,
+SimState.w, diagnostics.sample), and checked there.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
-from .elliptic import _implicit_solve, _signals, solve_signals
+from .elliptic import _drift, _implicit_solve, _signal_coefficients, _signals_from
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
-from .grid import Field, integrate
+from .grid import Field, integrate, require_finite
 from .model import DomainSpec, ModelParams
 
 SCHEMES = ("explicit-upwind", "imex-diffusion")
@@ -73,13 +77,17 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """The fields and clock of one state, and the extrema u_min, u_max of its
-    density: `extrema` when given (step passes the pair it checked), else
-    taken from u, as for any other construction, dataclasses.replace too."""
+    """The density u, the cosine coefficients of v and w stacked in
+    `signal_coeffs` (2, Nx, Ny), the clock, and the extrema u_min, u_max of
+    the density: `extrema` when given (step passes the pair it checked), else
+    taken from u, as for any other construction, dataclasses.replace too.
+
+    Construction freezes `signal_coeffs` in place, as Field does its values.
+    v and w are built from them on each read, with no cache, and checked then
+    (SolverDiverged)."""
 
     u: Field
-    v: Field
-    w: Field
+    signal_coeffs: np.ndarray
     t: float
     step: int
     status: Status
@@ -91,18 +99,25 @@ class SimState:
         u_min, u_max = extrema or (float(self.u.values.min()), float(self.u.values.max()))
         object.__setattr__(self, "u_min", u_min)
         object.__setattr__(self, "u_max", u_max)
+        self.signal_coeffs.setflags(write=False)
+
+    @property
+    def v(self) -> Field:
+        return Field(_signals_from(self.signal_coeffs[:1], "v")[0], self.u.domain)
+
+    @property
+    def w(self) -> Field:
+        return Field(_signals_from(self.signal_coeffs[1:], "w")[0], self.u.domain)
 
 
 def initial_state(u0: Field, params: ModelParams) -> SimState:
-    v, w = solve_signals(u0, params)
-    return SimState(u0, v, w, t=0.0, step=0, status=Status.RUNNING)
-
-
-def _drift(state: SimState, params: ModelParams) -> np.ndarray:
-    """phi = chi v - xi w; cells drift up its gradient."""
-    phi = np.multiply(state.v.values, params.chi)
-    phi -= np.multiply(state.w.values, params.xi)
-    return phi
+    """The state at t = 0. u0 must be finite (NonFiniteField) and nonnegative
+    up to rounding (NegativeDensity), as for solve_signals."""
+    require_finite(u0, "density")
+    values = u0.values
+    extrema = float(values.min()), float(values.max())
+    coeffs = _signal_coefficients(values, *extrema, params, u0.domain)
+    return SimState(u0, coeffs, t=0.0, step=0, status=Status.RUNNING, extrema=extrema)
 
 
 # The left and right cells of the interior faces normal to each axis.
@@ -152,7 +167,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
     speeds of the state's drift under params, is built when omitted."""
     h = state.u.domain.h
     if speeds is None:
-        speeds = _face_speeds(_drift(state, params), h)
+        speeds = _face_speeds(_drift(state.signal_coeffs, params), h)
     # max|V| = max(max V, -min V); dividing by h is monotone, so this is
     # max|phi_R - phi_L| / h to the bit. NaN propagates through min and max.
     extrema = [x for s in speeds if s.size for x in (float(s.max()), -float(s.min()))]
@@ -167,16 +182,17 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
 
 
 def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None, *, speeds=None) -> SimState:
-    """Advance one step of size dt (stable_dt when omitted) and solve the
-    signals for the new density. One min and one max of the new density carry
-    its checks: NaN/Inf raises NonFiniteState (SolverDiverged when only the
-    implicit diffusion solve lost finiteness), a dip below -1e-13 max raises
-    NegativeDensity; the new state carries the pair. `speeds` as for
-    stable_dt: step writes the fluxes into them and empties the list."""
+    """Advance one step of size dt (stable_dt when omitted) and transform the
+    signal sources of the new density. One min and one max of the new density
+    carry its checks: NaN/Inf raises NonFiniteState (SolverDiverged when only
+    the implicit diffusion solve lost finiteness), a dip below -1e-13 max
+    raises NegativeDensity; the new state carries the pair. The signals'
+    zero modes carry theirs (SolverDiverged). `speeds` as for stable_dt: step
+    writes the fluxes into them and empties the list."""
     u = state.u
     dom = u.domain
     if speeds is None:
-        speeds = _face_speeds(_drift(state, params), dom.h)
+        speeds = _face_speeds(_drift(state.signal_coeffs, params), dom.h)
     if dt is None:
         dt = stable_dt(state, params, cfg, speeds=speeds)
     imex = cfg.scheme == "imex-diffusion"
@@ -196,10 +212,8 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
             raise SolverDiverged("implicit diffusion step produced non-finite values")
         raise NonFiniteState(f"density lost finiteness at t = {state.t}")
     del update  # past its check, the forward-Euler update is not needed
-    v, w = _signals(new_u, u_min, u_max, params, dom, coeffs)
-    return SimState(
-        Field(new_u, dom), Field(v, dom), Field(w, dom), state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max)
-    )
+    coeffs = _signal_coefficients(new_u, u_min, u_max, params, dom, coeffs)
+    return SimState(Field(new_u, dom), coeffs, state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max))
 
 
 @dataclass(frozen=True)
@@ -242,9 +256,11 @@ def run(
     t_end = 0 the loop exits before the first sample, so the series is empty.
 
     Checks sit at the edge: `initial_state` and `step` accept only a state
-    whose density is finite and nonnegative up to rounding and whose signals
-    are finite, and run does not re-check the states it reduces, samples or
-    integrates. Pass it a state that one of them built.
+    whose density is finite and nonnegative up to rounding and whose signal
+    coefficients are finite, and run does not re-check the states it reduces,
+    samples or integrates. Pass it a state that one of them built. A sample
+    reads v and w and checks them; its SolverDiverged is reported as
+    BlowupSuspected, like a failed step.
     """
     mass_initial = integrate(state.u)
     h, vol = state.u.h, state.u.domain.volume
@@ -260,8 +276,9 @@ def run(
     if on_state is not None:
         on_state(state)
     status = Status.RUNNING
-    # One buffer for max|u' - u| over the run: a fresh one, freed last in each
-    # step, cost about 390 page faults a step at 256^2 (README, Performance).
+    # One buffer over the run for phi, then for max|u' - u|: a fresh
+    # whole-field temporary, freed each step, can make glibc hand its pages
+    # back and fault them in again (README, Performance).
     work = np.empty(state.u.domain.cells)
     while True:
         if state.t >= t_end:
@@ -270,12 +287,12 @@ def run(
         if state.u_max > threshold:
             status = Status.BLOWUP_SUSPECTED
             break
-        if diagnostics is not None and state.step % diagnostics.every == 0:
-            records.append(sample(state, diagnostics.ps, bounds=diagnostics.bounds))
-            last_sampled = state.step
         try:
+            if diagnostics is not None and state.step % diagnostics.every == 0:
+                records.append(sample(state, diagnostics.ps, bounds=diagnostics.bounds))
+                last_sampled = state.step
             # One build of the face speeds serves stable_dt and then step.
-            speeds = _face_speeds(_drift(state, params), h)
+            speeds = _face_speeds(_drift(state.signal_coeffs, params, out=work), h)
             dt = stable_dt(state, params, cfg, speeds=speeds)
             if dt <= cfg.dt_min:
                 status = Status.BLOWUP_SUSPECTED
@@ -300,7 +317,10 @@ def run(
 
     if diagnostics is not None:
         if records and state.step != last_sampled:
-            records.append(sample(state, diagnostics.ps, bounds=diagnostics.bounds))
+            try:
+                records.append(sample(state, diagnostics.ps, bounds=diagnostics.bounds))
+            except SolverDiverged:
+                status = Status.BLOWUP_SUSPECTED
         records = backfill_rate_estimates(records, diagnostics.ps[0])
 
     state = replace(state, status=status)

@@ -11,9 +11,9 @@ Also here: a compensated-summation quadrature reference, an elementwise
 arbitrary-precision energy reference, checked wrappers of the grid's norm and
 gradient kernels, the five-point zero-flux Laplacian stencil and a dense
 matrix assembly of the Helmholtz operator built from it for direct-solve
-comparisons, and the list-based test family with one estimator per constant
-that the streamed single-pass estimator in attrep.bounds must match bit for
-bit.
+comparisons, the one builder of hand-made stepper states from given u, v
+and w, and the list-based test family with one estimator per constant that
+the streamed single-pass estimator in attrep.bounds must match bit for bit.
 """
 
 import math
@@ -21,8 +21,11 @@ import math
 import mpmath as mp
 import numpy as np
 
+from scipy.fft import dctn
+
 from attrep.errors import SimulationError
 from attrep.grid import Field, _grad_sum, _lp_integral, require_finite
+from attrep.stepper import SimState, Status
 
 mp.mp.dps = 60
 
@@ -113,6 +116,14 @@ def mp_energy(values, h, p):
     for v in values.ravel().tolist():
         total += mp.mpf(abs(v)) ** mp.mpf(p)
     return total * mp.mpf(h) ** 2
+
+
+def hand_state(u, v, w, t=0.0, step=0):
+    """A running SimState from a density and two signal fields, past every
+    check of initial_state and step: it carries the cosine coefficients of v
+    and w as given (NaN and Inf included), so it reads them back to rounding."""
+    coeffs = np.stack([dctn(f.values, type=2, norm="ortho") for f in (v, w)])
+    return SimState(u, coeffs, t, step, Status.RUNNING)
 
 
 class NegativeFieldWithFractionalPower(SimulationError):

@@ -6,7 +6,7 @@ from dataclasses import replace as dc_replace
 import numpy as np
 import pytest
 
-from _oracles import assert_close_to_oracle, grad_energy, lp_norm_p, mp_energy
+from _oracles import assert_close_to_oracle, grad_energy, hand_state, lp_norm_p, mp_energy
 from attrep import DomainSpec, Field, ModelParams
 from attrep.diagnostics import (
     AbsorptiveReport,
@@ -21,7 +21,7 @@ from attrep.diagnostics import (
 )
 from attrep.errors import InsufficientSamples, MismatchedP, NonFiniteField
 from attrep.grid import integrate
-from attrep.stepper import SimState, Status, StepperConfig, initial_state, run, stable_dt, step
+from attrep.stepper import StepperConfig, initial_state, run, stable_dt, step
 
 
 def make_state(u, params=None):
@@ -100,14 +100,8 @@ class TestSample:
     def test_true_min_reported_but_powers_clamped(self, unit_square_16):
         values = np.ones(unit_square_16.cells)
         values[0, 0] = -1e-14
-        state = SimState(
-            Field(values, unit_square_16),
-            Field.full(unit_square_16, 1.0),
-            Field.full(unit_square_16, 1.0),
-            t=0.0,
-            step=0,
-            status=Status.RUNNING,
-        )
+        one = Field.full(unit_square_16, 1.0)
+        state = hand_state(Field(values, unit_square_16), one, one)
         rec = sample(state, (1.5,))
         assert rec.u_min == -1e-14
         assert math.isfinite(rec.energies[1.5])
@@ -139,7 +133,7 @@ class TestSample:
         values = np.ones(unit_square_16.cells)
         values[5, 5] = bad
         one = Field.full(unit_square_16, 1.0)
-        state = SimState(Field(values, unit_square_16), one, one, t=0.0, step=0, status=Status.RUNNING)
+        state = hand_state(Field(values, unit_square_16), one, one)
         with pytest.raises(NonFiniteField):
             sample(state, (2.0,))
 
@@ -151,7 +145,7 @@ class TestSample:
         values = np.ones(unit_square_16.cells)
         values[5, 5] = 1e200
         one = Field.full(unit_square_16, 1.0)
-        state = SimState(Field(values, unit_square_16), one, one, t=0.0, step=0, status=Status.RUNNING)
+        state = hand_state(Field(values, unit_square_16), one, one)
         with pytest.raises(NonFiniteField):
             sample(state, (3.0,))
         with pytest.raises(NonFiniteField):

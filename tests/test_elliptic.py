@@ -10,8 +10,16 @@ from hypothesis import strategies as st
 from scipy.fft import dctn, idctn
 
 from _oracles import dense_helmholtz_matrix, neumann_laplacian_apply
-from attrep import DomainSpec, Field, solve_helmholtz, solve_signals
-from attrep.elliptic import NEGATIVE_TOL, _implicit_solve, _mode_eigenvalues, _production
+from attrep import DomainSpec, Field, ModelParams, solve_helmholtz, solve_signals
+from attrep.elliptic import (
+    NEGATIVE_TOL,
+    _drift,
+    _forward,
+    _implicit_solve,
+    _mode_eigenvalues,
+    _production,
+    _signal_coefficients,
+)
 from attrep.errors import (
     NegativeDensity,
     NonFiniteField,
@@ -201,23 +209,23 @@ class TestChemicalSources:
 
     def test_constant_density_sublinear(self, unit_square_16, unit_params):
         params = replace(unit_params, alpha=2.0, gamma=3.0, rho=0.5)
-        sv = _production(np.ones(unit_square_16.cells), 1.0, params)
+        sv = _production(np.ones(unit_square_16.cells), 1.0, params, np.empty(unit_square_16.cells))
         np.testing.assert_allclose(sv, 2.0, rtol=1e-15)
 
     def test_sqrt_branch(self, unit_square_16, unit_params):
         params = replace(unit_params, rho=0.5)
-        sv = _production(np.full(unit_square_16.cells, 4.0), 4.0, params)
+        sv = _production(np.full(unit_square_16.cells, 4.0), 4.0, params, np.empty(unit_square_16.cells))
         np.testing.assert_allclose(sv, 2.0, rtol=1e-15)
 
     def test_linear_branch_is_identity_scaling(self, unit_square_16, unit_params, rng):
         params = replace(unit_params, rho=1.0, alpha=1.7)
         values = rng.uniform(0.0, 3.0, size=unit_square_16.cells)
-        sv = _production(values, float(values.min()), params)
+        sv = _production(values, float(values.min()), params, np.empty(unit_square_16.cells))
         np.testing.assert_array_equal(sv, 1.7 * values)
 
     def test_general_power_branch(self, unit_square_16, unit_params):
         params = replace(unit_params, rho=0.25)
-        sv = _production(np.full(unit_square_16.cells, 16.0), 16.0, params)
+        sv = _production(np.full(unit_square_16.cells, 16.0), 16.0, params, np.empty(unit_square_16.cells))
         np.testing.assert_allclose(sv, 2.0, rtol=1e-14)
 
     def test_small_negative_dip_clamped_before_power(self, unit_square_16, unit_params):
@@ -225,12 +233,21 @@ class TestChemicalSources:
         # carries the raw value through
         values = np.ones(unit_square_16.cells)
         values[0, 0] = -1e-14
-        sv = _production(values, -1e-14, unit_params)
+        sv = _production(values, -1e-14, unit_params, np.empty(unit_square_16.cells))
         assert sv[0, 0] == 0.0
         u = Field(values, unit_square_16)
         _, w = solve_signals(u, unit_params)
         want = solve_helmholtz(Field(unit_params.gamma * values, unit_square_16), unit_params.delta)
         assert w.values.tobytes() == want.values.tobytes()
+
+    def test_sources_transformed_in_their_slots(self, unit_square_16, rng):
+        # Each source is transformed where it lies in the coefficient stack;
+        # scipy's result must be the slot itself, to the bit.
+        stack = rng.uniform(0.0, 3.0, size=(2, *unit_square_16.cells))
+        want = [dctn(slot, type=2, norm="ortho").tobytes() for slot in stack]
+        for slot, expected in zip(stack, want):
+            assert _forward(slot) is slot
+            assert slot.tobytes() == expected
 
     def test_large_negative_rejected(self, unit_square_16, unit_params):
         values = np.ones(unit_square_16.cells)
@@ -304,11 +321,42 @@ class TestSolveSignals:
     @settings(max_examples=25, deadline=None)
     def test_constant_identity_property(self, c):
         dom = DomainSpec((1.0, 1.0), (8, 8))
-        from attrep import ModelParams
-
         params = ModelParams(
             alpha=1.0, beta=1.0, gamma=1.0, delta=1.0, chi=1.0, xi=1.0, rho=1.0, dim=2
         )
         v, w = solve_signals(Field.full(dom, c), params)
         np.testing.assert_allclose(v.values, c, rtol=1e-11)
         np.testing.assert_allclose(w.values, c, rtol=1e-11)
+
+
+class TestDriftInCosineSpace:
+    """phi = chi v - xi w, formed from the signals' cosine coefficients with
+    one inverse transform, against the two real-space solves."""
+
+    @given(
+        chi=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=50.0)),
+        xi=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=50.0)),
+        rho=st.sampled_from([0.25, 0.5, 0.7, 1.0]),
+        cells=st.sampled_from([(1, 4), (5, 3), (8, 8), (16, 16), (24, 24)]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_real_space_drift(self, chi, xi, rho, cells, seed):
+        dom = DomainSpec((1.0, cells[1] / cells[0]), cells)
+        params = ModelParams(1.0, 1.0, 1.3, 0.7, chi=chi, xi=xi, rho=rho)
+        values = np.random.default_rng(seed).uniform(0.0, 3.0, size=cells)
+        v, w = solve_signals(Field(values, dom), params)
+        coeffs = _signal_coefficients(values, float(values.min()), float(values.max()), params, dom)
+        phi = _drift(coeffs, params)
+        want = chi * v.values - xi * w.values
+        np.testing.assert_allclose(phi, want, rtol=0.0, atol=1e-12 * max(np.abs(want).max(), 0.0))
+
+    def test_leaves_coefficients_and_fills_out(self, unit_square_16, unit_params, rng):
+        values = rng.uniform(0.0, 3.0, size=unit_square_16.cells)
+        coeffs = _signal_coefficients(values, float(values.min()), float(values.max()), unit_params, unit_square_16)
+        kept = coeffs.copy()
+        out = np.empty(unit_square_16.cells)
+        phi = _drift(coeffs, unit_params, out=out)
+        assert coeffs.tobytes() == kept.tobytes()
+        assert np.shares_memory(phi, out)
+        assert phi.tobytes() == _drift(coeffs, unit_params).tobytes()

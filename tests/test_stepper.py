@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import idctn
 
 import attrep.elliptic as elliptic
 import attrep.stepper as stepper
+from _oracles import hand_state
 from attrep import DomainSpec, Field, InitialData, ModelParams, build_initial_data
 from attrep.diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
 from attrep.elliptic import _implicit_solve, solve_signals
@@ -187,14 +189,15 @@ class TestDriftPotential:
     def test_equal_weights_cancel(self, unit_square_16, rng):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
         sig = Field(rng.uniform(0.0, 1.0, size=unit_square_16.cells), unit_square_16)
-        state = SimState(sig, sig, sig, t=0.0, step=0, status=Status.RUNNING)
-        assert (_drift(state, params) == 0.0).all()
+        state = hand_state(sig, sig, sig)
+        assert (_drift(state.signal_coeffs, params) == 0.0).all()
 
     def test_constant_signals(self, unit_square_16):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=2.0, xi=1.0, rho=0.5)
         one = Field.full(unit_square_16, 1.0)
-        state = SimState(one, one, one, t=0.0, step=0, status=Status.RUNNING)
-        np.testing.assert_array_equal(_drift(state, params), 1.0)
+        state = hand_state(one, one, one)
+        # phi comes back from cosine space: 1 up to the transforms' rounding.
+        np.testing.assert_allclose(_drift(state.signal_coeffs, params), 1.0, rtol=1e-15, atol=0.0)
 
 
 class TestStableDt:
@@ -214,7 +217,7 @@ class TestStableDt:
         x, _ = dom.cell_centers()
         u = Field.full(dom, 1.0)
         v = Field(np.repeat(10.0 * x[:, None], 64, axis=1), dom)
-        state = SimState(u, v, Field.full(dom, 0.0), t=0.0, step=0, status=Status.RUNNING)
+        state = hand_state(u, v, Field.full(dom, 0.0))
         cfg = StepperConfig(dt_max=1.0, cfl_safety=0.4, scheme="imex-diffusion")
         assert stable_dt(state, params, cfg) == pytest.approx(0.4 / 64.0 / 10.0, rel=1e-13)
 
@@ -347,13 +350,16 @@ class TestStep:
         cfg = StepperConfig(scheme=scheme)
         state = initial_state(bump_field(dom, width=0.08), params)
         dt = stable_dt(state, params, cfg)
-        phi = params.chi * state.v.values - params.xi * state.w.values
+        v_hat, w_hat = state.signal_coeffs
+        phi = idctn(params.chi * v_hat - params.xi * w_hat, type=2, norm="ortho")
+        real_space = params.chi * state.v.values - params.xi * state.w.values
+        np.testing.assert_allclose(phi, real_space, rtol=0.0, atol=1e-12 * np.abs(real_space).max())
         explicit = scheme == "explicit-upwind"
         fluxes = where_face_fluxes(state.u.values, phi, dom.h, diffusion=explicit)
         want = state.u.values + dt * zeros_flux_divergence(*fluxes, dom)
         if not explicit:
             want, _ = _implicit_solve(want, dt, dom)
-        assert_same_bits(_drift(state, params), phi)
+        assert_same_bits(_drift(state.signal_coeffs, params), phi)
         assert_same_bits(step(state, params, cfg, dt).u.values, want)
 
     def test_imex_signals_from_implicit_coefficients(self):
@@ -375,18 +381,18 @@ def spike_state(dom, amplitude):
     u[4, 4] = amplitude
     i = np.abs(np.arange(dom.cells[0]) - 4)
     cone = 100.0 * (i[:, None] + i[None, :]).astype(float)
-    return SimState(Field(u, dom), Field(cone, dom), Field.full(dom, 0.0), 0.0, 0, Status.RUNNING)
+    return hand_state(Field(u, dom), Field(cone, dom), Field.full(dom, 0.0))
 
 
 def nan_signal_state(dom, bad=np.nan):
     v = np.ones(dom.cells)
     v[3, 3] = bad
-    return SimState(bump_field(dom), Field(v, dom), Field.full(dom, 0.0), 0.0, 0, Status.RUNNING)
+    return hand_state(bump_field(dom), Field(v, dom), Field.full(dom, 0.0))
 
 
 def uniform_state(dom, value):
     zero = Field.full(dom, 0.0)
-    return SimState(Field.full(dom, value), zero, zero, 0.0, 0, Status.RUNNING)
+    return hand_state(Field.full(dom, value), zero, zero)
 
 
 PARITY_PARAMS = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.0, rho=0.5)
@@ -488,7 +494,7 @@ class TestDriftMemo:
         # run builds the speeds once and hands them to stable_dt, then to
         # step, which writes its fluxes into them and empties the list.
         state, params, cfg = drift_case(scheme)
-        speeds = _face_speeds(_drift(state, params), state.u.h)
+        speeds = _face_speeds(_drift(state.signal_coeffs, params), state.u.h)
         dt = stable_dt(state, params, cfg, speeds=speeds)
         assert dt == stable_dt(state, params, cfg)
         got = step(state, params, cfg, dt, speeds=speeds)
@@ -563,6 +569,92 @@ class TestStateIsData:
         assert result.steps > 0
         assert len(calls) == result.steps
 
+    def test_run_builds_one_field_per_step(self, scheme, monkeypatch):
+        # The new density's Field; v and w are not built unless read.
+        state, params, cfg = drift_case(scheme)
+        t_end = 6.5 * stable_dt(state, params, cfg)
+        built = []
+        post_init = Field.__post_init__
+
+        def counted(field_self):
+            built.append(1)
+            post_init(field_self)
+
+        monkeypatch.setattr(Field, "__post_init__", counted)
+        result = run(state, params, cfg, t_end)
+        assert result.steps == 7
+        assert len(built) <= result.steps
+
+
+def negative_signal_state(dom):
+    w = np.ones(dom.cells)
+    w[2, 5] = -1.0
+    return hand_state(bump_field(dom), Field.full(dom, 1.0), Field(w, dom))
+
+
+# Hand-built states whose signals fail their check where they are read.
+UNREADABLE = {
+    "nan-signal": (nan_signal_state, "cosine-transform solve produced non-finite values"),
+    "negative-signal": (negative_signal_state, "signal w violates the maximum principle"),
+}
+
+
+class TestSignalsOnRead:
+    """A state carries the signals' cosine coefficients; v and w are built,
+    and checked, each time they are read."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_initial_state_reads_back_solve_signals(self, scheme, rho):
+        dom = DomainSpec((1.0, 1.0), (24, 24))
+        params = ModelParams(1.0, 1.0, 1.3, 0.7, chi=4.0, xi=0.5, rho=rho)
+        state = initial_state(bump_field(dom, width=0.08), params)
+        v, w = solve_signals(state.u, params)
+        assert_same_bits(state.v.values, v.values)
+        assert_same_bits(state.w.values, w.values)
+        assert (state.u_min, state.u_max) == (float(state.u.values.min()), float(state.u.values.max()))
+        assert state.signal_coeffs.shape == (2, *dom.cells)
+        assert not state.signal_coeffs.flags.writeable
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_read_raises(self, case):
+        make, message = UNREADABLE[case]
+        state = make(DomainSpec((1.0, 1.0), (8, 8)))
+        with pytest.raises(SolverDiverged, match=message):
+            sample(state, (2.0,))
+        name = "v" if case == "nan-signal" else "w"
+        with pytest.raises(SolverDiverged, match=message):
+            getattr(state, name)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_run_reports_failed_read_as_blowup(self, scheme, case):
+        make, _ = UNREADABLE[case]
+        state = make(DomainSpec((1.0, 1.0), (8, 8)))
+        cfg = StepperConfig(scheme=scheme)
+        result = run(state, PARITY_PARAMS, cfg, 1.0, diagnostics=DiagnosticsConfig(every=1))
+        assert result.state.status is Status.BLOWUP_SUSPECTED
+        assert result.steps == 0
+        assert result.records == []
+
+    def test_failed_final_sample_is_blowup(self, monkeypatch):
+        # The final state is sampled after the loop; a failed read there is
+        # reported like one inside it.
+        def failing(state, *args, _original=stepper.sample, **kwargs):
+            if state.step > 0:
+                raise SolverDiverged("cosine-transform solve produced non-finite values")
+            return _original(state, *args, **kwargs)
+
+        state, params, cfg = drift_case("explicit-upwind")
+        monkeypatch.setattr(stepper, "sample", failing)
+        t_end = 2.5 * stable_dt(state, params, cfg)
+        result = run(state, params, cfg, t_end, diagnostics=DiagnosticsConfig(every=100))
+        assert result.state.status is Status.BLOWUP_SUSPECTED
+        assert result.steps == 3
+        assert [rec.t for rec in result.records] == [0.0]
+
 
 def positivity_case(chi, mass):
     """A bump at (0.3, 0.6) on a 64^2 unit square that the explicit scheme
@@ -592,7 +684,8 @@ class TestCflPositivity:
 
 
 class TestTransformBudget:
-    """Cosine transforms per call: one forward transform per distinct source."""
+    """Cosine transforms per step of run: one forward transform per distinct
+    source and one inverse for phi; v and w only when read."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -610,22 +703,30 @@ class TestTransformBudget:
     @pytest.mark.parametrize(
         "scheme, rho, transforms",
         [
-            ("explicit-upwind", 0.5, 4),
-            ("explicit-upwind", 1.0, 3),
-            ("imex-diffusion", 0.5, 5),
-            ("imex-diffusion", 1.0, 4),
+            ("explicit-upwind", 0.5, 3),
+            ("explicit-upwind", 1.0, 2),
+            ("imex-diffusion", 0.5, 4),
+            ("imex-diffusion", 1.0, 3),
         ],
     )
-    def test_step(self, count, scheme, rho, transforms):
+    @pytest.mark.parametrize("every", [None, 1], ids=["no-diagnostics", "sample-every-step"])
+    def test_run(self, count, scheme, rho, transforms, every):
+        # A sample reads v and w with one inverse transform of the stack; with
+        # one every step, the final state is sampled too.
         dom = DomainSpec((1.0, 1.0), (16, 16))
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=rho)
         cfg = StepperConfig(scheme=scheme)
         state = initial_state(bump_field(dom), params)
+        t_end = 4.5 * stable_dt(state, params, cfg)
+        diagnostics = None if every is None else DiagnosticsConfig(every=every)
         count.clear()
-        step(state, params, cfg, stable_dt(state, params, cfg))
-        assert len(count) == transforms
+        result = run(state, params, cfg, t_end, diagnostics=diagnostics)
+        assert result.steps == 5
+        samples = len(result.records)
+        assert samples == (0 if every is None else 6)
+        assert len(count) == transforms * result.steps + samples
 
-    @pytest.mark.parametrize("rho, transforms", [(0.5, 4), (1.0, 3)])
+    @pytest.mark.parametrize("rho, transforms", [(0.5, 3), (1.0, 2)])
     def test_solve_signals(self, count, rho, transforms):
         dom = DomainSpec((1.0, 1.0), (16, 16))
         solve_signals(bump_field(dom), ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=rho))
