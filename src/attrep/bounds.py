@@ -13,7 +13,8 @@ constant from absorbing integral(u^p) itself through Gagliardo-Nirenberg.
 Everything except two inequality constants is closed-form arithmetic in the
 coefficients; the Gagliardo-Nirenberg constant and the Ehrling constant have
 no closed form on a rectangle and are estimated from below by maximizing the
-defining ratios over a family of test fields on the actual grid. Estimated
+defining ratios over a fixed family of 28 test fields (the constant, cosine
+modes and Gaussian bumps) on the actual grid. Estimated
 constants make the final bounds consistency checks, not certificates, and the
 provenance flags in a report keep the distinction visible.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -195,16 +196,12 @@ def critical_mass(chi: float, alpha: float, xi: float, gamma: float) -> float | 
 # ---------------------------------------------------------------------------
 
 
-# Test-family defaults shared by the public estimators and compute_bounds.
-_FAMILY_SEED = 2024
-_FAMILY_RANDOM = 24
-
-
-def _test_family(dom: DomainSpec, seed: int, n_random: int) -> Iterator[tuple[np.ndarray, float, float]]:
-    """Cosine modes, off-center and corner bumps, and seeded smooth random
-    fields. Definitions depend only on physical coordinates, so the family is
-    stable under mesh refinement. Each member comes with its sum of squares
-    and its gradient sum (grid._grad_sum), which both estimators read.
+def _test_family(dom: DomainSpec) -> Iterator[tuple[np.ndarray, float, float]]:
+    """The constant, 15 cosine modes, then Gaussian bumps of 4 widths at the
+    centre, the quarter point and the corner. Definitions depend only on
+    physical coordinates, so the family is stable under mesh refinement. Each
+    member comes with its sum of squares and its gradient sum
+    (grid._grad_sum), which both estimators read.
 
     Members are built one at a time, so a consumer that drops each before
     asking for the next holds a single grid field of the family."""
@@ -226,15 +223,6 @@ def _test_family(dom: DomainSpec, seed: int, n_random: int) -> Iterator[tuple[np
         r2 = (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2
         for width in (0.04, 0.08, 0.16, 0.32):
             yield _member(np.exp(-r2 / (2.0 * (width * scale) ** 2)))
-    rng = np.random.default_rng(seed)
-    modes = 6
-    kk = np.pi * np.arange(modes)
-    cos_x = np.cos(kk[None, :] * xn[:, :1])  # (Nx, modes)
-    cos_y = np.cos(kk[None, :] * yn.T[:, :1])  # (Ny, modes)
-    for _ in range(n_random):
-        coeff = rng.standard_normal((modes, modes)) / (1.0 + np.add.outer(np.arange(modes), np.arange(modes)))
-        f = cos_x @ coeff @ cos_y.T
-        yield _member(f * f)  # squared to stay smooth and nonnegative
 
 
 def _member(f: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -249,19 +237,18 @@ def _low_norm(values: np.ndarray, dom: DomainSpec, q: float) -> float:
     return total ** (1.0 / q)
 
 
-def _family_maxima(
-    family: Iterable[tuple[np.ndarray, float, float]], dom: DomainSpec, p: float, eta: float | None, gn: bool
-) -> tuple[float, float]:
-    """(C_GN, c_E(eta)) lower estimates from one pass over `family`.
+def _family_maxima(dom: DomainSpec, p: float, eta: float | None, gn: bool) -> tuple[float, float]:
+    """(C_GN, c_E(eta)) lower estimates from one pass over the test family.
 
-    Each member feeds the Ehrling requirement (when eta is given) and then
-    the GN ratio (when gn is set) before the next member is drawn; a
-    constant not asked for reads 0.0.
+    _test_family is looked up in the module when called, so a wrapped one is
+    the one drawn. Each member feeds the Ehrling requirement (when eta is
+    given) and then the GN ratio (when gn is set) before the next member is
+    drawn; a constant not asked for reads 0.0.
     """
     theta = interpolation_exponent(p, 2)
     h = dom.h
     best_gn = best_e = 0.0
-    for values, squares, grad in family:
+    for values, squares, grad in _test_family(dom):
         if eta is not None:
             low = _low_norm(values, dom, 2.0 / (p + 1.0))
             best_e = max(best_e, (squares * h * h * (1.0 - eta) - eta * grad) / (low * low))
@@ -273,24 +260,19 @@ def _family_maxima(
     return best_gn, best_e
 
 
-def estimate_gn_constant(
-    dom: DomainSpec, p: float, n_random: int = _FAMILY_RANDOM, seed: int = _FAMILY_SEED
-) -> float:
+def estimate_gn_constant(dom: DomainSpec, p: float) -> float:
     """Lower estimate of the best constant C in
 
         ||f||_2 <= C ( ||grad f||_2^theta ||f||_{2/p}^{1-theta} + ||f||_{2/p} )
 
     by maximizing the ratio over the test family on this grid. Every field
-    gives a valid lower bound, so the estimate only improves (grows) as the
-    family is enlarged.
+    gives a valid lower bound.
     """
     p = _require("p", p, above=1.0)
-    return _family_maxima(_test_family(dom, seed, n_random), dom, p, None, True)[0]
+    return _family_maxima(dom, p, None, True)[0]
 
 
-def estimate_ehrling_constant(
-    dom: DomainSpec, eta: float, p: float, n_random: int = _FAMILY_RANDOM, seed: int = _FAMILY_SEED
-) -> float:
+def estimate_ehrling_constant(dom: DomainSpec, eta: float, p: float) -> float:
     """Least c (over the test family) making
 
         ||V||_2^2 <= eta ||V||_{W^{1,2}}^2 + c ||V||_{2/(p+1)}^2
@@ -302,7 +284,7 @@ def estimate_ehrling_constant(
     eta = float(eta)
     if not (0.0 < eta < 0.5):
         raise EtaOutOfRange(f"estimator defined for eta in (0, 1/2), got {eta}")
-    return _family_maxima(_test_family(dom, seed, n_random), dom, p, eta, False)[1]
+    return _family_maxima(dom, p, eta, False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +342,7 @@ def compute_bounds(
 
     The GN and Ehrling constants are estimated on `dom` unless supplied;
     estimation requires n == 2 since the grid is two dimensional. Both
-    estimates maximize over the same default test family, streamed once
-    here.
+    estimates maximize over the same test family, streamed once here.
     """
     p = _require("p", p, above=1.0)
     m = _require("m", m)
@@ -377,8 +358,7 @@ def compute_bounds(
     if cgn is None and n != 2:
         raise DomainError("GN estimation needs a 2D domain; supply cgn for other n")
     if ce is None or cgn is None:
-        family = _test_family(dom, _FAMILY_SEED, _FAMILY_RANDOM)
-        est_gn, est_e = _family_maxima(family, dom, p, eta if ce is None else None, cgn is None)
+        est_gn, est_e = _family_maxima(dom, p, eta if ce is None else None, cgn is None)
         ce = est_e if ce is None else ce
         cgn = est_gn if cgn is None else cgn
     schedule = ehrling_schedule(p, params.gamma, params.xi, params.delta, ce)

@@ -11,6 +11,7 @@ consistency reports for discrete trajectories, not proofs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -19,6 +20,7 @@ import numpy as np
 from .elliptic import _signals_from
 from .errors import InsufficientSamples, MismatchedP, NonFiniteField
 from .grid import _grad_sum, _integral, _lp_integral
+from .model import _is
 
 if TYPE_CHECKING:
     from .bounds import BoundsReport
@@ -39,8 +41,10 @@ class DiagnosticsConfig:
             raise ValueError(f"every exponent must satisfy p > 1, got {self.ps}")
         if len(set(self.ps)) < len(self.ps):
             raise ValueError(f"each exponent must appear once, got {self.ps}")
-        if self.every < 1:
-            raise ValueError(f"sample interval must be >= 1, got {self.every}")
+        # A fractional interval would sample only where step % every is 0,
+        # and a bool would pass for 1.
+        if not (_is(numbers.Integral, self.every) and self.every >= 1):
+            raise ValueError(f"sample interval must be an integer >= 1, got {self.every!r}")
         if self.bounds is not None and self.bounds.p not in self.ps:
             raise MismatchedP(
                 f"bounds are for p = {self.bounds.p}, sampled exponents are {self.ps}"
@@ -67,7 +71,8 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
     Rounding-level negative dips in u are clamped to zero inside the
     fractional powers only; u_min reports the true minimum, which the state
     carries. v and w are built from the state's coefficients, with one
-    inverse transform, and checked (SolverDiverged)."""
+    inverse transform, and checked (SolverDiverged); their maxima come from
+    that check."""
     ps = tuple(float(p) for p in ps)
     h = state.u.h
     uv = state.u.values
@@ -94,7 +99,7 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
         p = bounds.p
         rhs_bound = -(4.0 * (p - 1.0) / p) * grads[p] + bounds.cbar
 
-    v, w = _signals_from(state.signal_coeffs)
+    _, (v_max, w_max) = _signals_from(state.signal_coeffs)
     return DiagnosticsRecord(
         t=float(state.t),
         mass=_integral(uv, h),
@@ -102,8 +107,8 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
         u_max=u_max,
         energies=energies,
         grad_energies=grads,
-        v_max=float(v.max()),
-        w_max=float(w.max()),
+        v_max=v_max,
+        w_max=w_max,
         dedt_estimate=math.nan,
         rhs_bound=rhs_bound,
     )

@@ -152,9 +152,10 @@ def _signal_coefficients(values, u_min: float, u_max: float, params: ModelParams
     return stack
 
 
-def _signals_from(coeffs: np.ndarray, names: str = "vw") -> np.ndarray:
+def _signals_from(coeffs: np.ndarray, names: str = "vw") -> tuple[np.ndarray, tuple[float, ...]]:
     """The signals named by `names` from their stacked cosine coefficients,
-    with one inverse transform for the stack; `coeffs` is left as it is.
+    with one inverse transform for the stack, and the maximum of each;
+    `coeffs` is left as it is.
 
     Checked here, where they are read: a NaN or an infinity, or a dip below
     -NEGATIVE_TOL * max (a broken maximum principle), raises SolverDiverged.
@@ -168,7 +169,7 @@ def _signals_from(coeffs: np.ndarray, names: str = "vw") -> np.ndarray:
     for name, mn, mx in extrema:
         if mn < -NEGATIVE_TOL * max(mx, 0.0):
             raise SolverDiverged(f"signal {name} violates the maximum principle: min {mn}")
-    return signals
+    return signals, tuple(mx for _, _, mx in extrema)
 
 
 def _drift(coeffs: np.ndarray, params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
@@ -196,5 +197,5 @@ def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:
     values = u.values
     dom = u.domain
     coeffs = _signal_coefficients(values, float(values.min()), float(values.max()), params, dom)
-    v, w = _signals_from(coeffs)
+    (v, w), _ = _signals_from(coeffs)
     return Field(v, dom), Field(w, dom)

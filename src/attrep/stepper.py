@@ -103,11 +103,13 @@ class SimState:
 
     @property
     def v(self) -> Field:
-        return Field(_signals_from(self.signal_coeffs[:1], "v")[0], self.u.domain)
+        (v,), _ = _signals_from(self.signal_coeffs[:1], "v")
+        return Field(v, self.u.domain)
 
     @property
     def w(self) -> Field:
-        return Field(_signals_from(self.signal_coeffs[1:], "w")[0], self.u.domain)
+        (w,), _ = _signals_from(self.signal_coeffs[1:], "w")
+        return Field(w, self.u.domain)
 
 
 def initial_state(u0: Field, params: ModelParams) -> SimState:
@@ -253,7 +255,9 @@ def run(
 
     Diagnostics are sampled at the top of every diagnostics.every-th step and
     once for the final state; `on_state` receives every accepted state. With
-    t_end = 0 the loop exits before the first sample, so the series is empty.
+    t_end = 0 the loop exits before the first sample, so the series is empty;
+    t_end = inf runs until one of the other exits. A NaN t_end (which no t
+    reaches) or blowup_threshold (which no u_max exceeds) raises ValueError.
 
     Checks sit at the edge: `initial_state` and `step` accept only a state
     whose density is finite and nonnegative up to rounding and whose signal
@@ -262,6 +266,10 @@ def run(
     reads v and w and checks them; its SolverDiverged is reported as
     BlowupSuspected, like a failed step.
     """
+    if math.isnan(t_end):
+        raise ValueError("t_end is NaN; pass inf to run to a steady state")
+    if blowup_threshold is not None and math.isnan(blowup_threshold):
+        raise ValueError("blowup_threshold is NaN")
     mass_initial = integrate(state.u)
     h, vol = state.u.h, state.u.domain.volume
     threshold = blowup_threshold if blowup_threshold is not None else BLOWUP_FACTOR * mass_initial / vol

@@ -180,7 +180,10 @@ def dense_helmholtz_matrix(dom, kappa):
 
 def list_test_family(dom, seed, n_random):
     """Every test-family member built up front, with its sum of squares and
-    face-difference gradient sum, in the order attrep.bounds streams them."""
+    face-difference gradient sum: the 28 structured members in the order
+    attrep.bounds streams them, then n_random seeded smooth random fields.
+    With seed 2024 and 24 random fields this is the 52-member family the
+    estimators drew before the random members were dropped."""
     x, y = dom.cell_centers()
     lx, ly = dom.lengths
     xn = x[:, None] / lx

@@ -59,8 +59,11 @@ class TestDiagnosticsConfig:
             DiagnosticsConfig(ps=())
 
     def test_interval_at_least_one(self):
-        with pytest.raises(ValueError, match="sample interval"):
-            DiagnosticsConfig(every=0)
+        # 2.5 would sample at steps 0, 5, 10, ... and True at every step.
+        for every in (0, -1, 2.5, 2.0, True, False, "2", None):
+            with pytest.raises(ValueError, match="sample interval"):
+                DiagnosticsConfig(every=every)
+        assert DiagnosticsConfig(every=np.int64(3)).every == 3
 
     def test_ints_coerced_to_floats(self):
         assert DiagnosticsConfig(ps=(2,)).ps == (2.0,)

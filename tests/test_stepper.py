@@ -829,6 +829,28 @@ class TestRun:
         assert result.state.status is Status.BLOWUP_SUSPECTED
         assert result.steps == 0
 
+    def test_nan_t_end_rejected(self):
+        # No t reaches NaN: the run would end only at a steady state.
+        dom = DomainSpec((1.0, 1.0), (8, 8))
+        params = no_drift_params()
+        with pytest.raises(ValueError, match="t_end"):
+            run(initial_state(bump_field(dom), params), params, StepperConfig(), math.nan)
+
+    def test_nan_threshold_rejected(self):
+        # No u_max exceeds NaN: the blow-up check would be off.
+        dom = DomainSpec((1.0, 1.0), (8, 8))
+        params = no_drift_params()
+        state = initial_state(bump_field(dom), params)
+        with pytest.raises(ValueError, match="blowup_threshold"):
+            run(state, params, StepperConfig(), 1.0, blowup_threshold=math.nan)
+
+    def test_infinite_t_end_runs_to_steady_state(self):
+        dom = DomainSpec((1.0, 1.0), (8, 8))
+        params = no_drift_params()
+        state = initial_state(Field.full(dom, 2.0), params)
+        result = run(state, params, StepperConfig(), math.inf)
+        assert result.state.status is Status.STEADY_DETECTED
+
     def test_default_threshold_scales_with_mean_density(self):
         dom = DomainSpec((1.0, 1.0), (16, 16))
         params = no_drift_params()
