@@ -37,8 +37,8 @@ class DiagnosticsConfig:
         object.__setattr__(self, "ps", tuple(float(p) for p in self.ps))
         if not self.ps:
             raise ValueError("need at least one exponent p")
-        if any(p <= 1.0 for p in self.ps):
-            raise ValueError(f"every exponent must satisfy p > 1, got {self.ps}")
+        if not all(1.0 < p < math.inf for p in self.ps):
+            raise ValueError(f"every exponent must be finite and satisfy p > 1, got {self.ps}")
         if len(set(self.ps)) < len(self.ps):
             raise ValueError(f"each exponent must appear once, got {self.ps}")
         # A fractional interval would sample only where step % every is 0,

@@ -5,6 +5,14 @@ discrete cosine basis, so the solve is direct: forward DCT, divide each mode
 by kappa + lambda_x(k) + lambda_y(l), inverse DCT. kappa > 0 keeps every
 denominator positive, no zero-mode special case is needed, and the residual
 sits at rounding level.
+
+Every transform goes through one pair, _forward and _inverse: the
+orthonormal DCT-II and its inverse over the last two axes of a field
+(Nx, Ny) or a stack (2, Nx, Ny), written over the given buffer. On a grid
+whose axes both have at most _MATMUL_MAX_CELLS cells the pair is two matrix
+products with cached cosine matrices, C X C'^T forward and C^T X C'
+inverse; at that size scipy's per-call dispatch costs more than the
+arithmetic. Larger grids go through scipy.fft.dctn and idctn.
 """
 
 from __future__ import annotations
@@ -23,6 +31,12 @@ from .model import DomainSpec, ModelParams
 # Rounding tolerance, relative to the field maximum, below which a negative
 # value is attributed to floating point noise rather than a real sign change.
 NEGATIVE_TOL = 1e-13
+
+# The longest axis that transforms as two matrix products. OpenBLAS runs
+# products of up to about 96 a side on one core, but those of 128 on two,
+# which the sweep's two worker processes must not take; at 256^2 scipy is
+# faster.
+_MATMUL_MAX_CELLS = 64
 
 
 @lru_cache(maxsize=32)
@@ -51,10 +65,40 @@ def _screened_denominators(dom: DomainSpec, kappa: float) -> np.ndarray:
     return denom
 
 
-def _inverse(coeffs: np.ndarray, denominators: np.ndarray) -> np.ndarray:
-    """Divide `coeffs` by the mode denominators in place, then inverse DCT."""
-    coeffs /= denominators
-    return idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
+@lru_cache(maxsize=None)
+def _dct_matrix(n: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix C[k, j] = s_k cos(pi k (2j + 1) / 2n),
+    s_0 = sqrt(1/n) and s_k = sqrt(2/n) for k > 0. The integer k (2j + 1) is
+    reduced mod 4n first, so every cosine argument lies in [0, 2 pi). Only
+    n <= _MATMUL_MAX_CELLS reaches it, which bounds the cache."""
+    k = np.arange(n)
+    c = np.cos(np.pi / (2 * n) * (np.outer(k, 2 * k + 1) % (4 * n)))
+    c *= math.sqrt(2.0 / n)
+    c[0] = math.sqrt(1.0 / n)
+    c.setflags(write=False)
+    return c
+
+
+def _forward(buf: np.ndarray) -> np.ndarray:
+    """The DCT-II over the last two axes of the float64 array `buf`, written
+    over it; the result is `buf` itself (with overwrite_x scipy transforms
+    it where it lies)."""
+    nx, ny = buf.shape[-2:]
+    if max(nx, ny) <= _MATMUL_MAX_CELLS:
+        np.matmul(_dct_matrix(nx) @ buf, _dct_matrix(ny).T, out=buf)
+    else:
+        dctn(buf, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
+    return buf
+
+
+def _inverse(buf: np.ndarray) -> np.ndarray:
+    """The inverse of _forward, written over `buf` in the same way."""
+    nx, ny = buf.shape[-2:]
+    if max(nx, ny) <= _MATMUL_MAX_CELLS:
+        np.matmul(_dct_matrix(nx).T @ buf, _dct_matrix(ny), out=buf)
+    else:
+        idctn(buf, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
+    return buf
 
 
 def solve_helmholtz(source: Field, kappa: float) -> Field:
@@ -67,7 +111,9 @@ def solve_helmholtz(source: Field, kappa: float) -> Field:
     """
     denom = _screened_denominators(source.domain, kappa)
     require_finite(source, "helmholtz source")
-    out = _inverse(dctn(source.values, type=2, norm="ortho"), denom)
+    coeffs = _forward(source.values.copy())
+    coeffs /= denom
+    out = _inverse(coeffs)
     if not np.isfinite(out).all():
         raise SolverDiverged("cosine-transform solve produced non-finite values")
     return Field(out, source.domain)
@@ -81,17 +127,9 @@ def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> tuple[np.
         raise ValueError(f"dt must be positive, got {dt}")
     denom = dt * _mode_eigenvalues(dom)
     denom += 1.0
-    coeffs = dctn(values, type=2, norm="ortho")
+    coeffs = _forward(values.copy())
     coeffs /= denom
-    return idctn(coeffs, type=2, norm="ortho"), coeffs
-
-
-def _forward(buf: np.ndarray) -> np.ndarray:
-    """The DCT-II of the float64 array `buf`, written over it: with
-    overwrite_x scipy transforms it where it lies, so it neither copies the
-    input nor allocates the output."""
-    dctn(buf, type=2, norm="ortho", overwrite_x=True)
-    return buf
+    return _inverse(coeffs.copy()), coeffs
 
 
 def _production(values: np.ndarray, u_min: float, params: ModelParams, out: np.ndarray) -> np.ndarray:
@@ -160,7 +198,7 @@ def _signals_from(coeffs: np.ndarray, names: str = "vw") -> tuple[np.ndarray, tu
     Checked here, where they are read: a NaN or an infinity, or a dip below
     -NEGATIVE_TOL * max (a broken maximum principle), raises SolverDiverged.
     """
-    signals = idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
+    signals = _inverse(coeffs.copy())
     # NaN propagates through min and max and an infinity is an extreme, so
     # one pair per signal carries its finiteness check too.
     extrema = [(name, float(s.min()), float(s.max())) for name, s in zip(names, signals)]
@@ -179,7 +217,7 @@ def _drift(coeffs: np.ndarray, params: ModelParams, out: np.ndarray | None = Non
     v_hat, w_hat = coeffs
     phi_hat = np.multiply(v_hat, params.chi, out=out)
     phi_hat -= np.multiply(w_hat, params.xi)
-    return idctn(phi_hat, type=2, norm="ortho", overwrite_x=True)
+    return _inverse(phi_hat)
 
 
 def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:

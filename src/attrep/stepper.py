@@ -257,7 +257,8 @@ def run(
     once for the final state; `on_state` receives every accepted state. With
     t_end = 0 the loop exits before the first sample, so the series is empty;
     t_end = inf runs until one of the other exits. A NaN t_end (which no t
-    reaches) or blowup_threshold (which no u_max exceeds) raises ValueError.
+    reaches), blowup_threshold (which no u_max exceeds) or steady_tol (which
+    no change falls below) raises ValueError.
 
     Checks sit at the edge: `initial_state` and `step` accept only a state
     whose density is finite and nonnegative up to rounding and whose signal
@@ -270,6 +271,8 @@ def run(
         raise ValueError("t_end is NaN; pass inf to run to a steady state")
     if blowup_threshold is not None and math.isnan(blowup_threshold):
         raise ValueError("blowup_threshold is NaN")
+    if math.isnan(steady_tol):
+        raise ValueError("steady_tol is NaN")
     mass_initial = integrate(state.u)
     h, vol = state.u.h, state.u.domain.volume
     threshold = blowup_threshold if blowup_threshold is not None else BLOWUP_FACTOR * mass_initial / vol

@@ -51,8 +51,11 @@ class TestDiagnosticsConfig:
         assert cfg.every == 10
 
     def test_p_must_exceed_one(self):
-        with pytest.raises(ValueError, match="p > 1"):
-            DiagnosticsConfig(ps=(2.0, 1.0))
+        # NaN fails every comparison, so p <= 1 alone would let it through,
+        # and integral |u|^inf overflows in a sample of a non-uniform density.
+        for ps in ((2.0, 1.0), (math.nan,), (math.inf,), (2.0, math.nan)):
+            with pytest.raises(ValueError, match="p > 1"):
+                DiagnosticsConfig(ps=ps)
 
     def test_needs_an_exponent(self):
         with pytest.raises(ValueError):

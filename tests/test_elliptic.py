@@ -16,6 +16,7 @@ from attrep.elliptic import (
     _drift,
     _forward,
     _implicit_solve,
+    _inverse,
     _mode_eigenvalues,
     _production,
     _signal_coefficients,
@@ -48,8 +49,8 @@ def mode_eigenvalue(dom, k, l):
 def fresh_array_solve(values, dom, kappa):
     """The transform solve with a fresh array per operation, kept as the
     bitwise oracle for solve_helmholtz."""
-    coeffs = dctn(values, type=2, norm="ortho")
-    return idctn(coeffs / (kappa + _mode_eigenvalues(dom)), type=2, norm="ortho")
+    coeffs = _forward(np.array(values))
+    return _inverse(coeffs / (kappa + _mode_eigenvalues(dom)))
 
 
 ORACLE_GRIDS = [((1.0, 1.0), (16, 16)), ((1.0, 0.6), (5, 3)), ((1.0, 0.5), (2, 1)), ((0.25, 1.0), (1, 4))]
@@ -170,6 +171,46 @@ class TestSolveHelmholtz:
             solve_helmholtz(Field(values, unit_square_16), 1.0)
 
 
+# Grids on both sides of the matrix-product cutoff of 64 cells an axis.
+TRANSFORM_GRIDS = [(16, 16), (48, 24), (64, 64), (65, 64), (128, 16)]
+
+
+def transform_tol(*sides):
+    """1e-14 of the largest magnitude on either side of a transform. The
+    input's maximum alone is too tight: the zero mode of a constant 64^2
+    field is 64 max|x|, and one ulp of it is 1.4e-14 max|x|."""
+    return 1e-14 * max(float(np.abs(side).max()) for side in sides)
+
+
+class TestTransformPair:
+    """_forward and _inverse, the module's one cosine-transform pair, against
+    scipy.fft with norm="ortho"."""
+
+    @pytest.mark.parametrize("cells", TRANSFORM_GRIDS, ids=lambda c: f"{c[0]}x{c[1]}")
+    def test_matches_scipy_and_round_trips(self, rng, cells):
+        for x in (rng.uniform(0.0, 2.0, cells), rng.uniform(-1.0, 1.0, cells), np.full(cells, 0.7)):
+            for transform, reference in ((_forward, dctn), (_inverse, idctn)):
+                want = reference(x, type=2, norm="ortho")
+                buf = x.copy()
+                assert transform(buf) is buf
+                np.testing.assert_allclose(buf, want, rtol=0.0, atol=transform_tol(x, want))
+            coeffs = _forward(x.copy())
+            np.testing.assert_allclose(_inverse(coeffs.copy()), x, rtol=0.0, atol=transform_tol(x, coeffs))
+            signal = _inverse(x.copy())
+            np.testing.assert_allclose(_forward(signal.copy()), x, rtol=0.0, atol=transform_tol(x, signal))
+
+    @pytest.mark.parametrize("cells", TRANSFORM_GRIDS, ids=lambda c: f"{c[0]}x{c[1]}")
+    def test_stack_slices_match_single_fields(self, rng, cells):
+        # SimState.v reads coeffs[:1] and sample the whole stack: each slice
+        # must have the bits of its own transform.
+        stack = rng.uniform(0.0, 2.0, size=(2, *cells))
+        for transform in (_forward, _inverse):
+            want = [transform(field.copy()).tobytes() for field in stack]
+            got = transform(stack.copy())
+            assert [field.tobytes() for field in got] == want
+            assert transform(stack[:1].copy())[0].tobytes() == want[0]
+
+
 class TestImplicitDiffusion:
     """The backward-Euler heat step (I - dt Lap) u' = u of the IMEX scheme."""
 
@@ -179,8 +220,8 @@ class TestImplicitDiffusion:
         for dt in (1e-4, 3.3e-3, 0.2):
             values = rng.uniform(0.0, 2.0, size=cells)
             eig = _mode_eigenvalues(dom)
-            coeffs = dctn(values, type=2, norm="ortho")
-            want = idctn(coeffs / (1.0 + dt * eig), type=2, norm="ortho")
+            coeffs = _forward(np.array(values))
+            want = _inverse(coeffs / (1.0 + dt * eig))
             assert _implicit_solve(values, dt, dom)[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k,l", [(1, 0), (2, 2)])
@@ -240,14 +281,16 @@ class TestChemicalSources:
         want = solve_helmholtz(Field(unit_params.gamma * values, unit_square_16), unit_params.delta)
         assert w.values.tobytes() == want.values.tobytes()
 
-    def test_sources_transformed_in_their_slots(self, unit_square_16, rng):
-        # Each source is transformed where it lies in the coefficient stack;
-        # scipy's result must be the slot itself, to the bit.
-        stack = rng.uniform(0.0, 3.0, size=(2, *unit_square_16.cells))
-        want = [dctn(slot, type=2, norm="ortho").tobytes() for slot in stack]
-        for slot, expected in zip(stack, want):
-            assert _forward(slot) is slot
-            assert slot.tobytes() == expected
+    def test_sources_transformed_in_their_slots(self, rng):
+        # Each source is transformed where it lies in the coefficient stack,
+        # on both sides of the matrix-product cutoff; the result is the slot
+        # itself, with the bits of a transform of a fresh copy.
+        for n in (16, 72):
+            stack = rng.uniform(0.0, 3.0, size=(2, n, n))
+            want = [_forward(slot.copy()).tobytes() for slot in stack]
+            for slot, expected in zip(stack, want):
+                assert _forward(slot) is slot
+                assert slot.tobytes() == expected
 
     def test_large_negative_rejected(self, unit_square_16, unit_params):
         values = np.ones(unit_square_16.cells)

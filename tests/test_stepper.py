@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import idctn
 
 import attrep.elliptic as elliptic
 import attrep.stepper as stepper
 from _oracles import hand_state
 from attrep import DomainSpec, Field, InitialData, ModelParams, build_initial_data
 from attrep.diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
-from attrep.elliptic import _implicit_solve, solve_signals
+from attrep.elliptic import _implicit_solve, _inverse, solve_signals
 from attrep.errors import NegativeDensity, NonFiniteState, SolverDiverged
 from attrep.grid import integrate
 from attrep.stepper import (
@@ -351,7 +350,7 @@ class TestStep:
         state = initial_state(bump_field(dom, width=0.08), params)
         dt = stable_dt(state, params, cfg)
         v_hat, w_hat = state.signal_coeffs
-        phi = idctn(params.chi * v_hat - params.xi * w_hat, type=2, norm="ortho")
+        phi = _inverse(params.chi * v_hat - params.xi * w_hat)
         real_space = params.chi * state.v.values - params.xi * state.w.values
         np.testing.assert_allclose(phi, real_space, rtol=0.0, atol=1e-12 * np.abs(real_space).max())
         explicit = scheme == "explicit-upwind"
@@ -683,6 +682,11 @@ class TestCflPositivity:
         assert result.min_density_ratio >= -1e-13
 
 
+# One grid for each transform backend: matrix products up to 64 a side, scipy
+# above.
+BUDGET_GRIDS = (16, 72)
+
+
 class TestTransformBudget:
     """Cosine transforms per step of run: one forward transform per distinct
     source and one inverse for phi; v and w only when read."""
@@ -690,7 +694,7 @@ class TestTransformBudget:
     @pytest.fixture
     def count(self, monkeypatch):
         calls = []
-        for name in ("dctn", "idctn"):
+        for name in ("_forward", "_inverse"):
             original = getattr(elliptic, name)
 
             def counted(*args, _original=original, **kwargs):
@@ -713,24 +717,26 @@ class TestTransformBudget:
     def test_run(self, count, scheme, rho, transforms, every):
         # A sample reads v and w with one inverse transform of the stack; with
         # one every step, the final state is sampled too.
-        dom = DomainSpec((1.0, 1.0), (16, 16))
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=rho)
         cfg = StepperConfig(scheme=scheme)
-        state = initial_state(bump_field(dom), params)
-        t_end = 4.5 * stable_dt(state, params, cfg)
         diagnostics = None if every is None else DiagnosticsConfig(every=every)
-        count.clear()
-        result = run(state, params, cfg, t_end, diagnostics=diagnostics)
-        assert result.steps == 5
-        samples = len(result.records)
-        assert samples == (0 if every is None else 6)
-        assert len(count) == transforms * result.steps + samples
+        for n in BUDGET_GRIDS:
+            state = initial_state(bump_field(DomainSpec((1.0, 1.0), (n, n))), params)
+            t_end = 4.5 * stable_dt(state, params, cfg)
+            count.clear()
+            result = run(state, params, cfg, t_end, diagnostics=diagnostics)
+            assert result.steps == 5
+            samples = len(result.records)
+            assert samples == (0 if every is None else 6)
+            assert len(count) == transforms * result.steps + samples
 
     @pytest.mark.parametrize("rho, transforms", [(0.5, 3), (1.0, 2)])
     def test_solve_signals(self, count, rho, transforms):
-        dom = DomainSpec((1.0, 1.0), (16, 16))
-        solve_signals(bump_field(dom), ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=rho))
-        assert len(count) == transforms
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=rho)
+        for n in BUDGET_GRIDS:
+            count.clear()
+            solve_signals(bump_field(DomainSpec((1.0, 1.0), (n, n))), params)
+            assert len(count) == transforms
 
 
 class TestRun:
@@ -843,6 +849,14 @@ class TestRun:
         state = initial_state(bump_field(dom), params)
         with pytest.raises(ValueError, match="blowup_threshold"):
             run(state, params, StepperConfig(), 1.0, blowup_threshold=math.nan)
+
+    def test_nan_steady_tol_rejected(self):
+        # No change falls below NaN: a uniform state would never be steady.
+        dom = DomainSpec((1.0, 1.0), (8, 8))
+        params = no_drift_params()
+        state = initial_state(Field.full(dom, 1.0), params)
+        with pytest.raises(ValueError, match="steady_tol"):
+            run(state, params, StepperConfig(), 0.05, steady_tol=math.nan)
 
     def test_infinite_t_end_runs_to_steady_state(self):
         dom = DomainSpec((1.0, 1.0), (8, 8))
