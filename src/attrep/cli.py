@@ -28,6 +28,7 @@ from .diagnostics import (
     check_energy_inequality,
     write_diagnostics_csv,
 )
+from .elliptic import solve_signals
 from .errors import ConfigError, SimulationError
 from .grid import Field, write_field_csv
 from .model import Regime, build_initial_data, classify_regime
@@ -111,8 +112,9 @@ def _run_experiment(cfg: ExperimentConfig, u0: Field, mass: float, out: Path) ->
     write_diagnostics_csv(result.records, ps, out / "diagnostics.csv")
     final = result.state
     write_field_csv(final.u, out / "u_final.csv")
-    write_field_csv(final.v, out / "v_final.csv")
-    write_field_csv(final.w, out / "w_final.csv")
+    v, w = solve_signals(final.u, cfg.params)
+    write_field_csv(v, out / "v_final.csv")
+    write_field_csv(w, out / "w_final.csv")
     if result.records:
         _energy_svg(result.records, ps, out / "diagnostics.svg")
 

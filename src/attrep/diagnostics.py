@@ -17,14 +17,28 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .elliptic import _signals_from
+from .elliptic import _signals
 from .errors import InsufficientSamples, MismatchedP, NonFiniteField
-from .grid import _grad_sum, _integral, _lp_integral
+from .grid import _finite, _integral
 from .model import _is
 
 if TYPE_CHECKING:
     from .bounds import BoundsReport
+    from .model import ModelParams
     from .stepper import SimState
+
+
+def _exponents(ps) -> tuple[float, ...]:
+    """The energy exponents as floats: at least one, each finite and above 1,
+    none repeated (ValueError naming them)."""
+    ps = tuple(float(p) for p in ps)
+    if not ps:
+        raise ValueError("need at least one exponent p")
+    if not all(1.0 < p < math.inf for p in ps):
+        raise ValueError(f"every exponent must be finite and satisfy p > 1, got {ps}")
+    if len(set(ps)) < len(ps):
+        raise ValueError(f"each exponent must appear once, got {ps}")
+    return ps
 
 
 @dataclass(frozen=True)
@@ -34,13 +48,7 @@ class DiagnosticsConfig:
     bounds: "BoundsReport | None" = None
 
     def __post_init__(self):
-        object.__setattr__(self, "ps", tuple(float(p) for p in self.ps))
-        if not self.ps:
-            raise ValueError("need at least one exponent p")
-        if not all(1.0 < p < math.inf for p in self.ps):
-            raise ValueError(f"every exponent must be finite and satisfy p > 1, got {self.ps}")
-        if len(set(self.ps)) < len(self.ps):
-            raise ValueError(f"each exponent must appear once, got {self.ps}")
+        object.__setattr__(self, "ps", _exponents(self.ps))
         # A fractional interval would sample only where step % every is 0,
         # and a bool would pass for 1.
         if not (_is(numbers.Integral, self.every) and self.every >= 1):
@@ -65,15 +73,50 @@ class DiagnosticsRecord:
     rhs_bound: float
 
 
-def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> DiagnosticsRecord:
+def _power_sums(clamped: np.ndarray, ps: tuple, h: float) -> tuple[dict, dict]:
+    """E_p = integral(u^p) and integral(|grad u^{p/2}|^2) of a nonnegative
+    density for each exponent p.
+
+    The roots u^{p/2}, one slot of a stack each, double as the powers of the
+    energies whose exponent they share (u^1.5 serves E_1.5 and the p = 3
+    gradient term), and the gradient terms of all exponents are summed in one
+    pass over the stack: each interior face gives (diff/h)^2 h^2 = diff^2. At
+    exponent 1 a root is u itself and at 2 its square, the bits np.power
+    returns. An overflowing power fails its sum (NonFiniteField).
+    """
+    roots = np.empty((len(ps), *clamped.shape))
+    powers = {}
+    for slot, p in zip(roots, ps):
+        e = p / 2.0
+        if e == 1.0:
+            np.copyto(slot, clamped)
+        elif e == 2.0:
+            np.multiply(clamped, clamped, out=slot)
+        else:
+            np.power(clamped, e, out=slot)
+        powers[e] = slot
+    energies = {}
+    for p in ps:
+        power = powers.get(p)
+        if power is None:
+            power = clamped * clamped if p == 2.0 else np.power(clamped, p)
+        energies[p] = _finite(float(power.sum()) * h * h, f"integral of |f|^{p}")
+    gx = np.subtract(roots[:, 1:, :], roots[:, :-1, :])
+    gy = np.subtract(roots[:, :, 1:], roots[:, :, :-1])
+    sums = np.multiply(gx, gx, out=gx).sum(axis=(1, 2)) + np.multiply(gy, gy, out=gy).sum(axis=(1, 2))
+    return energies, {p: _finite(float(total), "gradient energy") for p, total in zip(ps, sums)}
+
+
+def sample(state: "SimState", params: "ModelParams", ps, bounds: "BoundsReport | None" = None) -> DiagnosticsRecord:
     """Pure snapshot of the state; identical states give identical records.
 
-    Rounding-level negative dips in u are clamped to zero inside the
-    fractional powers only; u_min reports the true minimum, which the state
-    carries. v and w are built from the state's coefficients, with one
-    inverse transform, and checked (SolverDiverged); their maxima come from
-    that check."""
-    ps = tuple(float(p) for p in ps)
+    `ps` must pass DiagnosticsConfig's rule (ValueError). Rounding-level
+    negative dips in u are clamped to zero inside the powers only; u_min
+    reports the true minimum, which the state carries. Each distinct power of
+    u is computed once (_power_sums). v and w are read from u under params,
+    with one forward and one inverse transform of their stack, and checked
+    (SolverDiverged); their maxima come from that check."""
+    ps = _exponents(ps)
     h = state.u.h
     uv = state.u.values
     # NaN propagates through min and max and an infinity is an extreme, so
@@ -83,14 +126,7 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
         raise NonFiniteField("field contains NaN or Inf")
     clamped = np.maximum(uv, 0.0) if u_min < 0.0 else uv
 
-    energies, grads = {}, {}
-    for p in ps:
-        # An overflowing u^p or u^{p/2} fails its kernel's sum (NonFiniteField).
-        energies[p] = _lp_integral(clamped, p, h)
-        # At p = 2 that is u itself, as np.power(u, 1.0) returns it to the bit.
-        # root outlives the sum: freed at once, it cost 130 page faults at 256^2.
-        root = clamped if p == 2.0 else np.power(clamped, p / 2.0)
-        grads[p] = _grad_sum(root)
+    energies, grads = _power_sums(clamped, ps, h)
 
     rhs_bound = math.nan
     if bounds is not None:
@@ -99,7 +135,7 @@ def sample(state: "SimState", ps, bounds: "BoundsReport | None" = None) -> Diagn
         p = bounds.p
         rhs_bound = -(4.0 * (p - 1.0) / p) * grads[p] + bounds.cbar
 
-    _, (v_max, w_max) = _signals_from(state.signal_coeffs)
+    _, (v_max, w_max) = _signals(uv, u_min, u_max, params, state.u.domain)
     return DiagnosticsRecord(
         t=float(state.t),
         mass=_integral(uv, h),

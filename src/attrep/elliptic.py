@@ -6,6 +6,15 @@ by kappa + lambda_x(k) + lambda_y(l), inverse DCT. kappa > 0 keeps every
 denominator positive, no zero-mode special case is needed, and the residual
 sits at rounding level.
 
+The step needs only the drift phi = chi v - xi w, which _drift_potential
+forms from the density with one forward transform (none when the IMEX step
+hands over u's coefficients) and one inverse: at rho = 1 as a cached
+per-mode multiple of u's coefficients, when beta = delta as the solve of
+the one source chi alpha u^rho - xi gamma u, and otherwise from both signals'
+coefficients, transformed as one stack. Reading v and w (_signals, behind
+solve_signals and diagnostics.sample) costs one forward and one inverse
+transform of the stack.
+
 Every transform goes through one pair, _forward and _inverse: the
 orthonormal DCT-II and its inverse over the last two axes of a field
 (Nx, Ny) or a stack (2, Nx, Ny), written over the given buffer. On a grid
@@ -132,91 +141,141 @@ def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> tuple[np.
     return _inverse(coeffs.copy()), coeffs
 
 
-def _production(values: np.ndarray, u_min: float, params: ModelParams, out: np.ndarray) -> np.ndarray:
-    """alpha u^rho into `out`, with rounding-level dips clamped to zero
-    before the power."""
+def _production(values: np.ndarray, u_min: float, rho: float, coefficient: float, out: np.ndarray) -> np.ndarray:
+    """coefficient * u^rho into `out`, with rounding-level dips clamped to
+    zero before the power."""
     if u_min < 0.0:
         values = np.maximum(values, 0.0, out=out)
-    rho = params.rho
     if rho == 1.0:
-        return np.multiply(values, params.alpha, out=out)
+        return np.multiply(values, coefficient, out=out)
     if rho == 0.5:
         np.sqrt(values, out=out)
     else:
         np.power(values, rho, out=out)
-    out *= params.alpha
+    out *= coefficient
     return out
 
 
-# A zero mode at most this large bounds every mode of the stack (below).
-_ZERO_MODE_LIMIT = sys.float_info.max / 4.0
+# A source bound below which no transform of a step can overflow (below).
+_SOURCE_LIMIT = sys.float_info.max / 4.0
 
 
-def _signal_coefficients(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec, coeffs=None) -> np.ndarray:
-    """The cosine coefficients of v and w, stacked (2, Nx, Ny), for a finite
-    density with extrema u_min and u_max.
+def _check_density(u_min: float, u_max: float, params: ModelParams, dom: DomainSpec) -> None:
+    """The checks of a finite density with extrema u_min and u_max before its
+    signal sources are transformed, in O(1).
 
-    Each source is written into its slot of the stack and transformed there.
-    Given the cosine coefficients of `values`, w's source gamma u is scaled in
-    cosine space; so is alpha u at rho = 1 with no dip to clamp, where one
-    forward transform serves both. Exact for unit alpha and gamma.
-
-    The check is O(1): a nonnegative source has |c_k| <= 2 c_0 in 2D, and no
-    mode divisor is below its kappa, so a finite zero mode at most float_max/4
-    in each slot keeps every coefficient finite (else SolverDiverged). The
-    signals themselves are checked when they are read (_signals_from).
+    A dip below -NEGATIVE_TOL * max raises NegativeDensity. A source f of
+    magnitude at most F has orthonormal cosine coefficients of magnitude at
+    most 2 sqrt(Nx Ny) F, and no mode divisor is below its kappa, so while
+    that bound, over min(1, kappa), stays under float_max/4 for both sources
+    (alpha u_max^rho and gamma u_max), no coefficient of v or w is infinite;
+    else SolverDiverged. The drift phi = chi v - xi w is checked where it is
+    read (stable_dt), the signals where they are read (_signals), as both
+    can still overflow.
     """
     if u_min < -NEGATIVE_TOL * max(u_max, 0.0):
         raise NegativeDensity(f"density min {u_min} below tolerance for max {u_max}")
+    spread = 2.0 * math.sqrt(dom.cells[0] * dom.cells[1])
+    for source, kappa in ((params.alpha * u_max**params.rho, params.beta), (params.gamma * u_max, params.delta)):
+        if not (spread * source / min(1.0, kappa) <= _SOURCE_LIMIT):
+            raise SolverDiverged("cosine-transform solve produced non-finite values")
+
+
+def _signal_coefficients(values, u_min: float, params: ModelParams, dom: DomainSpec, coeffs=None) -> np.ndarray:
+    """The cosine coefficients of v and w, stacked (2, Nx, Ny), for a
+    density that passed _check_density.
+
+    Both sources are written into their slots of the stack and transformed
+    there in one call. Given the cosine coefficients of `values`, w's source
+    gamma u is scaled in cosine space and only v's is transformed; at rho = 1
+    with no dip to clamp, alpha u is scaled too, so one forward transform of
+    u serves both. Exact for unit alpha and gamma.
+    """
     stack = np.empty((2, *values.shape))
     v_hat, w_hat = stack
-    shared = params.rho == 1.0 and u_min >= 0.0
-    if shared and coeffs is None:
-        # u's coefficients, in w's slot until v's are taken from them.
-        np.copyto(w_hat, values)
-        coeffs = _forward(w_hat)
-    if shared:
+    if params.rho == 1.0 and u_min >= 0.0:
+        if coeffs is None:
+            # u's coefficients, in w's slot until v's are taken from them.
+            np.copyto(w_hat, values)
+            coeffs = _forward(w_hat)
         np.multiply(coeffs, params.alpha, out=v_hat)
+        np.multiply(coeffs, params.gamma, out=w_hat)
+    elif coeffs is None:
+        _production(values, u_min, params.rho, params.alpha, out=v_hat)
+        np.multiply(values, params.gamma, out=w_hat)
+        _forward(stack)
     else:
-        _forward(_production(values, u_min, params, out=v_hat))
-    if coeffs is None:
-        _forward(np.multiply(values, params.gamma, out=w_hat))
-    else:
+        _forward(_production(values, u_min, params.rho, params.alpha, out=v_hat))
         np.multiply(coeffs, params.gamma, out=w_hat)
     v_hat /= _screened_denominators(dom, params.beta)
     w_hat /= _screened_denominators(dom, params.delta)
-    if not (abs(v_hat[0, 0]) <= _ZERO_MODE_LIMIT and abs(w_hat[0, 0]) <= _ZERO_MODE_LIMIT):
-        raise SolverDiverged("cosine-transform solve produced non-finite values")
     return stack
 
 
-def _signals_from(coeffs: np.ndarray, names: str = "vw") -> tuple[np.ndarray, tuple[float, ...]]:
-    """The signals named by `names` from their stacked cosine coefficients,
-    with one inverse transform for the stack, and the maximum of each;
-    `coeffs` is left as it is.
+def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec) -> tuple[np.ndarray, tuple[float, float]]:
+    """v and w, stacked (2, Nx, Ny), for a finite density with extrema u_min
+    and u_max, with one forward and one inverse transform of the stack, and
+    the maximum of each.
 
-    Checked here, where they are read: a NaN or an infinity, or a dip below
-    -NEGATIVE_TOL * max (a broken maximum principle), raises SolverDiverged.
+    Checked here, where they are read: the density as by _check_density;
+    a NaN or an infinity in a signal, or a dip below -NEGATIVE_TOL * max (a
+    broken maximum principle), raises SolverDiverged.
     """
-    signals = _inverse(coeffs.copy())
+    _check_density(u_min, u_max, params, dom)
+    signals = _inverse(_signal_coefficients(values, u_min, params, dom))
     # NaN propagates through min and max and an infinity is an extreme, so
     # one pair per signal carries its finiteness check too.
-    extrema = [(name, float(s.min()), float(s.max())) for name, s in zip(names, signals)]
+    extrema = [(name, float(s.min()), float(s.max())) for name, s in zip("vw", signals)]
     if not all(math.isfinite(mn) and math.isfinite(mx) for _, mn, mx in extrema):
         raise SolverDiverged("cosine-transform solve produced non-finite values")
     for name, mn, mx in extrema:
         if mn < -NEGATIVE_TOL * max(mx, 0.0):
             raise SolverDiverged(f"signal {name} violates the maximum principle: min {mn}")
-    return signals, tuple(mx for _, _, mx in extrema)
+    return signals, (extrema[0][2], extrema[1][2])
 
 
-def _drift(coeffs: np.ndarray, params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
-    """phi = chi v - xi w from the signals' stacked cosine coefficients, with
-    one inverse transform; cells drift up its gradient. phi's coefficients,
-    then phi, are built in `out` (a new array when omitted)."""
-    v_hat, w_hat = coeffs
-    phi_hat = np.multiply(v_hat, params.chi, out=out)
-    phi_hat -= np.multiply(w_hat, params.xi)
+@lru_cache(maxsize=32)
+def _linear_drift_factor(dom: DomainSpec, chi_alpha: float, beta: float, xi_gamma: float, delta: float) -> np.ndarray:
+    """K = chi alpha / (beta + lambda) - xi gamma / (delta + lambda): at
+    rho = 1, phi's cosine coefficients are K times u's."""
+    factor = chi_alpha / _screened_denominators(dom, beta)
+    factor -= xi_gamma / _screened_denominators(dom, delta)
+    factor.setflags(write=False)
+    return factor
+
+
+def _drift_potential(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec, coeffs=None) -> np.ndarray:
+    """phi = chi v - xi w, the drift potential of a finite density with
+    extrema u_min and u_max, from its cosine coefficients with one inverse
+    transform (checks: _check_density). Given the cosine coefficients of
+    `values` (the IMEX step's), they are reused.
+
+    phi's coefficients are formed in one of three ways:
+    - rho = 1 with no dip to clamp: K times u's coefficients (_linear_drift_factor);
+    - beta = delta, without coefficients: DCT(chi alpha u^rho - xi gamma u) / (beta + lambda),
+      one forward transform;
+    - otherwise chi v_hat - xi w_hat from _signal_coefficients.
+    """
+    _check_density(u_min, u_max, params, dom)
+    chi, xi = params.chi, params.xi
+    if params.rho == 1.0 and u_min >= 0.0:
+        if coeffs is None:
+            coeffs = _forward(values.copy())
+        factor = _linear_drift_factor(dom, chi * params.alpha, params.beta, xi * params.gamma, params.delta)
+        phi_hat = np.multiply(coeffs, factor)
+    elif coeffs is None and params.beta == params.delta:
+        # The two parts in a stack, freed here: with one whole-field
+        # temporary instead, glibc trimmed and refaulted the heap of a 256^2
+        # step (README, Performance).
+        attraction, repulsion = np.empty((2, *values.shape))
+        _production(values, u_min, params.rho, chi * params.alpha, out=attraction)
+        phi_hat = np.subtract(attraction, np.multiply(values, xi * params.gamma, out=repulsion))
+        _forward(phi_hat)
+        phi_hat /= _screened_denominators(dom, params.beta)
+    else:
+        v_hat, w_hat = _signal_coefficients(values, u_min, params, dom, coeffs)
+        phi_hat = np.multiply(v_hat, chi)
+        phi_hat -= np.multiply(w_hat, xi, out=w_hat)
     return _inverse(phi_hat)
 
 
@@ -234,6 +293,5 @@ def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:
     require_finite(u, "density")
     values = u.values
     dom = u.domain
-    coeffs = _signal_coefficients(values, float(values.min()), float(values.max()), params, dom)
-    (v, w), _ = _signals_from(coeffs)
+    (v, w), _ = _signals(values, float(values.min()), float(values.max()), params, dom)
     return Field(v, dom), Field(w, dom)

@@ -20,12 +20,16 @@ the diffusive and the advective dt bound; "imex-diffusion" advects explicitly
 but diffuses with a backward-Euler cosine-transform solve, dropping the
 diffusive bound.
 
-A state is plain data: the density, its extrema, the clock and the cosine
-coefficients of the two signals. The transport reads the signals only through
-phi, so run forms phi's coefficients from the state's and makes one inverse
-transform a step; it builds the face speeds V from phi and hands them to
-stable_dt and step. v and w are built only where they are read (SimState.v,
-SimState.w, diagnostics.sample), and checked there.
+A state is plain data: the density, its extrema, the clock and the drift
+potential phi. The transport reads the signals only through phi, so
+initial_state and step end with the one inverse transform that makes it
+(elliptic._drift_potential), after at most one forward transform: 2
+transforms an explicit step; the IMEX step adds the 2 of its diffusion
+solve, whose coefficients of u it hands over, so 4, or 3 at rho = 1. run
+builds the face speeds V from the state's phi, in buffers it keeps, and
+hands them to stable_dt and step. A state's phi is that of the params it
+was built with. v and w are a read of u (elliptic.solve_signals,
+diagnostics.sample), checked there.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
-from .elliptic import _drift, _implicit_solve, _signal_coefficients, _signals_from
+from .elliptic import _drift_potential, _implicit_solve
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate, require_finite
 from .model import DomainSpec, ModelParams
@@ -77,17 +81,16 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """The density u, the cosine coefficients of v and w stacked in
-    `signal_coeffs` (2, Nx, Ny), the clock, and the extrema u_min, u_max of
-    the density: `extrema` when given (step passes the pair it checked), else
-    taken from u, as for any other construction, dataclasses.replace too.
+    """The density u, the drift potential phi = chi v - xi w (Nx, Ny), the
+    clock, and the extrema u_min, u_max of the density: `extrema` when given
+    (step passes the pair it checked), else taken from u, as for any other
+    construction, dataclasses.replace too.
 
-    Construction freezes `signal_coeffs` in place, as Field does its values.
-    v and w are built from them on each read, with no cache, and checked then
-    (SolverDiverged)."""
+    Construction freezes `phi` in place, as Field does its values. v and w
+    are not kept: solve_signals(state.u, params) reads them."""
 
     u: Field
-    signal_coeffs: np.ndarray
+    phi: np.ndarray
     t: float
     step: int
     status: Status
@@ -99,17 +102,7 @@ class SimState:
         u_min, u_max = extrema or (float(self.u.values.min()), float(self.u.values.max()))
         object.__setattr__(self, "u_min", u_min)
         object.__setattr__(self, "u_max", u_max)
-        self.signal_coeffs.setflags(write=False)
-
-    @property
-    def v(self) -> Field:
-        (v,), _ = _signals_from(self.signal_coeffs[:1], "v")
-        return Field(v, self.u.domain)
-
-    @property
-    def w(self) -> Field:
-        (w,), _ = _signals_from(self.signal_coeffs[1:], "w")
-        return Field(w, self.u.domain)
+        self.phi.setflags(write=False)
 
 
 def initial_state(u0: Field, params: ModelParams) -> SimState:
@@ -118,28 +111,33 @@ def initial_state(u0: Field, params: ModelParams) -> SimState:
     require_finite(u0, "density")
     values = u0.values
     extrema = float(values.min()), float(values.max())
-    coeffs = _signal_coefficients(values, *extrema, params, u0.domain)
-    return SimState(u0, coeffs, t=0.0, step=0, status=Status.RUNNING, extrema=extrema)
+    phi = _drift_potential(values, *extrema, params, u0.domain)
+    return SimState(u0, phi, t=0.0, step=0, status=Status.RUNNING, extrema=extrema)
 
 
 # The left and right cells of the interior faces normal to each axis.
 _FACES = ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:]))
 
 
-def _face_speeds(phi: np.ndarray, h: float) -> list[np.ndarray]:
-    """The face drift V = (phi_R - phi_L)/h on the interior faces of each axis."""
-    speeds = [np.subtract(phi[right], phi[left]) for left, right in _FACES]
+def _face_speeds(phi: np.ndarray, h: float, out=(None, None)) -> list[np.ndarray]:
+    """The face drift V = (phi_R - phi_L)/h on the interior faces of each
+    axis, written into the arrays of `out` (new ones when omitted)."""
+    speeds = [np.subtract(phi[right], phi[left], out=o) for (left, right), o in zip(_FACES, out)]
     for speed in speeds:
         speed /= h
     return speeds
 
 
-def _fluxes(u: np.ndarray, speeds: list[np.ndarray], h: float, diffusion: bool) -> list[np.ndarray]:
+def _fluxes(u: np.ndarray, speeds: list[np.ndarray], h: float, diffusion: bool, scratch: np.ndarray) -> list[np.ndarray]:
     """Overwrite the face speeds V with the flux -u_up V (+ (u_R - u_L)/h),
     where the donor u_up = u_L where V > 0, else u_R, and return them. The
-    arithmetic is the same, operation for operation, as in fresh arrays."""
+    arithmetic is the same, operation for operation, as in fresh arrays. The
+    donors of each axis in turn are built in `scratch`, a contiguous float64
+    array of u's size."""
+    cells = scratch.reshape(-1)
     for speed, (left, right) in zip(speeds, _FACES):
-        up = u[right].copy()
+        up = cells[: speed.size].reshape(speed.shape)
+        np.copyto(up, u[right])
         np.copyto(up, u[left], where=speed > 0.0)
         np.negative(up, out=up)
         speed *= up
@@ -150,8 +148,8 @@ def _fluxes(u: np.ndarray, speeds: list[np.ndarray], h: float, diffusion: bool) 
     return speeds
 
 
-def _flux_divergence(fx: np.ndarray, fy: np.ndarray, dom: DomainSpec) -> np.ndarray:
-    div = np.empty(dom.cells)
+def _flux_divergence(fx: np.ndarray, fy: np.ndarray, dom: DomainSpec, div: np.ndarray) -> np.ndarray:
+    """div(F) on the cells, written into `div`."""
     # 0.0 + fx, as accumulating onto zeros would give: it turns -0.0 into 0.0.
     np.add(fx, 0.0, out=div[:-1, :])
     div[-1, :] = 0.0
@@ -166,10 +164,11 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
     """cfl_safety * min(diffusive bound h^2/(2 dim), advective bound h/vmax),
     clamped to [dt_min, dt_max]; imex-diffusion drops the diffusive bound. A
     drift with NaN or Inf raises NonFiniteState. `speeds`, the list of face
-    speeds of the state's drift under params, is built when omitted."""
+    speeds of the state's drift, is built when omitted; the drift is the
+    state's phi, so params does not enter."""
     h = state.u.domain.h
     if speeds is None:
-        speeds = _face_speeds(_drift(state.signal_coeffs, params), h)
+        speeds = _face_speeds(state.phi, h)
     # max|V| = max(max V, -min V); dividing by h is monotone, so this is
     # max|phi_R - phi_L| / h to the bit. NaN propagates through min and max.
     extrema = [x for s in speeds if s.size for x in (float(s.max()), -float(s.min()))]
@@ -184,23 +183,26 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
 
 
 def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None, *, speeds=None) -> SimState:
-    """Advance one step of size dt (stable_dt when omitted) and transform the
-    signal sources of the new density. One min and one max of the new density
-    carry its checks: NaN/Inf raises NonFiniteState (SolverDiverged when only
-    the implicit diffusion solve lost finiteness), a dip below -1e-13 max
-    raises NegativeDensity; the new state carries the pair. The signals'
-    zero modes carry theirs (SolverDiverged). `speeds` as for stable_dt: step
-    writes the fluxes into them and empties the list."""
+    """Advance one step of size dt (stable_dt when omitted) with the state's
+    drift, then form the drift of the new density under params. One min and
+    one max of the new density carry its checks: NaN/Inf raises
+    NonFiniteState (SolverDiverged when only the implicit diffusion solve
+    lost finiteness), a dip below -1e-13 max raises NegativeDensity; the new
+    state carries the pair, which also bounds the signal sources
+    (SolverDiverged). `speeds` as for stable_dt: step writes the fluxes into
+    them and empties the list."""
     u = state.u
     dom = u.domain
     if speeds is None:
-        speeds = _face_speeds(_drift(state.signal_coeffs, params), dom.h)
+        speeds = _face_speeds(state.phi, dom.h)
     if dt is None:
         dt = stable_dt(state, params, cfg, speeds=speeds)
     imex = cfg.scheme == "imex-diffusion"
-    # u + dt * div(F), in the divergence buffer; the fluxes overwrite the
-    # speeds and go before the transforms, the caller's list emptied too.
-    update = _flux_divergence(*_fluxes(u.values, speeds, dom.h, not imex), dom)
+    # u + dt * div(F), in the divergence buffer, which holds the flux donors
+    # first; the fluxes overwrite the speeds and go before the transforms,
+    # the caller's list emptied too.
+    update = np.empty(dom.cells)
+    _flux_divergence(*_fluxes(u.values, speeds, dom.h, not imex, update), dom, update)
     speeds.clear()
     update *= dt
     update += u.values
@@ -214,8 +216,8 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
             raise SolverDiverged("implicit diffusion step produced non-finite values")
         raise NonFiniteState(f"density lost finiteness at t = {state.t}")
     del update  # past its check, the forward-Euler update is not needed
-    coeffs = _signal_coefficients(new_u, u_min, u_max, params, dom, coeffs)
-    return SimState(Field(new_u, dom), coeffs, state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max))
+    phi = _drift_potential(new_u, u_min, u_max, params, dom, coeffs)
+    return SimState(Field(new_u, dom), phi, state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max))
 
 
 @dataclass(frozen=True)
@@ -260,12 +262,11 @@ def run(
     reaches), blowup_threshold (which no u_max exceeds) or steady_tol (which
     no change falls below) raises ValueError.
 
-    Checks sit at the edge: `initial_state` and `step` accept only a state
-    whose density is finite and nonnegative up to rounding and whose signal
-    coefficients are finite, and run does not re-check the states it reduces,
-    samples or integrates. Pass it a state that one of them built. A sample
-    reads v and w and checks them; its SolverDiverged is reported as
-    BlowupSuspected, like a failed step.
+    Checks sit at the edge: `initial_state` and `step` build only states
+    whose density is finite and nonnegative up to rounding, and run does not
+    re-check the states it reduces, samples or integrates. Pass it a state
+    that one of them built. A sample reads v and w and checks them; its
+    SolverDiverged is reported as BlowupSuspected, like a failed step.
     """
     if math.isnan(t_end):
         raise ValueError("t_end is NaN; pass inf to run to a steady state")
@@ -287,9 +288,10 @@ def run(
     if on_state is not None:
         on_state(state)
     status = Status.RUNNING
-    # One buffer over the run for phi, then for max|u' - u|: a fresh
-    # whole-field temporary, freed each step, can make glibc hand its pages
-    # back and fault them in again (README, Performance).
+    # Buffers over the run for the face speeds and for max|u' - u|: fresh
+    # whole-field temporaries, freed each step, can make glibc hand their
+    # pages back and fault them in again (README, Performance).
+    faces = [np.empty(state.phi[right].shape) for _, right in _FACES]
     work = np.empty(state.u.domain.cells)
     while True:
         if state.t >= t_end:
@@ -300,10 +302,10 @@ def run(
             break
         try:
             if diagnostics is not None and state.step % diagnostics.every == 0:
-                records.append(sample(state, diagnostics.ps, bounds=diagnostics.bounds))
+                records.append(sample(state, params, diagnostics.ps, bounds=diagnostics.bounds))
                 last_sampled = state.step
             # One build of the face speeds serves stable_dt and then step.
-            speeds = _face_speeds(_drift(state.signal_coeffs, params, out=work), h)
+            speeds = _face_speeds(state.phi, h, faces)
             dt = stable_dt(state, params, cfg, speeds=speeds)
             if dt <= cfg.dt_min:
                 status = Status.BLOWUP_SUSPECTED
@@ -329,7 +331,7 @@ def run(
     if diagnostics is not None:
         if records and state.step != last_sampled:
             try:
-                records.append(sample(state, diagnostics.ps, bounds=diagnostics.bounds))
+                records.append(sample(state, params, diagnostics.ps, bounds=diagnostics.bounds))
             except SolverDiverged:
                 status = Status.BLOWUP_SUSPECTED
         records = backfill_rate_estimates(records, diagnostics.ps[0])

@@ -11,8 +11,9 @@ Also here: a compensated-summation quadrature reference, an elementwise
 arbitrary-precision energy reference, checked wrappers of the grid's norm and
 gradient kernels, the five-point zero-flux Laplacian stencil and a dense
 matrix assembly of the Helmholtz operator built from it for direct-solve
-comparisons, the one builder of hand-made stepper states from given u, v
-and w, and the list-based test family with one estimator per constant that
+comparisons, the real-space drift chi v - xi w from the two solved signals,
+the one helper that hand-makes stepper states from a given u and drift, and
+the list-based test family with one estimator per constant that
 the streamed single-pass estimator in attrep.bounds must match bit for bit.
 """
 
@@ -21,8 +22,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from scipy.fft import dctn
-
+from attrep.elliptic import solve_signals
 from attrep.errors import SimulationError
 from attrep.grid import Field, _grad_sum, _lp_integral, require_finite
 from attrep.stepper import SimState, Status
@@ -118,12 +118,18 @@ def mp_energy(values, h, p):
     return total * mp.mpf(h) ** 2
 
 
-def hand_state(u, v, w, t=0.0, step=0):
-    """A running SimState from a density and two signal fields, past every
-    check of initial_state and step: it carries the cosine coefficients of v
-    and w as given (NaN and Inf included), so it reads them back to rounding."""
-    coeffs = np.stack([dctn(f.values, type=2, norm="ortho") for f in (v, w)])
-    return SimState(u, coeffs, t, step, Status.RUNNING)
+def real_space_drift(u, params):
+    """phi = chi v - xi w, formed in real space from the two signals that
+    solve_signals returns for the density u."""
+    v, w = solve_signals(u, params)
+    return params.chi * v.values - params.xi * w.values
+
+
+def hand_state(u, phi, t=0.0, step=0):
+    """A running SimState from a density and a drift potential field, past
+    every check of initial_state and step: it carries phi as given (NaN and
+    Inf included)."""
+    return SimState(u, np.array(phi.values), t, step, Status.RUNNING)
 
 
 class NegativeFieldWithFractionalPower(SimulationError):

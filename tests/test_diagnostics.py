@@ -24,9 +24,18 @@ from attrep.grid import integrate
 from attrep.stepper import StepperConfig, initial_state, run, stable_dt, step
 
 
-def make_state(u, params=None):
-    params = params or ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
+PARAMS = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
+
+
+def make_state(u, params=PARAMS):
     return initial_state(u, params)
+
+
+def exponent_checks():
+    """The two places that take energy exponents, as functions of ps:
+    DiagnosticsConfig and sample."""
+    state = make_state(Field.full(DomainSpec((1.0, 1.0), (8, 8)), 1.0))
+    return (lambda ps: DiagnosticsConfig(ps=ps), lambda ps: sample(state, PARAMS, ps))
 
 
 def synthetic_record(t, e, g, p=2.0):
@@ -53,13 +62,16 @@ class TestDiagnosticsConfig:
     def test_p_must_exceed_one(self):
         # NaN fails every comparison, so p <= 1 alone would let it through,
         # and integral |u|^inf overflows in a sample of a non-uniform density.
-        for ps in ((2.0, 1.0), (math.nan,), (math.inf,), (2.0, math.nan)):
-            with pytest.raises(ValueError, match="p > 1"):
-                DiagnosticsConfig(ps=ps)
+        for check in exponent_checks():
+            for ps in ((1.0,), (2.0, 1.0), (math.nan,), (math.inf,), (2.0, math.nan)):
+                with pytest.raises(ValueError, match="p > 1") as err:
+                    check(ps)
+                assert str(tuple(ps)) in str(err.value)
 
     def test_needs_an_exponent(self):
-        with pytest.raises(ValueError):
-            DiagnosticsConfig(ps=())
+        for check in exponent_checks():
+            with pytest.raises(ValueError):
+                check(())
 
     def test_interval_at_least_one(self):
         # 2.5 would sample at steps 0, 5, 10, ... and True at every step.
@@ -73,14 +85,16 @@ class TestDiagnosticsConfig:
 
     @pytest.mark.parametrize("ps", [(2.0, 2.0), (2.0, 2), (3.0, 2.0, 3)])
     def test_repeated_exponent_rejected(self, ps):
-        with pytest.raises(ValueError, match="each exponent must appear once"):
-            DiagnosticsConfig(ps=ps)
+        for check in exponent_checks():
+            with pytest.raises(ValueError, match="each exponent must appear once") as err:
+                check(ps)
+            assert str(tuple(float(p) for p in ps)) in str(err.value)
 
 
 class TestSample:
     def test_uniform_one(self, unit_square_16):
         state = make_state(Field.full(unit_square_16, 1.0))
-        rec = sample(state, (2.0,))
+        rec = sample(state, PARAMS, (2.0,))
         assert rec.t == 0.0
         assert rec.mass == pytest.approx(1.0, rel=1e-14)
         assert rec.u_min == 1.0
@@ -92,14 +106,14 @@ class TestSample:
 
     def test_uniform_two_cubed(self, unit_square_16):
         state = make_state(Field.full(unit_square_16, 2.0))
-        rec = sample(state, (3.0,))
+        rec = sample(state, PARAMS, (3.0,))
         assert rec.energies[3.0] == pytest.approx(8.0, rel=1e-14)
 
     def test_energy_against_precision_oracle(self, rng):
         dom = DomainSpec((1.0, 1.0), (24, 24))
         values = rng.uniform(0.0, 2.0, size=dom.cells)
         state = make_state(Field(values, dom))
-        rec = sample(state, (2.0, 1.5))
+        rec = sample(state, PARAMS, (2.0, 1.5))
         for p in (2.0, 1.5):
             assert_close_to_oracle(rec.energies[p], mp_energy(values, dom.h, p), 1e-12, f"E_{p}")
 
@@ -107,15 +121,15 @@ class TestSample:
         values = np.ones(unit_square_16.cells)
         values[0, 0] = -1e-14
         one = Field.full(unit_square_16, 1.0)
-        state = hand_state(Field(values, unit_square_16), one, one)
-        rec = sample(state, (1.5,))
+        state = hand_state(Field(values, unit_square_16), one)
+        rec = sample(state, PARAMS, (1.5,))
         assert rec.u_min == -1e-14
         assert math.isfinite(rec.energies[1.5])
 
     def test_pure_function_of_state(self, unit_square_16, rng):
         state = make_state(Field(rng.uniform(0.1, 1.0, size=unit_square_16.cells), unit_square_16))
-        a = sample(state, (2.0,))
-        b = sample(state, (2.0,))
+        a = sample(state, PARAMS, (2.0,))
+        b = sample(state, PARAMS, (2.0,))
         assert a == b
 
     def test_bits_match_public_functions(self, unit_square_16, rng):
@@ -126,7 +140,7 @@ class TestSample:
         values[2, 3] = -1e-14
         state = make_state(Field(values, unit_square_16))
         ps = (2.0, 1.5, 3.0)
-        rec = sample(state, ps)
+        rec = sample(state, PARAMS, ps)
         clamped = Field(np.maximum(values, 0.0), unit_square_16)
         for p in ps:
             assert rec.energies[p].hex() == lp_norm_p(clamped, p).hex()
@@ -139,9 +153,9 @@ class TestSample:
         values = np.ones(unit_square_16.cells)
         values[5, 5] = bad
         one = Field.full(unit_square_16, 1.0)
-        state = hand_state(Field(values, unit_square_16), one, one)
+        state = hand_state(Field(values, unit_square_16), one)
         with pytest.raises(NonFiniteField):
-            sample(state, (2.0,))
+            sample(state, PARAMS, (2.0,))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -151,15 +165,15 @@ class TestSample:
         values = np.ones(unit_square_16.cells)
         values[5, 5] = 1e200
         one = Field.full(unit_square_16, 1.0)
-        state = hand_state(Field(values, unit_square_16), one, one)
+        state = hand_state(Field(values, unit_square_16), one)
         with pytest.raises(NonFiniteField):
-            sample(state, (3.0,))
+            sample(state, PARAMS, (3.0,))
         with pytest.raises(NonFiniteField):
-            sample(state, (4.0,))
+            sample(state, PARAMS, (4.0,))
 
     def test_signal_maxima_recorded(self, unit_square_16):
         state = make_state(Field.full(unit_square_16, 4.0))
-        rec = sample(state, (2.0,))
+        rec = sample(state, PARAMS, (2.0,))
         # constant density 4: v = sqrt(4) = 2, w = 4 for unit coefficients
         assert rec.v_max == pytest.approx(2.0, rel=1e-12)
         assert rec.w_max == pytest.approx(4.0, rel=1e-12)
@@ -270,10 +284,10 @@ class TestPureDiffusionDissipation:
         state = make_state(Field(1e-3 + np.exp(-r2 / (2 * 0.1**2)), dom), params)
         cfg = StepperConfig()
         dt = stable_dt(state, params, cfg)
-        energies = [sample(state, (2.0,)).energies[2.0]]
+        energies = [sample(state, params, (2.0,)).energies[2.0]]
         for _ in range(200):
             state = step(state, params, cfg, dt)
-            energies.append(sample(state, (2.0,)).energies[2.0])
+            energies.append(sample(state, params, (2.0,)).energies[2.0])
         diffs = np.diff(energies)
         assert (diffs <= 1e-12 * max(energies)).all()
 
@@ -327,7 +341,7 @@ class TestBoundsWiring:
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
         report = compute_bounds(params, 1.0, 2.0, dom=unit_square_16, cgn=1.0, ce=1.0)
         state = make_state(Field.full(unit_square_16, 1.0))
-        rec = sample(state, (2.0,), bounds=report)
+        rec = sample(state, PARAMS, (2.0,), bounds=report)
         # uniform state has zero gradient term, so the bound is just cbar
         assert rec.rhs_bound == pytest.approx(report.cbar, rel=1e-12)
 
@@ -346,4 +360,4 @@ class TestBoundsWiring:
         report = compute_bounds(params, 1.0, 3.0, dom=unit_square_16, cgn=1.0, ce=1.0)
         state = make_state(Field.full(unit_square_16, 1.0))
         with pytest.raises(MismatchedP):
-            sample(state, (2.0,), bounds=report)
+            sample(state, PARAMS, (2.0,), bounds=report)

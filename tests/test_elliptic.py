@@ -9,17 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dctn, idctn
 
-from _oracles import dense_helmholtz_matrix, neumann_laplacian_apply
+from _oracles import dense_helmholtz_matrix, neumann_laplacian_apply, real_space_drift
 from attrep import DomainSpec, Field, ModelParams, solve_helmholtz, solve_signals
 from attrep.elliptic import (
     NEGATIVE_TOL,
-    _drift,
+    _drift_potential,
     _forward,
     _implicit_solve,
     _inverse,
     _mode_eigenvalues,
     _production,
-    _signal_coefficients,
 )
 from attrep.errors import (
     NegativeDensity,
@@ -201,8 +200,8 @@ class TestTransformPair:
 
     @pytest.mark.parametrize("cells", TRANSFORM_GRIDS, ids=lambda c: f"{c[0]}x{c[1]}")
     def test_stack_slices_match_single_fields(self, rng, cells):
-        # SimState.v reads coeffs[:1] and sample the whole stack: each slice
-        # must have the bits of its own transform.
+        # v's and w's sources are transformed as one stack: each slice must
+        # have the bits of its own transform.
         stack = rng.uniform(0.0, 2.0, size=(2, *cells))
         for transform in (_forward, _inverse):
             want = [transform(field.copy()).tobytes() for field in stack]
@@ -250,23 +249,23 @@ class TestChemicalSources:
 
     def test_constant_density_sublinear(self, unit_square_16, unit_params):
         params = replace(unit_params, alpha=2.0, gamma=3.0, rho=0.5)
-        sv = _production(np.ones(unit_square_16.cells), 1.0, params, np.empty(unit_square_16.cells))
+        sv = _production(np.ones(unit_square_16.cells), 1.0, params.rho, params.alpha, np.empty(unit_square_16.cells))
         np.testing.assert_allclose(sv, 2.0, rtol=1e-15)
 
     def test_sqrt_branch(self, unit_square_16, unit_params):
         params = replace(unit_params, rho=0.5)
-        sv = _production(np.full(unit_square_16.cells, 4.0), 4.0, params, np.empty(unit_square_16.cells))
+        sv = _production(np.full(unit_square_16.cells, 4.0), 4.0, params.rho, params.alpha, np.empty(unit_square_16.cells))
         np.testing.assert_allclose(sv, 2.0, rtol=1e-15)
 
     def test_linear_branch_is_identity_scaling(self, unit_square_16, unit_params, rng):
         params = replace(unit_params, rho=1.0, alpha=1.7)
         values = rng.uniform(0.0, 3.0, size=unit_square_16.cells)
-        sv = _production(values, float(values.min()), params, np.empty(unit_square_16.cells))
+        sv = _production(values, float(values.min()), params.rho, params.alpha, np.empty(unit_square_16.cells))
         np.testing.assert_array_equal(sv, 1.7 * values)
 
     def test_general_power_branch(self, unit_square_16, unit_params):
         params = replace(unit_params, rho=0.25)
-        sv = _production(np.full(unit_square_16.cells, 16.0), 16.0, params, np.empty(unit_square_16.cells))
+        sv = _production(np.full(unit_square_16.cells, 16.0), 16.0, params.rho, params.alpha, np.empty(unit_square_16.cells))
         np.testing.assert_allclose(sv, 2.0, rtol=1e-14)
 
     def test_small_negative_dip_clamped_before_power(self, unit_square_16, unit_params):
@@ -274,7 +273,7 @@ class TestChemicalSources:
         # carries the raw value through
         values = np.ones(unit_square_16.cells)
         values[0, 0] = -1e-14
-        sv = _production(values, -1e-14, unit_params, np.empty(unit_square_16.cells))
+        sv = _production(values, -1e-14, unit_params.rho, unit_params.alpha, np.empty(unit_square_16.cells))
         assert sv[0, 0] == 0.0
         u = Field(values, unit_square_16)
         _, w = solve_signals(u, unit_params)
@@ -373,33 +372,36 @@ class TestSolveSignals:
 
 
 class TestDriftInCosineSpace:
-    """phi = chi v - xi w, formed from the signals' cosine coefficients with
-    one inverse transform, against the two real-space solves."""
+    """phi = chi v - xi w, formed from the density with one inverse
+    transform, against the real-space combination of the two solves."""
 
     @given(
         chi=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=50.0)),
         xi=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=50.0)),
         rho=st.sampled_from([0.25, 0.5, 0.7, 1.0]),
+        delta=st.sampled_from([1.0, 0.7]),
         cells=st.sampled_from([(1, 4), (5, 3), (8, 8), (16, 16), (24, 24)]),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_real_space_drift(self, chi, xi, rho, cells, seed):
+    def test_matches_real_space_drift(self, chi, xi, rho, delta, cells, seed):
         dom = DomainSpec((1.0, cells[1] / cells[0]), cells)
-        params = ModelParams(1.0, 1.0, 1.3, 0.7, chi=chi, xi=xi, rho=rho)
+        params = ModelParams(1.0, 1.0, 1.3, delta, chi=chi, xi=xi, rho=rho)
         values = np.random.default_rng(seed).uniform(0.0, 3.0, size=cells)
-        v, w = solve_signals(Field(values, dom), params)
-        coeffs = _signal_coefficients(values, float(values.min()), float(values.max()), params, dom)
-        phi = _drift(coeffs, params)
-        want = chi * v.values - xi * w.values
+        phi = _drift_potential(values, float(values.min()), float(values.max()), params, dom)
+        want = real_space_drift(Field(values, dom), params)
         np.testing.assert_allclose(phi, want, rtol=0.0, atol=1e-12 * max(np.abs(want).max(), 0.0))
 
-    def test_leaves_coefficients_and_fills_out(self, unit_square_16, unit_params, rng):
+    def test_leaves_handed_coefficients(self, unit_square_16, unit_params, rng):
+        # The IMEX step hands over u's cosine coefficients; they are read,
+        # not written, and serve as a forward transform of u would.
         values = rng.uniform(0.0, 3.0, size=unit_square_16.cells)
-        coeffs = _signal_coefficients(values, float(values.min()), float(values.max()), unit_params, unit_square_16)
+        extrema = float(values.min()), float(values.max())
+        coeffs = _forward(values.copy())
         kept = coeffs.copy()
-        out = np.empty(unit_square_16.cells)
-        phi = _drift(coeffs, unit_params, out=out)
-        assert coeffs.tobytes() == kept.tobytes()
-        assert np.shares_memory(phi, out)
-        assert phi.tobytes() == _drift(coeffs, unit_params).tobytes()
+        for rho in (0.5, 1.0):
+            params = replace(unit_params, rho=rho, chi=2.0, xi=0.5, delta=0.7)
+            phi = _drift_potential(values, *extrema, params, unit_square_16, coeffs)
+            assert coeffs.tobytes() == kept.tobytes()
+            want = _drift_potential(values, *extrema, params, unit_square_16)
+            np.testing.assert_allclose(phi, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
