@@ -19,7 +19,7 @@ import numpy as np
 
 from .elliptic import _signals
 from .errors import InsufficientSamples, MismatchedP, NonFiniteField
-from .grid import _finite, _integral
+from .grid import _grad_sum, _integral, _lp_integral
 from .model import _is
 
 if TYPE_CHECKING:
@@ -73,47 +73,13 @@ class DiagnosticsRecord:
     rhs_bound: float
 
 
-def _power_sums(clamped: np.ndarray, ps: tuple, h: float) -> tuple[dict, dict]:
-    """E_p = integral(u^p) and integral(|grad u^{p/2}|^2) of a nonnegative
-    density for each exponent p.
-
-    The roots u^{p/2}, one slot of a stack each, double as the powers of the
-    energies whose exponent they share (u^1.5 serves E_1.5 and the p = 3
-    gradient term), and the gradient terms of all exponents are summed in one
-    pass over the stack: each interior face gives (diff/h)^2 h^2 = diff^2. At
-    exponent 1 a root is u itself and at 2 its square, the bits np.power
-    returns. An overflowing power fails its sum (NonFiniteField).
-    """
-    roots = np.empty((len(ps), *clamped.shape))
-    powers = {}
-    for slot, p in zip(roots, ps):
-        e = p / 2.0
-        if e == 1.0:
-            np.copyto(slot, clamped)
-        elif e == 2.0:
-            np.multiply(clamped, clamped, out=slot)
-        else:
-            np.power(clamped, e, out=slot)
-        powers[e] = slot
-    energies = {}
-    for p in ps:
-        power = powers.get(p)
-        if power is None:
-            power = clamped * clamped if p == 2.0 else np.power(clamped, p)
-        energies[p] = _finite(float(power.sum()) * h * h, f"integral of |f|^{p}")
-    gx = np.subtract(roots[:, 1:, :], roots[:, :-1, :])
-    gy = np.subtract(roots[:, :, 1:], roots[:, :, :-1])
-    sums = np.multiply(gx, gx, out=gx).sum(axis=(1, 2)) + np.multiply(gy, gy, out=gy).sum(axis=(1, 2))
-    return energies, {p: _finite(float(total), "gradient energy") for p, total in zip(ps, sums)}
-
-
 def sample(state: "SimState", params: "ModelParams", ps, bounds: "BoundsReport | None" = None) -> DiagnosticsRecord:
     """Pure snapshot of the state; identical states give identical records.
 
     `ps` must pass DiagnosticsConfig's rule (ValueError). Rounding-level
     negative dips in u are clamped to zero inside the powers only; u_min
     reports the true minimum, which the state carries. Each distinct power of
-    u is computed once (_power_sums). v and w are read from u under params,
+    u is computed once. v and w are read from u under params,
     with one forward and one inverse transform of their stack, and checked
     (SolverDiverged); their maxima come from that check."""
     ps = _exponents(ps)
@@ -126,7 +92,13 @@ def sample(state: "SimState", params: "ModelParams", ps, bounds: "BoundsReport |
         raise NonFiniteField("field contains NaN or Inf")
     clamped = np.maximum(uv, 0.0) if u_min < 0.0 else uv
 
-    energies, grads = _power_sums(clamped, ps, h)
+    # u^{p/2} for each gradient term (u itself at p = 2) is also the power of
+    # the energy whose exponent is p/2: u^1.5 serves the p = 3 gradient term
+    # and E_1.5. An overflowing power fails its kernel's sum (NonFiniteField).
+    roots = {p: clamped if p == 2.0 else np.power(clamped, p / 2.0) for p in ps}
+    powers = {p / 2.0: root for p, root in roots.items()}
+    energies = {p: _lp_integral(powers[p], 1.0, h) if p in powers else _lp_integral(clamped, p, h) for p in ps}
+    grads = {p: _grad_sum(root) for p, root in roots.items()}
 
     rhs_bound = math.nan
     if bounds is not None:

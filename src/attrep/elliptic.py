@@ -8,10 +8,10 @@ sits at rounding level.
 
 The step needs only the drift phi = chi v - xi w, which _drift_potential
 forms from the density with one forward transform (none when the IMEX step
-hands over u's coefficients) and one inverse: at rho = 1 as a cached
-per-mode multiple of u's coefficients, when beta = delta as the solve of
-the one source chi alpha u^rho - xi gamma u, and otherwise from both signals'
-coefficients, transformed as one stack. Reading v and w (_signals, behind
+hands over u's coefficients) and one inverse: when beta = delta as the solve
+of the one source chi alpha u^rho - xi gamma u, and otherwise from both
+signals' coefficients, transformed as one stack (at rho = 1 as multiples of
+u's). Reading v and w (_signals, behind
 solve_signals and diagnostics.sample) costs one forward and one inverse
 transform of the stack.
 
@@ -169,16 +169,17 @@ def _check_density(u_min: float, u_max: float, params: ModelParams, dom: DomainS
     most 2 sqrt(Nx Ny) F, and no mode divisor is below its kappa, so while
     that bound, over min(1, kappa), stays under float_max/4 for both sources
     (alpha u_max^rho and gamma u_max), no coefficient of v or w is infinite;
-    else SolverDiverged. The drift phi = chi v - xi w is checked where it is
-    read (stable_dt), the signals where they are read (_signals), as both
-    can still overflow.
+    else SolverDiverged. The drift phi = chi v - xi w can still overflow and
+    is checked where it is read (stable_dt).
     """
     if u_min < -NEGATIVE_TOL * max(u_max, 0.0):
         raise NegativeDensity(f"density min {u_min} below tolerance for max {u_max}")
     spread = 2.0 * math.sqrt(dom.cells[0] * dom.cells[1])
     for source, kappa in ((params.alpha * u_max**params.rho, params.beta), (params.gamma * u_max, params.delta)):
         if not (spread * source / min(1.0, kappa) <= _SOURCE_LIMIT):
-            raise SolverDiverged("cosine-transform solve produced non-finite values")
+            raise SolverDiverged(
+                f"cosine-transform solve would overflow on the signal sources of density max {u_max}"
+            )
 
 
 def _signal_coefficients(values, u_min: float, params: ModelParams, dom: DomainSpec, coeffs=None) -> np.ndarray:
@@ -224,7 +225,9 @@ def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: Domai
     _check_density(u_min, u_max, params, dom)
     signals = _inverse(_signal_coefficients(values, u_min, params, dom))
     # NaN propagates through min and max and an infinity is an extreme, so
-    # one pair per signal carries its finiteness check too.
+    # one pair per signal carries its finiteness check too. That check is
+    # defensive: past _check_density, Parseval bounds every partial
+    # transform of the stack by sqrt(Nx Ny) F / kappa, under float_max/8.
     extrema = [(name, float(s.min()), float(s.max())) for name, s in zip("vw", signals)]
     if not all(math.isfinite(mn) and math.isfinite(mx) for _, mn, mx in extrema):
         raise SolverDiverged("cosine-transform solve produced non-finite values")
@@ -234,36 +237,21 @@ def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: Domai
     return signals, (extrema[0][2], extrema[1][2])
 
 
-@lru_cache(maxsize=32)
-def _linear_drift_factor(dom: DomainSpec, chi_alpha: float, beta: float, xi_gamma: float, delta: float) -> np.ndarray:
-    """K = chi alpha / (beta + lambda) - xi gamma / (delta + lambda): at
-    rho = 1, phi's cosine coefficients are K times u's."""
-    factor = chi_alpha / _screened_denominators(dom, beta)
-    factor -= xi_gamma / _screened_denominators(dom, delta)
-    factor.setflags(write=False)
-    return factor
-
-
 def _drift_potential(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec, coeffs=None) -> np.ndarray:
     """phi = chi v - xi w, the drift potential of a finite density with
     extrema u_min and u_max, from its cosine coefficients with one inverse
     transform (checks: _check_density). Given the cosine coefficients of
     `values` (the IMEX step's), they are reused.
 
-    phi's coefficients are formed in one of three ways:
-    - rho = 1 with no dip to clamp: K times u's coefficients (_linear_drift_factor);
+    phi's coefficients are formed in one of two ways:
     - beta = delta, without coefficients: DCT(chi alpha u^rho - xi gamma u) / (beta + lambda),
       one forward transform;
-    - otherwise chi v_hat - xi w_hat from _signal_coefficients.
+    - otherwise chi v_hat - xi w_hat from _signal_coefficients, which
+      transforms at most once.
     """
     _check_density(u_min, u_max, params, dom)
     chi, xi = params.chi, params.xi
-    if params.rho == 1.0 and u_min >= 0.0:
-        if coeffs is None:
-            coeffs = _forward(values.copy())
-        factor = _linear_drift_factor(dom, chi * params.alpha, params.beta, xi * params.gamma, params.delta)
-        phi_hat = np.multiply(coeffs, factor)
-    elif coeffs is None and params.beta == params.delta:
+    if coeffs is None and params.beta == params.delta:
         # The two parts in a stack, freed here: with one whole-field
         # temporary instead, glibc trimmed and refaulted the heap of a 256^2
         # step (README, Performance).

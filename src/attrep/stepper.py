@@ -27,9 +27,10 @@ initial_state and step end with the one inverse transform that makes it
 transforms an explicit step; the IMEX step adds the 2 of its diffusion
 solve, whose coefficients of u it hands over, so 4, or 3 at rho = 1. run
 builds the face speeds V from the state's phi, in buffers it keeps, and
-hands them to stable_dt and step. A state's phi is that of the params it
-was built with. v and w are a read of u (elliptic.solve_signals,
-diagnostics.sample), checked there.
+hands them to stable_dt and step. A state records the params its phi was
+built with; stable_dt, step and run handed other params form phi anew from
+u under theirs, so a state can be stepped under any params. v and w are a
+read of u (elliptic.solve_signals, diagnostics.sample), checked there.
 """
 
 from __future__ import annotations
@@ -81,16 +82,17 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """The density u, the drift potential phi = chi v - xi w (Nx, Ny), the
-    clock, and the extrema u_min, u_max of the density: `extrema` when given
-    (step passes the pair it checked), else taken from u, as for any other
-    construction, dataclasses.replace too.
+    """The density u, the drift potential phi = chi v - xi w (Nx, Ny) under
+    `params`, the clock, and the extrema u_min, u_max of the density:
+    `extrema` when given (step passes the pair it checked), else taken from
+    u, as for any other construction, dataclasses.replace too.
 
     Construction freezes `phi` in place, as Field does its values. v and w
     are not kept: solve_signals(state.u, params) reads them."""
 
     u: Field
     phi: np.ndarray
+    params: ModelParams
     t: float
     step: int
     status: Status
@@ -112,7 +114,16 @@ def initial_state(u0: Field, params: ModelParams) -> SimState:
     values = u0.values
     extrema = float(values.min()), float(values.max())
     phi = _drift_potential(values, *extrema, params, u0.domain)
-    return SimState(u0, phi, t=0.0, step=0, status=Status.RUNNING, extrema=extrema)
+    return SimState(u0, phi, params, t=0.0, step=0, status=Status.RUNNING, extrema=extrema)
+
+
+def _phi(state: SimState, params: ModelParams) -> np.ndarray:
+    """The drift potential of the state's density under params: the state's
+    own phi when it was built under them, else formed anew (checks and
+    transforms as for initial_state)."""
+    if state.params is params or state.params == params:
+        return state.phi
+    return _drift_potential(state.u.values, state.u_min, state.u_max, params, state.u.domain)
 
 
 # The left and right cells of the interior faces normal to each axis.
@@ -164,11 +175,10 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
     """cfl_safety * min(diffusive bound h^2/(2 dim), advective bound h/vmax),
     clamped to [dt_min, dt_max]; imex-diffusion drops the diffusive bound. A
     drift with NaN or Inf raises NonFiniteState. `speeds`, the list of face
-    speeds of the state's drift, is built when omitted; the drift is the
-    state's phi, so params does not enter."""
+    speeds of the drift under params, is built when omitted."""
     h = state.u.domain.h
     if speeds is None:
-        speeds = _face_speeds(state.phi, h)
+        speeds = _face_speeds(_phi(state, params), h)
     # max|V| = max(max V, -min V); dividing by h is monotone, so this is
     # max|phi_R - phi_L| / h to the bit. NaN propagates through min and max.
     extrema = [x for s in speeds if s.size for x in (float(s.max()), -float(s.min()))]
@@ -183,8 +193,8 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
 
 
 def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None, *, speeds=None) -> SimState:
-    """Advance one step of size dt (stable_dt when omitted) with the state's
-    drift, then form the drift of the new density under params. One min and
+    """Advance one step of size dt (stable_dt when omitted) with the drift
+    under params, then form the drift of the new density. One min and
     one max of the new density carry its checks: NaN/Inf raises
     NonFiniteState (SolverDiverged when only the implicit diffusion solve
     lost finiteness), a dip below -1e-13 max raises NegativeDensity; the new
@@ -194,7 +204,7 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
     u = state.u
     dom = u.domain
     if speeds is None:
-        speeds = _face_speeds(state.phi, dom.h)
+        speeds = _face_speeds(_phi(state, params), dom.h)
     if dt is None:
         dt = stable_dt(state, params, cfg, speeds=speeds)
     imex = cfg.scheme == "imex-diffusion"
@@ -217,7 +227,7 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
         raise NonFiniteState(f"density lost finiteness at t = {state.t}")
     del update  # past its check, the forward-Euler update is not needed
     phi = _drift_potential(new_u, u_min, u_max, params, dom, coeffs)
-    return SimState(Field(new_u, dom), phi, state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max))
+    return SimState(Field(new_u, dom), phi, params, state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max))
 
 
 @dataclass(frozen=True)
@@ -305,7 +315,7 @@ def run(
                 records.append(sample(state, params, diagnostics.ps, bounds=diagnostics.bounds))
                 last_sampled = state.step
             # One build of the face speeds serves stable_dt and then step.
-            speeds = _face_speeds(state.phi, h, faces)
+            speeds = _face_speeds(_phi(state, params), h, faces)
             dt = stable_dt(state, params, cfg, speeds=speeds)
             if dt <= cfg.dt_min:
                 status = Status.BLOWUP_SUSPECTED

@@ -125,11 +125,11 @@ def real_space_drift(u, params):
     return params.chi * v.values - params.xi * w.values
 
 
-def hand_state(u, phi, t=0.0, step=0):
+def hand_state(u, phi, params, t=0.0, step=0):
     """A running SimState from a density and a drift potential field, past
     every check of initial_state and step: it carries phi as given (NaN and
-    Inf included)."""
-    return SimState(u, np.array(phi.values), t, step, Status.RUNNING)
+    Inf included), as the drift under params."""
+    return SimState(u, np.array(phi.values), params, t, step, Status.RUNNING)
 
 
 class NegativeFieldWithFractionalPower(SimulationError):

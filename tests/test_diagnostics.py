@@ -121,7 +121,7 @@ class TestSample:
         values = np.ones(unit_square_16.cells)
         values[0, 0] = -1e-14
         one = Field.full(unit_square_16, 1.0)
-        state = hand_state(Field(values, unit_square_16), one)
+        state = hand_state(Field(values, unit_square_16), one, PARAMS)
         rec = sample(state, PARAMS, (1.5,))
         assert rec.u_min == -1e-14
         assert math.isfinite(rec.energies[1.5])
@@ -153,7 +153,7 @@ class TestSample:
         values = np.ones(unit_square_16.cells)
         values[5, 5] = bad
         one = Field.full(unit_square_16, 1.0)
-        state = hand_state(Field(values, unit_square_16), one)
+        state = hand_state(Field(values, unit_square_16), one, PARAMS)
         with pytest.raises(NonFiniteField):
             sample(state, PARAMS, (2.0,))
 
@@ -165,7 +165,7 @@ class TestSample:
         values = np.ones(unit_square_16.cells)
         values[5, 5] = 1e200
         one = Field.full(unit_square_16, 1.0)
-        state = hand_state(Field(values, unit_square_16), one)
+        state = hand_state(Field(values, unit_square_16), one, PARAMS)
         with pytest.raises(NonFiniteField):
             sample(state, PARAMS, (3.0,))
         with pytest.raises(NonFiniteField):

@@ -231,7 +231,7 @@ class TestStableDt:
         x, _ = dom.cell_centers()
         u = Field.full(dom, 1.0)
         v = Field(np.repeat(10.0 * x[:, None], 64, axis=1), dom)
-        state = hand_state(u, v)
+        state = hand_state(u, v, params)
         cfg = StepperConfig(dt_max=1.0, cfl_safety=0.4, scheme="imex-diffusion")
         assert stable_dt(state, params, cfg) == pytest.approx(0.4 / 64.0 / 10.0, rel=1e-13)
 
@@ -389,20 +389,21 @@ def spike_state(dom, amplitude):
     u[4, 4] = amplitude
     i = np.abs(np.arange(dom.cells[0]) - 4)
     cone = 100.0 * (i[:, None] + i[None, :]).astype(float)
-    return hand_state(Field(u, dom), Field(cone, dom))
+    return hand_state(Field(u, dom), Field(cone, dom), PARITY_PARAMS)
 
 
 def nan_signal_state(dom, bad=np.nan):
     v = np.ones(dom.cells)
     v[3, 3] = bad
-    return hand_state(bump_field(dom), Field(v, dom))
+    return hand_state(bump_field(dom), Field(v, dom), PARITY_PARAMS)
 
 
-def uniform_state(dom, value):
-    return hand_state(Field.full(dom, value), Field.full(dom, 0.0))
+def uniform_state(dom, value, params):
+    return hand_state(Field.full(dom, value), Field.full(dom, 0.0), params)
 
 
 PARITY_PARAMS = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.0, rho=0.5)
+OVERFLOWING_SOURCE_PARAMS = replace(PARITY_PARAMS, chi=0.0, gamma=1e10)
 
 # Hand-built states that fail a step at its own stable dt (cfl_safety = 1):
 # (state maker, params, exception, message).
@@ -411,10 +412,10 @@ PARITY_CASES = {
     "inf-update": (lambda dom: spike_state(dom, 1e308), PARITY_PARAMS, NonFiniteState, "density lost finiteness"),
     "negative-dip": (lambda dom: spike_state(dom, 1.0), PARITY_PARAMS, NegativeDensity, "below tolerance"),
     "overflowing-source": (
-        lambda dom: uniform_state(dom, 1e299),
-        replace(PARITY_PARAMS, chi=0.0, gamma=1e10),
+        lambda dom: uniform_state(dom, 1e299, OVERFLOWING_SOURCE_PARAMS),
+        OVERFLOWING_SOURCE_PARAMS,
         SolverDiverged,
-        "cosine-transform solve produced non-finite values",
+        "cosine-transform solve would overflow",
     ),
 }
 
@@ -449,7 +450,7 @@ class TestCheckParity:
     @pytest.mark.parametrize(
         "scheme, message",
         [
-            ("explicit-upwind", "cosine-transform solve produced non-finite values"),
+            ("explicit-upwind", "cosine-transform solve would overflow"),
             ("imex-diffusion", "implicit diffusion step produced non-finite values"),
         ],
     )
@@ -459,7 +460,7 @@ class TestCheckParity:
         dom = DomainSpec((1.0, 1.0), (8, 8))
         params = replace(PARITY_PARAMS, chi=0.0)
         with pytest.raises(SolverDiverged, match=message):
-            step(uniform_state(dom, 1e308), params, StepperConfig(scheme=scheme), 1e-3)
+            step(uniform_state(dom, 1e308, params), params, StepperConfig(scheme=scheme), 1e-3)
 
 
 def drift_case(scheme):
@@ -474,16 +475,30 @@ class TestDriftMemo:
     under its own params, built for it or handed over by its caller."""
 
     def test_step_uses_its_own_params(self, scheme):
+        # A state built under params_a steps and runs under params_b as the
+        # state built under params_b does: phi is formed anew from u.
         dom = DomainSpec((1.0, 1.0), (24, 24))
         params_a = ModelParams(1.0, 1.0, 1.0, 1.0, chi=4.0, xi=0.5, rho=0.5)
-        params_b = replace(params_a, chi=1.0, xi=2.0)
         cfg = StepperConfig(scheme=scheme)
         state = initial_state(bump_field(dom, width=0.08), params_a)
-        fresh = initial_state(bump_field(dom, width=0.08), params_a)
-        dt = stable_dt(state, params_a, cfg)
-        got = step(state, params_b, cfg, dt)
-        want = step(fresh, params_b, cfg, dt)
-        assert_same_state(got, want)
+        for other in ({"chi": 1.0, "xi": 2.0}, {"alpha": 2.0, "delta": 0.7}):
+            params_b = replace(params_a, **other)
+            fresh = initial_state(bump_field(dom, width=0.08), params_b)
+            assert state.params == params_a and fresh.params == params_b
+            dt = stable_dt(state, params_b, cfg)
+            assert dt == stable_dt(fresh, params_b, cfg)
+            got = step(state, params_b, cfg, dt)
+            assert got.params == params_b
+            assert not np.array_equal(got.u.values, step(state, params_a, cfg, dt).u.values)
+            assert_same_state(got, step(fresh, params_b, cfg, dt))
+            diagnostics = DiagnosticsConfig(ps=(2.0, 1.5), every=1)
+            got_run = run(state, params_b, cfg, 2.5 * dt, diagnostics=diagnostics)
+            want_run = run(fresh, params_b, cfg, 2.5 * dt, diagnostics=diagnostics)
+            assert got_run.steps == want_run.steps == 3
+            assert_same_state(got_run.state, want_run.state)
+            for a, b in zip(got_run.records, want_run.records, strict=True):
+                assert (a.t, a.energies, a.grad_energies, a.v_max, a.w_max) == (
+                    b.t, b.energies, b.grad_energies, b.v_max, b.w_max)
 
     def test_stepping_twice_gives_same_bits(self, scheme):
         dom = DomainSpec((1.0, 1.0), (24, 24))
@@ -592,7 +607,7 @@ def overflowing_read_state():
     """A state past every check whose density is finite, but whose w source
     gamma u overflows under OVERFLOWING_READ_PARAMS."""
     dom = DomainSpec((1.0, 1.0), (8, 8))
-    return hand_state(Field.full(dom, 2.0), Field.full(dom, 0.0))
+    return hand_state(Field.full(dom, 2.0), Field.full(dom, 0.0), OVERFLOWING_READ_PARAMS)
 
 
 OVERFLOWING_READ_PARAMS = replace(PARITY_PARAMS, gamma=1e308)
@@ -616,11 +631,9 @@ NEGATIVE_READ_PARAMS = replace(PARITY_PARAMS, delta=1024.0)
 # States whose signals fail their check where they are read: (state maker,
 # params, message).
 UNREADABLE = {
-    "nan-signal": (
-        overflowing_read_state,
-        OVERFLOWING_READ_PARAMS,
-        "cosine-transform solve produced non-finite values",
-    ),
+    # w = gamma u / delta = 2e308 is not finite; the bound on the sources
+    # refuses the read before any transform.
+    "nan-signal": (overflowing_read_state, OVERFLOWING_READ_PARAMS, "cosine-transform solve would overflow"),
     "negative-signal": (negative_signal_state, NEGATIVE_READ_PARAMS, "signal w violates the maximum principle"),
 }
 
@@ -628,7 +641,8 @@ UNREADABLE = {
 # above.
 BUDGET_GRIDS = (16, 72)
 
-# (beta, delta, rho, dip): each way _drift_potential forms phi's coefficients.
+# (beta, delta, rho, dip): each way _drift_potential forms phi's coefficients,
+# shared rate or both signals', at rho = 1 from u's too.
 DRIFT_CASES = {
     "shared-rate": (1.0, 1.0, 0.5, False),
     "two-rates": (1.0, 0.7, 0.5, False),
