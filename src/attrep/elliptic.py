@@ -11,9 +11,9 @@ forms from the density with one forward transform (none when the IMEX step
 hands over u's coefficients) and one inverse: when beta = delta as the solve
 of the one source chi alpha u^rho - xi gamma u, and otherwise from both
 signals' coefficients, transformed as one stack (at rho = 1 as multiples of
-u's). Reading v and w (_signals, behind
-solve_signals and diagnostics.sample) costs one forward and one inverse
-transform of the stack.
+u's). Reading v and w (_signals, behind solve_signals and
+diagnostics.sample) costs one forward and one inverse transform of the
+stack.
 
 Every transform goes through one pair, _forward and _inverse: the
 orthonormal DCT-II and its inverse over the last two axes of a field
