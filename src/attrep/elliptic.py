@@ -20,18 +20,25 @@ orthonormal DCT-II and its inverse over the last two axes of a field
 (Nx, Ny) or a stack (2, Nx, Ny), written over the given buffer. On a grid
 whose axes both have at most _MATMUL_MAX_CELLS cells the pair is two matrix
 products with cached cosine matrices, C X C'^T forward and C^T X C'
-inverse; at that size scipy's per-call dispatch costs more than the
-arithmetic. Larger grids go through scipy.fft.dctn and idctn.
+inverse; at that size a product costs less than the per-line calls of an
+FFT. Larger grids take numpy's real FFT along each axis in turn, in the
+form of Makhoul (A fast cosine transform in one and two dimensions, IEEE
+TASSP 28, 1980): the samples reordered (even ones, then odd ones reversed),
+one rfft, a twiddle e^{-i pi k / 2N} per mode, and the real DCT read off as
+X[k] = Re Z[k], X[N - k] = -Im Z[k]. The inverse runs the same steps
+backwards with irfft. Their work arrays are kept per thread and per shape
+(_workspace), so a warm transform allocates no whole-field array.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from numpy.fft import irfft, rfft
 
 from .errors import NegativeDensity, NonPositiveKappa, SolverDiverged
 from .grid import Field, require_finite
@@ -43,9 +50,14 @@ NEGATIVE_TOL = 1e-13
 
 # The longest axis that transforms as two matrix products. OpenBLAS runs
 # products of up to about 96 a side on one core, but those of 128 on two,
-# which the sweep's two worker processes must not take; at 256^2 scipy is
-# faster.
+# which the sweep's two worker processes must not take; at 256^2 the
+# products cost more than the FFT pair (README, Performance).
 _MATMUL_MAX_CELLS = 64
+
+# The work arrays one thread keeps (_workspace), by key. One grid takes at
+# most five: the transform buffers of a field and of a stack, and the
+# update, denominators and coefficients of an IMEX step.
+_WORKSPACE_ARRAYS = 12
 
 
 @lru_cache(maxsize=32)
@@ -88,15 +100,122 @@ def _dct_matrix(n: int) -> np.ndarray:
     return c
 
 
+class _Workspaces(threading.local):
+    """The work arrays of one thread, by key, least recently used first."""
+
+    def __init__(self):
+        self.arrays: dict = {}
+
+
+_WORKSPACES = _Workspaces()
+
+
+def _workspace(key, build):
+    """The calling thread's work array(s) under `key`, made by build() on
+    first use; past _WORKSPACE_ARRAYS keys the least recently used is
+    dropped. Every user writes a work array in full before it reads it, so
+    what a call leaves there never reaches another's result, and each thread
+    has its own."""
+    arrays = _WORKSPACES.arrays
+    found = arrays.pop(key, None)
+    if found is None:
+        found = build()
+        if len(arrays) >= _WORKSPACE_ARRAYS:
+            del arrays[next(iter(arrays))]
+    arrays[key] = found
+    return found
+
+
+def _work_array(name: str, shape: tuple) -> np.ndarray:
+    """The calling thread's float64 work array `name` of `shape` (_workspace)."""
+    return _workspace((name, shape), lambda: np.empty(shape))
+
+
+def _fft_buffers(shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A real array of `shape` and one complex block seen as the half
+    spectra along each axis, (..., Nx, Ny//2 + 1) and (..., Nx//2 + 1, Ny):
+    the forward transform reads the first before it writes the second, and
+    the inverse the other way round."""
+    *lead, nx, ny = shape
+    along_y, along_x = (*lead, nx, ny // 2 + 1), (*lead, nx // 2 + 1, ny)
+    block = np.empty(max(math.prod(along_y), math.prod(along_x)), dtype=complex)
+    return np.empty(shape), block[: math.prod(along_y)].reshape(along_y), block[: math.prod(along_x)].reshape(along_x)
+
+
+@lru_cache(maxsize=32)
+def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """s_k e^{-i pi k / 2n} and its inverse e^{i pi k / 2n} / s_k for
+    k = 0 .. n//2, with the orthonormal scales s_0 = sqrt(1/n) and
+    s_k = sqrt(2/n); the angle stays within [0, pi/4]."""
+    angle = np.pi / (2 * n) * np.arange(n // 2 + 1)
+    scale = np.full(angle.size, math.sqrt(2.0 / n))
+    scale[0] = math.sqrt(1.0 / n)
+    forward = (np.cos(angle) - 1j * np.sin(angle)) * scale
+    inverse = (np.cos(angle) + 1j * np.sin(angle)) / scale
+    forward.setflags(write=False)
+    inverse.setflags(write=False)
+    return forward, inverse
+
+
+def _fft_forward(buf: np.ndarray) -> None:
+    """The orthonormal DCT-II over the last two axes of `buf`, written over
+    it, by one rfft along each axis. Along an axis of n samples, with
+    m = (n + 1)//2 even samples, h = n//2 + 1 modes and q = n - h:
+    v = (x[0], x[2], ..., x[3], x[1]), Z = twiddle * rfft(v), and
+    X[:h] = Re Z, X[h:] = -Im Z[q:0:-1]. The split of the axis -1 spectrum
+    is written straight into the reorder of axis -2."""
+    nx, ny = buf.shape[-2:]
+    real, along_y, along_x = _workspace(("fft", buf.shape), lambda: _fft_buffers(buf.shape))
+    mx, my = (nx + 1) // 2, (ny + 1) // 2
+    hx, hy = nx // 2 + 1, ny // 2 + 1
+    np.copyto(real[..., :my], buf[..., 0::2])
+    np.copyto(real[..., my:], buf[..., 1::2][..., ::-1])
+    rfft(real, axis=-1, out=along_y)
+    along_y *= _twiddles(ny)[0]
+    re, im = along_y.real, along_y.imag
+    np.copyto(buf[..., :mx, :hy], re[..., 0::2, :])
+    np.copyto(buf[..., mx:, :hy], re[..., 1::2, :][..., ::-1, :])
+    np.negative(im[..., 0::2, ny - hy : 0 : -1], out=buf[..., :mx, hy:])
+    np.negative(im[..., 1::2, ny - hy : 0 : -1][..., ::-1, :], out=buf[..., mx:, hy:])
+    rfft(buf, axis=-2, out=along_x)
+    along_x *= _twiddles(nx)[0][:, None]
+    np.copyto(buf[..., :hx, :], along_x.real)
+    np.negative(along_x.imag[..., nx - hx : 0 : -1, :], out=buf[..., hx:, :])
+
+
+def _fft_inverse(buf: np.ndarray) -> None:
+    """The inverse of _fft_forward, its steps in reverse: per axis
+    Z = X[:h] - i (0, X[m:][::-1]), v = irfft(Z / twiddle), and the samples
+    put back in order. The axis -2 reorder writes the axis -1 spectrum."""
+    nx, ny = buf.shape[-2:]
+    real, along_y, along_x = _workspace(("fft", buf.shape), lambda: _fft_buffers(buf.shape))
+    mx, my = (nx + 1) // 2, (ny + 1) // 2
+    hx, hy = nx // 2 + 1, ny // 2 + 1
+    np.copyto(along_x.real, buf[..., :hx, :])
+    along_x.imag[..., 0, :] = 0.0
+    np.negative(buf[..., mx:, :][..., ::-1, :], out=along_x.imag[..., 1:, :])
+    along_x *= _twiddles(nx)[1][:, None]
+    irfft(along_x, n=nx, axis=-2, out=real)
+    re, im = along_y.real, along_y.imag
+    np.copyto(re[..., 0::2, :], real[..., :mx, :hy])
+    np.copyto(re[..., 1::2, :], real[..., mx:, :hy][..., ::-1, :])
+    im[..., 0] = 0.0
+    np.negative(real[..., :mx, my:][..., ::-1], out=im[..., 0::2, 1:])
+    np.negative(real[..., mx:, my:][..., ::-1, ::-1], out=im[..., 1::2, 1:])
+    along_y *= _twiddles(ny)[1]
+    irfft(along_y, n=ny, axis=-1, out=real)
+    np.copyto(buf[..., 0::2], real[..., :my])
+    np.copyto(buf[..., 1::2], real[..., my:][..., ::-1])
+
+
 def _forward(buf: np.ndarray) -> np.ndarray:
     """The DCT-II over the last two axes of the float64 array `buf`, written
-    over it; the result is `buf` itself (with overwrite_x scipy transforms
-    it where it lies)."""
+    over it; the result is `buf` itself."""
     nx, ny = buf.shape[-2:]
     if max(nx, ny) <= _MATMUL_MAX_CELLS:
         np.matmul(_dct_matrix(nx) @ buf, _dct_matrix(ny).T, out=buf)
     else:
-        dctn(buf, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
+        _fft_forward(buf)
     return buf
 
 
@@ -106,7 +225,7 @@ def _inverse(buf: np.ndarray) -> np.ndarray:
     if max(nx, ny) <= _MATMUL_MAX_CELLS:
         np.matmul(_dct_matrix(nx).T @ buf, _dct_matrix(ny), out=buf)
     else:
-        idctn(buf, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
+        _fft_inverse(buf)
     return buf
 
 
@@ -129,14 +248,18 @@ def solve_helmholtz(source: Field, kappa: float) -> Field:
 
 
 def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(I - dt Lap)^-1 values, the backward-Euler heat step, and its cosine
-    coefficients for the signals. The zero mode has eigenvalue 0, so the mean
-    (hence the mass) is kept exactly; every other mode is damped."""
+    """(I - dt Lap)^-1 values, the backward-Euler heat step, as a new array,
+    and its cosine coefficients for the signals, in a work array of the
+    calling thread that the next solve on the grid writes over. The zero
+    mode has eigenvalue 0, so the mean (hence the mass) is kept exactly;
+    every other mode is damped."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    denom = dt * _mode_eigenvalues(dom)
+    denom = np.multiply(_mode_eigenvalues(dom), dt, out=_work_array("implicit-denominators", values.shape))
     denom += 1.0
-    coeffs = _forward(values.copy())
+    coeffs = _work_array("implicit-coefficients", values.shape)
+    np.copyto(coeffs, values)
+    _forward(coeffs)
     coeffs /= denom
     return _inverse(coeffs.copy()), coeffs
 

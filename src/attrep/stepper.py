@@ -43,7 +43,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
-from .elliptic import _drift_potential, _implicit_solve
+from .elliptic import _drift_potential, _implicit_solve, _work_array
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate, require_finite
 from .model import DomainSpec, ModelParams
@@ -210,8 +210,10 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
     imex = cfg.scheme == "imex-diffusion"
     # u + dt * div(F), in the divergence buffer, which holds the flux donors
     # first; the fluxes overwrite the speeds and go before the transforms,
-    # the caller's list emptied too.
-    update = np.empty(dom.cells)
+    # the caller's list emptied too. The explicit update is the new density;
+    # the IMEX one is kept per thread (elliptic._workspace), as its solve
+    # makes the new density.
+    update = _work_array("imex-update", dom.cells) if imex else np.empty(dom.cells)
     _flux_divergence(*_fluxes(u.values, speeds, dom.h, not imex, update), dom, update)
     speeds.clear()
     update *= dt

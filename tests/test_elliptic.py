@@ -1,6 +1,9 @@
 """Spectral Helmholtz solves, implicit diffusion, and signal production."""
 
 import math
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -170,8 +173,13 @@ class TestSolveHelmholtz:
             solve_helmholtz(Field(values, unit_square_16), 1.0)
 
 
-# Grids on both sides of the matrix-product cutoff of 64 cells an axis.
-TRANSFORM_GRIDS = [(16, 16), (48, 24), (64, 64), (65, 64), (128, 16)]
+# Grids on both sides of the matrix-product cutoff of 64 cells an axis; past
+# it, even and odd axes for the rfft pair.
+TRANSFORM_GRIDS = [(16, 16), (48, 24), (64, 64), (65, 64), (128, 16), (100, 73), (129, 130), (257, 66)]
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
 
 
 def transform_tol(*sides):
@@ -183,13 +191,13 @@ def transform_tol(*sides):
 
 class TestTransformPair:
     """_forward and _inverse, the module's one cosine-transform pair, against
-    scipy.fft with norm="ortho"."""
+    scipy.fft with norm="ortho" (a test-only oracle)."""
 
-    @pytest.mark.parametrize("cells", TRANSFORM_GRIDS, ids=lambda c: f"{c[0]}x{c[1]}")
+    @pytest.mark.parametrize("cells", [*TRANSFORM_GRIDS, (2, 130, 129)], ids=shape_id)
     def test_matches_scipy_and_round_trips(self, rng, cells):
         for x in (rng.uniform(0.0, 2.0, cells), rng.uniform(-1.0, 1.0, cells), np.full(cells, 0.7)):
             for transform, reference in ((_forward, dctn), (_inverse, idctn)):
-                want = reference(x, type=2, norm="ortho")
+                want = reference(x, type=2, norm="ortho", axes=(-2, -1))
                 buf = x.copy()
                 assert transform(buf) is buf
                 np.testing.assert_allclose(buf, want, rtol=0.0, atol=transform_tol(x, want))
@@ -198,7 +206,7 @@ class TestTransformPair:
             signal = _inverse(x.copy())
             np.testing.assert_allclose(_forward(signal.copy()), x, rtol=0.0, atol=transform_tol(x, signal))
 
-    @pytest.mark.parametrize("cells", TRANSFORM_GRIDS, ids=lambda c: f"{c[0]}x{c[1]}")
+    @pytest.mark.parametrize("cells", TRANSFORM_GRIDS, ids=shape_id)
     def test_stack_slices_match_single_fields(self, rng, cells):
         # v's and w's sources are transformed as one stack: each slice must
         # have the bits of its own transform.
@@ -208,6 +216,55 @@ class TestTransformPair:
             got = transform(stack.copy())
             assert [field.tobytes() for field in got] == want
             assert transform(stack[:1].copy())[0].tobytes() == want[0]
+
+    def test_other_shapes_between_leave_bits(self, rng):
+        # The rfft pair keeps its work arrays per shape: transforms of other
+        # shapes in between, the stack of the same grid among them, change no
+        # bit of a result.
+        field = rng.uniform(-1.0, 1.0, (97, 71))
+        others = [rng.uniform(-1.0, 1.0, shape) for shape in ((2, 97, 71), (71, 97), (130, 66))]
+        for transform in (_forward, _inverse):
+            want = transform(field.copy()).tobytes()
+            for other in others:
+                transform(other)
+            assert transform(field.copy()).tobytes() == want
+
+    def test_threads_match_serial_bits(self, rng):
+        # Each thread has its own work arrays: more threads than cores, with
+        # a short switch interval, each transforming same-shape fields, give
+        # the bits of the serial transforms.
+        fields = [rng.uniform(-1.0, 1.0, (100, 73)) for _ in range(4)]
+        want = [(_forward(f.copy()).tobytes(), _inverse(f.copy()).tobytes()) for f in fields]
+        got = [[] for _ in fields]
+
+        def work(i):
+            for _ in range(20):
+                got[i].append((_forward(fields[i].copy()).tobytes(), _inverse(fields[i].copy()).tobytes()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[pair] * 20 for pair in want]
+
+    def test_warm_pair_allocates_no_field(self, rng):
+        # Once its work arrays exist, the rfft pair writes through them.
+        field = rng.uniform(-1.0, 1.0, (256, 256))
+        _inverse(_forward(field))
+        tracemalloc.start()
+        try:
+            _inverse(_forward(field))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < field.nbytes
 
 
 class TestImplicitDiffusion:

@@ -1,5 +1,10 @@
 """The package's public names, pinned so that adding or removing one shows
-up as a diff of this test."""
+up as a diff of this test, and its runtime imports."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import attrep
 
@@ -47,3 +52,29 @@ def test_public_names_pinned():
     assert sorted(attrep.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(attrep, name), name
+
+
+# Imports the package and its CLI, then steps a grid past the matrix-product
+# cutoff under both schemes and reads its signals.
+_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+import attrep, attrep.cli
+from attrep import DomainSpec, Field, ModelParams, StepperConfig, initial_state, solve_signals, step
+dom = DomainSpec((1.0, 1.0), (72, 72))
+params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
+u = Field(1.0 + np.random.default_rng(0).uniform(size=dom.cells), dom)
+for scheme in ("explicit-upwind", "imex-diffusion"):
+    solve_signals(step(initial_state(u, params), params, StepperConfig(scheme=scheme)).u, params)
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_runs_without_scipy():
+    # scipy is a test oracle only; a fresh interpreter never loads it.
+    src = Path(attrep.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -637,8 +637,8 @@ UNREADABLE = {
     "negative-signal": (negative_signal_state, NEGATIVE_READ_PARAMS, "signal w violates the maximum principle"),
 }
 
-# One grid for each transform backend: matrix products up to 64 a side, scipy
-# above.
+# One grid for each transform backend: matrix products up to 64 a side, the
+# rfft pair above.
 BUDGET_GRIDS = (16, 72)
 
 # (beta, delta, rho, dip): each way _drift_potential forms phi's coefficients,
