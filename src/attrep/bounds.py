@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, EtaOutOfRange, RhoNotSublinear
 from .grid import _grad_sum
-from .model import DomainSpec, ModelParams
+from .model import DomainSpec, ModelParams, critical_mass
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 
@@ -173,22 +173,6 @@ def combine_bounds(c1: float, c_tilde: float, m: float, p: float, c_star: float)
     m = _require("m", m)
     cbar = c1 + c_tilde * _pow(m, p + 1.0)
     return cbar, c_star + cbar
-
-
-def critical_mass(chi: float, alpha: float, xi: float, gamma: float) -> float | None:
-    """4 pi / (chi alpha - xi gamma) when attraction wins, else None.
-
-    The threshold is meaningful for linear production in two dimensions;
-    the arithmetic itself needs only the coefficient products.
-    """
-    chi = _require("chi", chi)
-    alpha = _require("alpha", alpha)
-    xi = _require("xi", xi)
-    gamma = _require("gamma", gamma)
-    balance = chi * alpha - xi * gamma
-    if balance <= 0.0:
-        return None
-    return 4.0 * math.pi / balance
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,11 @@ form of Makhoul (A fast cosine transform in one and two dimensions, IEEE
 TASSP 28, 1980): the samples reordered (even ones, then odd ones reversed),
 one rfft, a twiddle e^{-i pi k / 2N} per mode, and the real DCT read off as
 X[k] = Re Z[k], X[N - k] = -Im Z[k]. The inverse runs the same steps
-backwards with irfft. Their work arrays are kept per thread and per shape
-(_workspace), so a warm transform allocates no whole-field array.
+backwards with irfft. Every reusable whole-field buffer of a step is a work
+array that the calling thread keeps per shape (_workspace), so a warm rfft
+pair allocates none and a warm step only what it returns (README,
+Performance). None is held across a call out of the step, so a callback may
+step, sample or solve on the same grid.
 """
 
 from __future__ import annotations
@@ -55,8 +58,10 @@ NEGATIVE_TOL = 1e-13
 _MATMUL_MAX_CELLS = 64
 
 # The work arrays one thread keeps (_workspace), by key. One grid takes at
-# most five: the transform buffers of a field and of a stack, and the
-# update, denominators and coefficients of an IMEX step.
+# most nine: the transform buffers of a field and of a stack; the update,
+# denominators and coefficients of an IMEX step; the face speeds of each
+# axis; the steady-state change of run; and the two parts of the beta = delta
+# drift source.
 _WORKSPACE_ARRAYS = 12
 
 
@@ -252,9 +257,7 @@ def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> tuple[np.
     and its cosine coefficients for the signals, in a work array of the
     calling thread that the next solve on the grid writes over. The zero
     mode has eigenvalue 0, so the mean (hence the mass) is kept exactly;
-    every other mode is damped."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    every other mode is damped. dt > 0 (checked by stepper.step)."""
     denom = np.multiply(_mode_eigenvalues(dom), dt, out=_work_array("implicit-denominators", values.shape))
     denom += 1.0
     coeffs = _work_array("implicit-coefficients", values.shape)
@@ -375,10 +378,7 @@ def _drift_potential(values, u_min: float, u_max: float, params: ModelParams, do
     _check_density(u_min, u_max, params, dom)
     chi, xi = params.chi, params.xi
     if coeffs is None and params.beta == params.delta:
-        # The two parts in a stack, freed here: with one whole-field
-        # temporary instead, glibc trimmed and refaulted the heap of a 256^2
-        # step (README, Performance).
-        attraction, repulsion = np.empty((2, *values.shape))
+        attraction, repulsion = _work_array("drift-parts", (2, *values.shape))
         _production(values, u_min, params.rho, chi * params.alpha, out=attraction)
         phi_hat = np.subtract(attraction, np.multiply(values, xi * params.gamma, out=repulsion))
         _forward(phi_hat)

@@ -25,14 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     NegativeAmplitude,
     NonPositiveCoefficient,
     RhoOutOfRange,
     ZeroField,
 )
 
-# Relative tolerance on |m * (chi*alpha - xi*gamma) - 4*pi| for the knife-edge
-# critical-mass classification.
+# Relative tolerance on |m - critical_mass| for the knife-edge critical-mass
+# classification.
 CRITICAL_MASS_RTOL = 1e-9
 
 
@@ -224,6 +225,22 @@ class RegimeResult:
     theorem_applies: bool
 
 
+def critical_mass(chi: float, alpha: float, xi: float, gamma: float) -> float | None:
+    """4 pi / (chi alpha - xi gamma) when attraction wins, else None.
+
+    The coefficients range as in ModelParams (else DomainError). The
+    threshold is meaningful for linear production in two dimensions; the
+    arithmetic itself needs only the coefficient products.
+    """
+    chi, alpha, xi, gamma = map(float, (chi, alpha, xi, gamma))
+    if not (all(0.0 <= s < math.inf for s in (chi, xi)) and all(0.0 < c < math.inf for c in (alpha, gamma))):
+        raise DomainError(f"need finite chi, xi >= 0 and alpha, gamma > 0, got {chi=}, {alpha=}, {xi=}, {gamma=}")
+    balance = chi * alpha - xi * gamma
+    if balance <= 0.0:
+        return None
+    return 4.0 * math.pi / balance
+
+
 def classify_regime(params: ModelParams, mass: float) -> RegimeResult:
     """Classify (params, mass) into exactly one regime.
 
@@ -238,19 +255,14 @@ def classify_regime(params: ModelParams, mass: float) -> RegimeResult:
     if params.rho < 1.0:
         return RegimeResult(Regime.SUBLINEAR_GLOBAL, None, True)
 
-    balance = params.chi * params.alpha - params.xi * params.gamma
-    if balance < 0.0:
+    if params.chi * params.alpha < params.xi * params.gamma:
         return RegimeResult(Regime.REPULSION_DOMINANT, None, False)
-    if balance == 0.0:
+    crit = critical_mass(params.chi, params.alpha, params.xi, params.gamma)
+    if crit is None or params.dim != 2:
         # Exactly balanced attraction and repulsion sits outside the taxonomy.
         return RegimeResult(Regime.INDETERMINATE, None, False)
-    if params.dim != 2:
-        return RegimeResult(Regime.INDETERMINATE, None, False)
-
-    four_pi = 4.0 * math.pi
-    crit = four_pi / balance
-    if abs(mass * balance - four_pi) <= CRITICAL_MASS_RTOL * four_pi:
+    if abs(mass - crit) <= CRITICAL_MASS_RTOL * crit:
         return RegimeResult(Regime.CRITICAL_MASS, crit, False)
-    if mass * balance < four_pi:
+    if mass < crit:
         return RegimeResult(Regime.SUBCRITICAL_MASS, crit, False)
     return RegimeResult(Regime.SUPERCRITICAL_MASS, crit, False)

@@ -26,11 +26,12 @@ initial_state and step end with the one inverse transform that makes it
 (elliptic._drift_potential), after at most one forward transform: 2
 transforms an explicit step; the IMEX step adds the 2 of its diffusion
 solve, whose coefficients of u it hands over, so 4, or 3 at rho = 1. run
-builds the face speeds V from the state's phi, in buffers it keeps, and
-hands them to stable_dt and step. A state records the params its phi was
-built with; stable_dt, step and run handed other params form phi anew from
-u under theirs, so a state can be stepped under any params. v and w are a
-read of u (elliptic.solve_signals, diagnostics.sample), checked there.
+builds the face speeds V from the state's phi once a step, in work arrays
+of the thread like every reusable buffer of a step (elliptic._workspace),
+and hands them to stable_dt and step. A state records the params its phi
+was built with; stable_dt, step and run handed other params form phi anew
+from u under theirs, so a state can be stepped under any params. v and w
+are a read of u (elliptic.solve_signals, diagnostics.sample), checked there.
 """
 
 from __future__ import annotations
@@ -130,10 +131,13 @@ def _phi(state: SimState, params: ModelParams) -> np.ndarray:
 _FACES = ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:]))
 
 
-def _face_speeds(phi: np.ndarray, h: float, out=(None, None)) -> list[np.ndarray]:
+def _face_speeds(phi: np.ndarray, h: float) -> list[np.ndarray]:
     """The face drift V = (phi_R - phi_L)/h on the interior faces of each
-    axis, written into the arrays of `out` (new ones when omitted)."""
-    speeds = [np.subtract(phi[right], phi[left], out=o) for (left, right), o in zip(_FACES, out)]
+    axis, in work arrays of the calling thread (elliptic._workspace) that the
+    next build on a grid of the same shape writes over."""
+    speeds = [
+        np.subtract(phi[right], phi[left], out=_work_array("face-speeds", phi[right].shape)) for left, right in _FACES
+    ]
     for speed in speeds:
         speed /= h
     return speeds
@@ -193,14 +197,16 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
 
 
 def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None, *, speeds=None) -> SimState:
-    """Advance one step of size dt (stable_dt when omitted) with the drift
-    under params, then form the drift of the new density. One min and
-    one max of the new density carry its checks: NaN/Inf raises
-    NonFiniteState (SolverDiverged when only the implicit diffusion solve
-    lost finiteness), a dip below -1e-13 max raises NegativeDensity; the new
-    state carries the pair, which also bounds the signal sources
-    (SolverDiverged). `speeds` as for stable_dt: step writes the fluxes into
-    them and empties the list."""
+    """Advance one step of size dt (stable_dt when omitted, else checked:
+    0 < dt < inf or ValueError) with the drift under params, then form the
+    drift of the new density. One min and one max of the new density carry
+    its checks: NaN/Inf raises NonFiniteState (SolverDiverged when only the
+    implicit diffusion solve lost finiteness), a dip below -1e-13 max raises
+    NegativeDensity; the new state carries the pair, which also bounds the
+    signal sources (SolverDiverged). `speeds` as for stable_dt: step writes
+    the fluxes into them and empties the list."""
+    if dt is not None and not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must satisfy 0 < dt < inf, got {dt}")
     u = state.u
     dom = u.domain
     if speeds is None:
@@ -246,7 +252,9 @@ class RunResult:
 
     @property
     def mass_drift(self) -> float:
-        return abs(self.mass_final - self.mass_initial) / self.mass_initial
+        """|mass_final - mass_initial|, relative unless mass_initial is 0."""
+        drift = abs(self.mass_final - self.mass_initial)
+        return drift / self.mass_initial if self.mass_initial else drift
 
 
 def run(
@@ -300,11 +308,6 @@ def run(
     if on_state is not None:
         on_state(state)
     status = Status.RUNNING
-    # Buffers over the run for the face speeds and for max|u' - u|: fresh
-    # whole-field temporaries, freed each step, can make glibc hand their
-    # pages back and fault them in again (README, Performance).
-    faces = [np.empty(state.phi[right].shape) for _, right in _FACES]
-    work = np.empty(state.u.domain.cells)
     while True:
         if state.t >= t_end:
             status = Status.COMPLETED
@@ -317,7 +320,7 @@ def run(
                 records.append(sample(state, params, diagnostics.ps, bounds=diagnostics.bounds))
                 last_sampled = state.step
             # One build of the face speeds serves stable_dt and then step.
-            speeds = _face_speeds(_phi(state, params), h, faces)
+            speeds = _face_speeds(_phi(state, params), h)
             dt = stable_dt(state, params, cfg, speeds=speeds)
             if dt <= cfg.dt_min:
                 status = Status.BLOWUP_SUSPECTED
@@ -332,7 +335,7 @@ def run(
             min_ratio = min(min_ratio, new_state.u_min / new_state.u_max)
         if on_state is not None:
             on_state(new_state)
-        diff = np.subtract(new_state.u.values, state.u.values, out=work)
+        diff = np.subtract(new_state.u.values, state.u.values, out=_work_array("steady-change", state.u.domain.cells))
         change = float(np.abs(diff, out=diff).max())
         scale = max(state.u_max, -state.u_min)
         state = new_state

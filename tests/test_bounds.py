@@ -195,6 +195,33 @@ class TestCriticalMass:
         assert a == b
 
 
+class TestCriticalMassSensitivities:
+    """chi and xi range as in ModelParams: zero switches a drift off."""
+
+    def test_no_repulsion(self):
+        assert critical_mass(2.0, 1.0, 0.0, 1.0) == 2.0 * math.pi
+
+    def test_no_attraction_gives_none(self):
+        assert critical_mass(0.0, 1.0, 1.0, 1.0) is None
+        assert critical_mass(0.0, 1.0, 0.0, 1.0) is None
+
+    @pytest.mark.parametrize(
+        "chi, alpha, xi, gamma",
+        [
+            (-1.0, 1.0, 0.0, 1.0),
+            (1.0, 1.0, -1e-300, 1.0),
+            (math.inf, 1.0, 0.0, 1.0),
+            (1.0, 1.0, math.nan, 1.0),
+            (1.0, 0.0, 0.0, 1.0),
+            (1.0, 1.0, 0.0, -1.0),
+            (1.0, math.inf, 0.0, 1.0),
+        ],
+    )
+    def test_out_of_range_rejected(self, chi, alpha, xi, gamma):
+        with pytest.raises(DomainError):
+            critical_mass(chi, alpha, xi, gamma)
+
+
 class TestAgainstOracle:
     """Random parameter tuples against the frozen high-precision oracle."""
 

@@ -295,10 +295,6 @@ class TestImplicitDiffusion:
         stepped, _ = _implicit_solve(field.values, 5e-3, dom)
         assert integrate(Field(stepped, dom)) == pytest.approx(integrate(field), rel=1e-13)
 
-    def test_requires_positive_dt(self, unit_square_16):
-        with pytest.raises(ValueError):
-            _implicit_solve(np.ones(unit_square_16.cells), 0.0, unit_square_16)
-
 
 class TestChemicalSources:
     """v's source alpha u^rho (the production kernel, given u's minimum) and

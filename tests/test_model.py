@@ -16,6 +16,7 @@ from attrep import (
     Regime,
     build_initial_data,
     classify_regime,
+    critical_mass,
 )
 from attrep.errors import (
     NegativeAmplitude,
@@ -256,6 +257,22 @@ class TestClassifyRegime:
         assert classify_regime(params, FOUR_PI * (1 + 1e-10)).regime is Regime.CRITICAL_MASS
         assert classify_regime(params, FOUR_PI * (1 + 1e-8)).regime is Regime.SUPERCRITICAL_MASS
         assert classify_regime(params, FOUR_PI * (1 - 1e-8)).regime is Regime.SUBCRITICAL_MASS
+
+    def test_no_repulsion_takes_critical_mass(self):
+        # xi = 0: the threshold is 4 pi / (chi alpha), as critical_mass gives.
+        params = params_with(rho=1.0, chi=2.0, xi=0.0)
+        assert classify_regime(params, 1.0).critical_mass == critical_mass(2.0, 1.0, 0.0, 1.0) == 2.0 * math.pi
+        assert classify_regime(params, 6.0).regime is Regime.SUBCRITICAL_MASS
+        assert classify_regime(params, 2.0 * math.pi).regime is Regime.CRITICAL_MASS
+        assert classify_regime(params, 7.0).regime is Regime.SUPERCRITICAL_MASS
+
+    def test_no_attraction(self):
+        # chi = 0: repulsion alone dominates, and with xi = 0 too nothing
+        # drifts, which sits outside the taxonomy.
+        assert classify_regime(params_with(rho=1.0, chi=0.0), 1.0).regime is Regime.REPULSION_DOMINANT
+        result = classify_regime(params_with(rho=1.0, chi=0.0, xi=0.0), 1.0)
+        assert result.regime is Regime.INDETERMINATE
+        assert result.critical_mass is None
 
     def test_balanced_coefficients_indeterminate(self):
         result = classify_regime(params_with(rho=1.0), mass=2.0)

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +261,14 @@ class TestStableDt:
 
 
 class TestStep:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan, math.inf])
+    def test_requires_positive_dt(self, scheme, dt):
+        # Checked once, before any work, for both schemes.
+        state, params, cfg = drift_case(scheme)
+        with pytest.raises(ValueError, match="dt must satisfy 0 < dt < inf"):
+            step(state, params, cfg, dt)
+
     def test_uniform_is_fixed_point_explicit(self):
         dom = DomainSpec((1.0, 1.0), (16, 16))
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.5, xi=0.5, rho=0.5)
@@ -813,6 +822,71 @@ class TestTransformBudget:
             assert len(count) == transforms
 
 
+def work_memory_case(n, scheme, delta):
+    dom = DomainSpec((1.0, 1.0), (n, n))
+    params = ModelParams(1.0, 1.0, 1.0, delta, chi=4.0, xi=0.5, rho=0.5)
+    return initial_state(bump_field(dom, width=0.08), params), params, StepperConfig(scheme=scheme)
+
+
+class TestStepWorkMemory:
+    """The per-thread store (elliptic._workspace) owns every reusable buffer
+    of the step, so a warm run allocates only the states it makes, and no
+    store array is live across on_state."""
+
+    @pytest.mark.parametrize("n", [48, 128, 256])
+    @pytest.mark.parametrize(
+        "scheme, delta, fields",
+        [
+            # Two states' u and phi, donor masks, and at 48^2 the matrix
+            # product's temporary.
+            ("explicit-upwind", 1.0, 6),
+            # The same, plus the (2, N, N) coefficient stack.
+            ("explicit-upwind", 0.7, 8),
+            ("imex-diffusion", 1.0, 8),
+            ("imex-diffusion", 0.7, 8),
+        ],
+    )
+    def test_warm_run_allocates_its_states(self, n, scheme, delta, fields):
+        state, params, cfg = work_memory_case(n, scheme, delta)
+        t_end = 2.5 * stable_dt(state, params, cfg)
+        run(state, params, cfg, t_end)
+        tracemalloc.start()
+        try:
+            result = run(state, params, cfg, t_end)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.steps == 3
+        assert peak <= fields * state.u.values.nbytes
+
+    @pytest.mark.parametrize("n", [48, 96], ids=["matmul", "rfft"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_on_state_may_use_the_grid(self, n, scheme):
+        # Between every two steps the callback steps another state of the
+        # grid under both schemes, runs it, samples it and reads its signals,
+        # then zeroes every store array, which no run may be holding.
+        state, params, cfg = work_memory_case(n, scheme, 0.7)
+        other = initial_state(bump_field(state.u.domain, width=0.2), params)
+        diagnostics = DiagnosticsConfig(ps=(2.0, 1.5), every=2)
+        t_end = 5.5 * stable_dt(state, params, cfg)
+
+        def busy(_):
+            for other_scheme in SCHEMES:
+                step(other, params, StepperConfig(scheme=other_scheme))
+            run(other, params, cfg, other.t + 1.5 * stable_dt(other, params, cfg))
+            sample(other, params, diagnostics.ps)
+            solve_signals(other.u, params)
+            for arrays in elliptic._WORKSPACES.arrays.values():
+                for array in arrays if isinstance(arrays, tuple) else (arrays,):
+                    array.fill(0.0)
+
+        want = run(state, params, cfg, t_end, diagnostics=diagnostics)
+        got = run(state, params, cfg, t_end, diagnostics=diagnostics, on_state=busy)
+        assert got.steps == want.steps == 6
+        assert_same_state(got.state, want.state)
+        assert repr(got.records) == repr(want.records)
+
+
 class TestRun:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_bits_match_manual_step_loop(self, scheme):
@@ -861,6 +935,15 @@ class TestRun:
         assert result.state.status is Status.STEADY_DETECTED
         assert result.steps == 1
         assert result.mass_drift == 0.0
+
+    def test_mass_drift_of_zero_mass_is_absolute(self):
+        dom = DomainSpec((1.0, 1.0), (8, 8))
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=0.5)
+        result = run(initial_state(Field.full(dom, 0.0), params), params, StepperConfig(), 0.01)
+        assert result.state.status is Status.COMPLETED
+        assert result.mass_initial == result.mass_final == 0.0
+        assert result.mass_drift == 0.0
+        assert replace(result, mass_final=1e-12).mass_drift == 1e-12
 
     def test_zero_horizon_completes_with_empty_series(self):
         dom = DomainSpec((1.0, 1.0), (16, 16))
