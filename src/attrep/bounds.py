@@ -46,15 +46,20 @@ def _require(name: str, value: float, *, above: float = 0.0) -> float:
     return value
 
 
+def _exp(t: float, floor: float = -_LOG_MAX) -> float:
+    """exp(t), saturating to inf above _LOG_MAX instead of raising, and to
+    0.0 below `floor`."""
+    if t > _LOG_MAX:
+        return math.inf
+    if t < floor:
+        return 0.0
+    return math.exp(t)
+
+
 def _pow(base: float, expo: float) -> float:
     """base**expo through exp(expo log base), saturating instead of raising."""
     base = _require("power base", base)
-    t = expo * math.log(base)
-    if t > _LOG_MAX:
-        return math.inf
-    if t < -_LOG_MAX:
-        return 0.0
-    return math.exp(t)
+    return _exp(expo * math.log(base))
 
 
 def interpolation_exponent(p: float, n: int) -> float:
@@ -88,12 +93,7 @@ def sublinear_production_bound(
     prefactor = alpha * chi * (p - 1.0) * (1.0 - rho) / (p + 1.0)
     base = ((p + 1.0) * gamma * xi) / ((p + rho) * 3.0 * alpha * chi)
     exponent = (p + rho) / (rho - 1.0)
-    log_c1 = math.log(prefactor) + exponent * math.log(base) + math.log(volume)
-    if log_c1 > _LOG_MAX:
-        return math.inf
-    if log_c1 < -_LOG_MAX:
-        return 0.0
-    return math.exp(log_c1)
+    return _exp(math.log(prefactor) + exponent * math.log(base) + math.log(volume))
 
 
 def _c_hat(p: float, gamma: float, xi: float, delta: float) -> float:
@@ -103,29 +103,20 @@ def _c_hat(p: float, gamma: float, xi: float, delta: float) -> float:
 
 
 def _interpolation_weight_k(p: float, gamma: float, c_hat: float) -> float:
-    """K such that the admissible weight solves sigma = eta K / (1 - 2 eta)."""
+    """K such that the admissible weight solves sigma = eta K / (1 - 2 eta);
+    only overflow saturates, as a subnormal K keeps eta below 1/2."""
     log_k = (p + 1.0) * math.log(gamma * (p + 1.0)) + math.log(c_hat) - (p + 1.0) * math.log(4.0) - math.log(p)
-    if log_k > _LOG_MAX:
-        return math.inf
-    return math.exp(log_k)
+    return _exp(log_k, floor=-math.inf)
 
 
 def ehrling_eta(p: float, gamma: float, xi: float, delta: float) -> float:
     """The interpolation weight eta = sigma / (K + 2 sigma) in (0, 1/2).
 
     This is the argument at which the Ehrling constant must be estimated
-    before ehrling_schedule can be assembled.
+    before ehrling_schedule can be assembled; it does not depend on that
+    constant.
     """
-    p = _require("p", p, above=1.0)
-    gamma = _require("gamma", gamma)
-    xi = _require("xi", xi)
-    delta = _require("delta", delta)
-    sigma = gamma * xi * (p - 1.0) / 3.0
-    k = _interpolation_weight_k(p, gamma, _c_hat(p, gamma, xi, delta))
-    eta = sigma / (k + 2.0 * sigma) if math.isfinite(k) else 0.0
-    if not (0.0 < eta < 0.5):
-        raise EtaOutOfRange(f"eta = {eta} fell outside (0, 1/2)")
-    return eta
+    return ehrling_schedule(p, gamma, xi, delta, 1.0).eta
 
 
 @dataclass(frozen=True)
@@ -141,16 +132,23 @@ def ehrling_schedule(p: float, gamma: float, xi: float, delta: float, c_e_estima
 
     sigma = gamma xi (p-1)/3 splits the repulsion coupling; c_hat is the
     Young remainder of the delta w term; eta solves
-    sigma = eta/(1 - 2 eta) * K and always lands in (0, 1/2); c_tilde
-    combines them with the supplied Ehrling constant evaluated at that eta:
+    sigma = eta/(1 - 2 eta) * K and always lands in (0, 1/2), else
+    EtaOutOfRange; c_tilde combines them with the supplied Ehrling constant
+    evaluated at that eta:
 
         c_tilde = (gamma/delta)^{p+1} (c_hat + 2 sigma / K) c_E(eta)
     """
     c_e_estimate = _require("c_E estimate", c_e_estimate)
+    p = _require("p", p, above=1.0)
+    gamma = _require("gamma", gamma)
+    xi = _require("xi", xi)
+    delta = _require("delta", delta)
     sigma = gamma * xi * (p - 1.0) / 3.0
-    eta = ehrling_eta(p, gamma, xi, delta)
     c_hat = _c_hat(p, gamma, xi, delta)
     k = _interpolation_weight_k(p, gamma, c_hat)
+    eta = sigma / (k + 2.0 * sigma) if math.isfinite(k) else 0.0
+    if not (0.0 < eta < 0.5):
+        raise EtaOutOfRange(f"eta = {eta} fell outside (0, 1/2)")
     c_tilde = _pow(gamma / delta, p + 1.0) * (c_hat + 2.0 * sigma / k) * c_e_estimate
     return EhrlingSchedule(sigma=sigma, c_hat=c_hat, eta=eta, c_tilde=c_tilde)
 
@@ -336,18 +334,20 @@ def compute_bounds(
 
     theta = interpolation_exponent(p, n)
     c1 = sublinear_production_bound(p, params.rho, params.alpha, params.chi, params.gamma, params.xi, dom.volume)
-    eta = ehrling_eta(p, params.gamma, params.xi, params.delta)
+    # The schedule at c_E = 1 gives the eta to estimate c_E at; c_E is c_tilde's
+    # last factor, so scaling by it gives the bits of the schedule built with it.
+    schedule = ehrling_schedule(p, params.gamma, params.xi, params.delta, 1.0)
     if ce is None and n != 2:
         raise DomainError("Ehrling estimation needs a 2D domain; supply ce for other n")
     if cgn is None and n != 2:
         raise DomainError("GN estimation needs a 2D domain; supply cgn for other n")
     if ce is None or cgn is None:
-        est_gn, est_e = _family_maxima(dom, p, eta if ce is None else None, cgn is None)
+        est_gn, est_e = _family_maxima(dom, p, schedule.eta if ce is None else None, cgn is None)
         ce = est_e if ce is None else ce
         cgn = est_gn if cgn is None else cgn
-    schedule = ehrling_schedule(p, params.gamma, params.xi, params.delta, ce)
+    c_tilde = schedule.c_tilde * _require("c_E estimate", ce)
     c_star = gn_absorption_constant(p, n, m, cgn)
-    cbar, total = combine_bounds(c1, schedule.c_tilde, m, p, c_star)
+    cbar, total = combine_bounds(c1, c_tilde, m, p, c_star)
     crit = critical_mass(params.chi, params.alpha, params.xi, params.gamma)
     return BoundsReport(
         p=p,
@@ -358,7 +358,7 @@ def compute_bounds(
         sigma=schedule.sigma,
         c_hat=schedule.c_hat,
         eta=schedule.eta,
-        c_tilde=schedule.c_tilde,
+        c_tilde=c_tilde,
         cbar=cbar,
         c_star=c_star,
         c_star_total=total,

@@ -73,8 +73,9 @@ def _require_2d(cfg: ExperimentConfig) -> None:
 
 def _run_experiment(cfg: ExperimentConfig, u0: Field, mass: float, out: Path) -> RunResult:
     """Run cfg from the initial density u0 of the given mass and write the
-    simulate output set into out: diagnostics.csv and .svg, the u, v and w
-    final fields, density snapshots (after deleting an earlier run's) and summary.json.
+    simulate output set into out: diagnostics.csv, diagnostics.svg when
+    there are records, the u, v and w final fields, density snapshots and
+    summary.json. An earlier run's plot and snapshots are deleted first.
     Everything that can reject the config runs before out is created."""
     state = initial_state(u0, cfg.params)
 
@@ -89,6 +90,7 @@ def _run_experiment(cfg: ExperimentConfig, u0: Field, mass: float, out: Path) ->
     out.mkdir(parents=True, exist_ok=True)
     for stale in out.glob("u_" + "[0-9]" * 8 + ".csv"):
         stale.unlink()
+    (out / "diagnostics.svg").unlink(missing_ok=True)
 
     on_state = None
     if cfg.snapshot_every > 0:

@@ -7,11 +7,12 @@ denominator positive, no zero-mode special case is needed, and the residual
 sits at rounding level.
 
 The step needs only the drift phi = chi v - xi w, which _drift_potential
-forms from the density with one forward transform (none when the IMEX step
-hands over u's coefficients) and one inverse: when beta = delta as the solve
-of the one source chi alpha u^rho - xi gamma u, and otherwise from both
-signals' coefficients, transformed as one stack (at rho = 1 as multiples of
-u's). Reading v and w (_signals, behind solve_signals and
+forms from the density with one forward transform and one inverse: when
+beta = delta as the solve of the one source chi alpha u^rho - xi gamma u,
+and otherwise from both signals' coefficients, transformed as one stack
+(_signal_coefficients). At rho = 1 the coefficients of u that the IMEX step
+hands over replace the forward transform; that is the one case where they
+save one. Reading v and w (_signals, behind solve_signals and
 diagnostics.sample) costs one forward and one inverse transform of the
 stack.
 
@@ -60,8 +61,8 @@ _MATMUL_MAX_CELLS = 64
 # The work arrays one thread keeps (_workspace), by key. One grid takes at
 # most nine: the transform buffers of a field and of a stack; the update,
 # denominators and coefficients of an IMEX step; the face speeds of each
-# axis; the steady-state change of run; and the two parts of the beta = delta
-# drift source.
+# axis; the steady-state change of run; and the two parts of the drift's
+# coefficients (beta = delta, or the IMEX step's at rho = 1).
 _WORKSPACE_ARRAYS = 12
 
 
@@ -308,32 +309,15 @@ def _check_density(u_min: float, u_max: float, params: ModelParams, dom: DomainS
             )
 
 
-def _signal_coefficients(values, u_min: float, params: ModelParams, dom: DomainSpec, coeffs=None) -> np.ndarray:
+def _signal_coefficients(values, u_min: float, params: ModelParams, dom: DomainSpec) -> np.ndarray:
     """The cosine coefficients of v and w, stacked (2, Nx, Ny), for a
-    density that passed _check_density.
-
-    Both sources are written into their slots of the stack and transformed
-    there in one call. Given the cosine coefficients of `values`, w's source
-    gamma u is scaled in cosine space and only v's is transformed; at rho = 1
-    with no dip to clamp, alpha u is scaled too, so one forward transform of
-    u serves both. Exact for unit alpha and gamma.
-    """
+    density that passed _check_density: both sources are written into their
+    slots of the stack and transformed there in one call."""
     stack = np.empty((2, *values.shape))
     v_hat, w_hat = stack
-    if params.rho == 1.0 and u_min >= 0.0:
-        if coeffs is None:
-            # u's coefficients, in w's slot until v's are taken from them.
-            np.copyto(w_hat, values)
-            coeffs = _forward(w_hat)
-        np.multiply(coeffs, params.alpha, out=v_hat)
-        np.multiply(coeffs, params.gamma, out=w_hat)
-    elif coeffs is None:
-        _production(values, u_min, params.rho, params.alpha, out=v_hat)
-        np.multiply(values, params.gamma, out=w_hat)
-        _forward(stack)
-    else:
-        _forward(_production(values, u_min, params.rho, params.alpha, out=v_hat))
-        np.multiply(coeffs, params.gamma, out=w_hat)
+    _production(values, u_min, params.rho, params.alpha, out=v_hat)
+    np.multiply(values, params.gamma, out=w_hat)
+    _forward(stack)
     v_hat /= _screened_denominators(dom, params.beta)
     w_hat /= _screened_denominators(dom, params.delta)
     return stack
@@ -366,25 +350,34 @@ def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: Domai
 def _drift_potential(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec, coeffs=None) -> np.ndarray:
     """phi = chi v - xi w, the drift potential of a finite density with
     extrema u_min and u_max, from its cosine coefficients with one inverse
-    transform (checks: _check_density). Given the cosine coefficients of
-    `values` (the IMEX step's), they are reused.
+    transform (checks: _check_density). `coeffs`, the cosine coefficients of
+    `values` that the IMEX step hands over, are read, never written.
 
-    phi's coefficients are formed in one of two ways:
-    - beta = delta, without coefficients: DCT(chi alpha u^rho - xi gamma u) / (beta + lambda),
-      one forward transform;
-    - otherwise chi v_hat - xi w_hat from _signal_coefficients, which
-      transforms at most once.
+    phi's coefficients are formed in one of three ways:
+    - given coeffs at rho = 1 with no dip to clamp, the one case where they
+      save a transform: the two signals' as multiples of them;
+    - beta = delta: DCT(chi alpha u^rho - xi gamma u) / (beta + lambda), one forward transform;
+    - otherwise chi v_hat - xi w_hat from _signal_coefficients, one forward
+      transform of the stack.
     """
     _check_density(u_min, u_max, params, dom)
     chi, xi = params.chi, params.xi
-    if coeffs is None and params.beta == params.delta:
+    if coeffs is not None and params.rho == 1.0 and u_min >= 0.0:
+        repulsion = _work_array("drift-parts", (2, *values.shape))[1]
+        phi_hat = np.multiply(coeffs, params.alpha)
+        phi_hat /= _screened_denominators(dom, params.beta)
+        phi_hat *= chi
+        np.multiply(coeffs, params.gamma, out=repulsion)
+        repulsion /= _screened_denominators(dom, params.delta)
+        phi_hat -= np.multiply(repulsion, xi, out=repulsion)
+    elif params.beta == params.delta:
         attraction, repulsion = _work_array("drift-parts", (2, *values.shape))
         _production(values, u_min, params.rho, chi * params.alpha, out=attraction)
         phi_hat = np.subtract(attraction, np.multiply(values, xi * params.gamma, out=repulsion))
         _forward(phi_hat)
         phi_hat /= _screened_denominators(dom, params.beta)
     else:
-        v_hat, w_hat = _signal_coefficients(values, u_min, params, dom, coeffs)
+        v_hat, w_hat = _signal_coefficients(values, u_min, params, dom)
         phi_hat = np.multiply(v_hat, chi)
         phi_hat -= np.multiply(w_hat, xi, out=w_hat)
     return _inverse(phi_hat)

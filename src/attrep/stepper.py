@@ -25,13 +25,14 @@ potential phi. The transport reads the signals only through phi, so
 initial_state and step end with the one inverse transform that makes it
 (elliptic._drift_potential), after at most one forward transform: 2
 transforms an explicit step; the IMEX step adds the 2 of its diffusion
-solve, whose coefficients of u it hands over, so 4, or 3 at rho = 1. run
-builds the face speeds V from the state's phi once a step, in work arrays
-of the thread like every reusable buffer of a step (elliptic._workspace),
-and hands them to stable_dt and step. A state records the params its phi
-was built with; stable_dt, step and run handed other params form phi anew
-from u under theirs, so a state can be stepped under any params. v and w
-are a read of u (elliptic.solve_signals, diagnostics.sample), checked there.
+solve, so 4, or 3 at rho = 1, where the solve's coefficients of u replace
+the drift's forward transform. run builds the face speeds V from the
+state's phi once a step, in work arrays of the thread like every reusable
+buffer of a step (elliptic._workspace), and hands them to stable_dt and
+step. A state records the params its phi was built with; stable_dt, step
+and run handed other params form phi anew from u under theirs, so a state
+can be stepped under any params. v and w are a read of u
+(elliptic.solve_signals, diagnostics.sample), checked there.
 """
 
 from __future__ import annotations

@@ -385,6 +385,19 @@ class TestSimulate:
         assert (out_dir / "u_notes.csv").read_text() == "kept\n"
         assert (out_dir / "u_final.csv").exists()
 
+    def test_stale_plot_removed(self, tmp_path):
+        # A run with no records writes no plot and leaves none of an earlier
+        # run's beside its header-only diagnostics.csv.
+        cfg = write_config(tmp_path)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "diagnostics.svg").exists()
+        assert main(["simulate", cfg, "--out", str(out_dir), "--t-end", "0"]) == EXIT_OK
+        assert len((out_dir / "diagnostics.csv").read_text().splitlines()) == 1
+        assert not (out_dir / "diagnostics.svg").exists()
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "diagnostics.svg").exists()
+
     def test_t_end_zero_override(self, tmp_path):
         cfg = write_config(tmp_path)
         out_dir = tmp_path / "run"

@@ -447,14 +447,22 @@ class TestDriftInCosineSpace:
 
     def test_leaves_handed_coefficients(self, unit_square_16, unit_params, rng):
         # The IMEX step hands over u's cosine coefficients; they are read,
-        # not written, and serve as a forward transform of u would.
-        values = rng.uniform(0.0, 3.0, size=unit_square_16.cells)
-        extrema = float(values.min()), float(values.max())
-        coeffs = _forward(values.copy())
-        kept = coeffs.copy()
-        for rho in (0.5, 1.0):
-            params = replace(unit_params, rho=rho, chi=2.0, xi=0.5, delta=0.7)
-            phi = _drift_potential(values, *extrema, params, unit_square_16, coeffs)
-            assert coeffs.tobytes() == kept.tobytes()
-            want = _drift_potential(values, *extrema, params, unit_square_16)
-            np.testing.assert_allclose(phi, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+        # not written. At rho = 1 with no dip they serve as a forward
+        # transform of u would; elsewhere they would save no transform, and
+        # phi has the bits of the path without them.
+        for rho, dip in ((0.5, False), (1.0, False), (1.0, True)):
+            values = rng.uniform(0.0, 3.0, size=unit_square_16.cells)
+            if dip:
+                values[3, 7] = -1e-14
+            extrema = float(values.min()), float(values.max())
+            coeffs = _forward(values.copy())
+            kept = coeffs.copy()
+            for delta in (1.0, 0.7):
+                params = replace(unit_params, rho=rho, chi=2.0, xi=0.5, delta=delta)
+                phi = _drift_potential(values, *extrema, params, unit_square_16, coeffs)
+                assert coeffs.tobytes() == kept.tobytes()
+                want = _drift_potential(values, *extrema, params, unit_square_16)
+                if rho == 1.0 and not dip:
+                    np.testing.assert_allclose(phi, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+                else:
+                    assert phi.tobytes() == want.tobytes()

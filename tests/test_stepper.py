@@ -650,8 +650,9 @@ UNREADABLE = {
 # rfft pair above.
 BUDGET_GRIDS = (16, 72)
 
-# (beta, delta, rho, dip): each way _drift_potential forms phi's coefficients,
-# shared rate or both signals', at rho = 1 from u's too.
+# (beta, delta, rho, dip): each way _drift_potential forms phi's coefficients:
+# one source at a shared rate, both signals' as a stack, and under the IMEX
+# scheme at rho = 1 with no dip from the step's coefficients of u.
 DRIFT_CASES = {
     "shared-rate": (1.0, 1.0, 0.5, False),
     "two-rates": (1.0, 0.7, 0.5, False),
@@ -759,6 +760,15 @@ class TestCflPositivity:
         assert result.min_density_ratio >= -1e-13
 
 
+# (scheme, rho, transforms a step of run).
+RUN_BUDGETS = [
+    ("explicit-upwind", 0.5, 2),
+    ("explicit-upwind", 1.0, 2),
+    ("imex-diffusion", 0.5, 4),
+    ("imex-diffusion", 1.0, 3),
+]
+
+
 class TestTransformBudget:
     """Cosine transforms per step of run: one forward transform of phi's one
     source, or of both signals' sources as one stack, none when the IMEX
@@ -793,15 +803,7 @@ class TestTransformBudget:
             assert samples == (0 if every is None else 6)
             assert len(count) == transforms * result.steps + 2 * samples
 
-    @pytest.mark.parametrize(
-        "scheme, rho, transforms",
-        [
-            ("explicit-upwind", 0.5, 2),
-            ("explicit-upwind", 1.0, 2),
-            ("imex-diffusion", 0.5, 4),
-            ("imex-diffusion", 1.0, 3),
-        ],
-    )
+    @pytest.mark.parametrize("scheme, rho, transforms", RUN_BUDGETS)
     @pytest.mark.parametrize("every", [None, 1], ids=["no-diagnostics", "sample-every-step"])
     def test_run(self, count, scheme, rho, transforms, every):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=rho)
@@ -809,9 +811,11 @@ class TestTransformBudget:
 
     @pytest.mark.parametrize("every", [None, 1], ids=["no-diagnostics", "sample-every-step"])
     def test_run_with_two_rates(self, count, every):
-        # beta != delta: both sources transformed as one stack.
-        params = ModelParams(1.0, 1.0, 1.0, 0.7, chi=1.0, xi=0.5, rho=0.5)
-        self.check_run(count, params, "explicit-upwind", 2, every)
+        # beta != delta: both sources transformed as one stack, or under the
+        # IMEX scheme at rho = 1 scaled from the step's coefficients of u.
+        for scheme, rho, transforms in RUN_BUDGETS:
+            params = ModelParams(1.0, 1.0, 1.0, 0.7, chi=1.0, xi=0.5, rho=rho)
+            self.check_run(count, params, scheme, transforms, every)
 
     @pytest.mark.parametrize("rho, transforms", [(0.5, 2), (1.0, 2)])
     def test_solve_signals(self, count, rho, transforms):
@@ -840,9 +844,9 @@ class TestStepWorkMemory:
             # Two states' u and phi, donor masks, and at 48^2 the matrix
             # product's temporary.
             ("explicit-upwind", 1.0, 6),
+            ("imex-diffusion", 1.0, 6),
             # The same, plus the (2, N, N) coefficient stack.
             ("explicit-upwind", 0.7, 8),
-            ("imex-diffusion", 1.0, 8),
             ("imex-diffusion", 0.7, 8),
         ],
     )
