@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, EtaOutOfRange, RhoNotSublinear
 from .grid import _grad_sum
-from .model import DomainSpec, ModelParams, critical_mass
+from .model import DomainSpec, ModelParams, _gaussian, critical_mass
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 
@@ -201,10 +201,9 @@ def _test_family(dom: DomainSpec) -> Iterator[tuple[np.ndarray, float, float]]:
             yield _member(np.cos(np.pi * k * xn) * np.cos(np.pi * l * yn))
     scale = min(lx, ly)
     centers = [(0.5 * lx, 0.5 * ly), (0.25 * lx, 0.25 * ly), (0.0, 0.0)]
-    for cx, cy in centers:
-        r2 = (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2
+    for center in centers:
         for width in (0.04, 0.08, 0.16, 0.32):
-            yield _member(np.exp(-r2 / (2.0 * (width * scale) ** 2)))
+            yield _member(_gaussian(dom, center, width * scale, 1.0))
 
 
 def _member(f: np.ndarray) -> tuple[np.ndarray, float, float]:

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .bounds import compute_bounds
@@ -141,16 +141,8 @@ def _run_experiment(cfg: ExperimentConfig, u0: Field, mass: float, out: Path) ->
         absorb = check_absorptive_bound(
             result.records, bounds.p, result.records[0].energies[bounds.p], bounds.c_star_total
         )
-        summary["energy_inequality"] = {
-            "n_pairs": ineq.n_pairs,
-            "n_ok": ineq.n_ok,
-            "fraction_ok": ineq.fraction_ok,
-        }
-        summary["absorptive"] = {
-            "max_energy": absorb.max_energy,
-            "bound": absorb.bound,
-            "max_ratio": absorb.max_ratio,
-        }
+        summary["energy_inequality"] = {**asdict(ineq), "fraction_ok": ineq.fraction_ok}
+        summary["absorptive"] = {**asdict(absorb), "max_ratio": absorb.max_ratio}
     with open(out / "summary.json", "w") as fh:
         json.dump(_json_safe(summary), fh, indent=2)
         fh.write("\n")
@@ -418,7 +410,7 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return cmd_classify(cfg)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (SimulationError, ValueError) as exc:
+    except (SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

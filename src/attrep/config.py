@@ -28,6 +28,32 @@ SWEEPABLE = (
 )
 
 
+# The keys of each block (README, Config schema), "" for the root. `initial`
+# takes the keys of all its kinds. A key outside its block's set is a typo,
+# which would otherwise leave its field at the default without a word.
+_KEYS = {
+    "": ("domain", "params", "initial", "stepper", "diagnostics", "outputs", "bounds", "sweep")
+    + ("t_end", "blowup_threshold", "steady_tol", "workers"),
+    "domain": ("lengths", "cells"),
+    "params": (*_COEFFS, "dim"),
+    "initial": ("kind", "amplitude", "center", "width", "mass", "bumps", "path"),
+    "stepper": ("scheme", "dt_max", "cfl_safety", "dt_min"),
+    "diagnostics": ("p", "sample_every"),
+    "outputs": ("directory", "snapshot_every"),
+    "bounds": ("p", "cgn", "ce"),
+    "sweep": ("axis", "values"),
+}
+
+
+def _known(obj: dict, path: str, keys: tuple) -> dict:
+    """obj, once every key in it is one of `keys`; else the first other key
+    fails, named by its dotted path."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+    return obj
+
+
 def _section(raw: dict, name: str, required: bool = True) -> dict:
     if name not in raw:
         if required:
@@ -36,7 +62,7 @@ def _section(raw: dict, name: str, required: bool = True) -> dict:
     value = raw[name]
     if not isinstance(value, dict):
         raise ConfigError(name, f"expected an object, got {type(value).__name__}")
-    return value
+    return _known(value, name, _KEYS[name])
 
 
 _REQUIRED = object()
@@ -166,6 +192,7 @@ def _parse_initial(raw: dict) -> InitialData:
             path = f"initial.bumps[{i}]"
             if not isinstance(b, dict):
                 raise ConfigError(path, "expected an object")
+            _known(b, path, ("center", "width", "amplitude"))
             center = _get(b, path, "center", _pair(number))
             bumps.append(BumpSpec(center, _get(b, path, "width", number), _get(b, path, "amplitude", number)))
         return InitialData(kind=kind, bumps=tuple(bumps), mass=mass)
@@ -191,6 +218,7 @@ def _parse_stepper(raw: dict) -> StepperConfig:
 def from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "top level must be a JSON object")
+    _known(raw, "", _KEYS[""])
     diag = _section(raw, "diagnostics", required=False)
     ps = diag.get("p", list(DiagnosticsConfig.ps))
     ps = ps if isinstance(ps, list) else [ps]
@@ -244,6 +272,8 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError("<file>", f"no such config file: {path}") from exc
+    except OSError as exc:
+        raise ConfigError("<file>", f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON in {path}: {exc}") from exc
     return from_dict(raw)

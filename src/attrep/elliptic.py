@@ -21,17 +21,18 @@ orthonormal DCT-II and its inverse over the last two axes of a field
 (Nx, Ny) or a stack (2, Nx, Ny), written over the given buffer. On a grid
 whose axes both have at most _MATMUL_MAX_CELLS cells the pair is two matrix
 products with cached cosine matrices, C X C'^T forward and C^T X C'
-inverse; at that size a product costs less than the per-line calls of an
-FFT. Larger grids take numpy's real FFT along each axis in turn, in the
-form of Makhoul (A fast cosine transform in one and two dimensions, IEEE
-TASSP 28, 1980): the samples reordered (even ones, then odd ones reversed),
-one rfft, a twiddle e^{-i pi k / 2N} per mode, and the real DCT read off as
-X[k] = Re Z[k], X[N - k] = -Im Z[k]. The inverse runs the same steps
-backwards with irfft. Every reusable whole-field buffer of a step is a work
-array that the calling thread keeps per shape (_workspace), so a warm rfft
-pair allocates none and a warm step only what it returns (README,
-Performance). None is held across a call out of the step, so a callback may
-step, sample or solve on the same grid.
+inverse, over the whole stack at once; at that size a product costs less
+than the per-line calls of an FFT. Larger grids take one field at a time (a
+stack is its two fields in turn) through numpy's real FFT along each axis,
+in the form of Makhoul (A fast cosine transform in one and two
+dimensions, IEEE TASSP 28, 1980): the samples reordered (even ones, then
+odd ones reversed), one rfft, a twiddle e^{-i pi k / 2N} per mode, and the
+real DCT read off as X[k] = Re Z[k], X[N - k] = -Im Z[k]. The inverse runs
+the same steps backwards with irfft. Every reusable whole-field buffer of a
+step is a work array that the calling thread keeps per shape (_workspace),
+so a warm rfft pair allocates none and a warm step only what it returns
+(README, Performance). None is held across a call out of the step, so a
+callback may step, sample or solve on the same grid.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ NEGATIVE_TOL = 1e-13
 _MATMUL_MAX_CELLS = 64
 
 # The work arrays one thread keeps (_workspace), by key. One grid takes at
-# most nine: the transform buffers of a field and of a stack; the update,
-# denominators and coefficients of an IMEX step; the face speeds of each
-# axis; the steady-state change of run; and the two parts of the drift's
-# coefficients (beta = delta, or the IMEX step's at rho = 1).
+# most eight, none of them a stack: the transform buffers of a field; the
+# update, denominators and coefficients of an IMEX step; the face speeds of
+# each axis; the steady-state change of run; and the work field of the
+# drift's coefficients (beta = delta, or the IMEX step's at rho = 1).
 _WORKSPACE_ARRAYS = 12
 
 
@@ -137,15 +138,14 @@ def _work_array(name: str, shape: tuple) -> np.ndarray:
     return _workspace((name, shape), lambda: np.empty(shape))
 
 
-def _fft_buffers(shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A real array of `shape` and one complex block seen as the half
-    spectra along each axis, (..., Nx, Ny//2 + 1) and (..., Nx//2 + 1, Ny):
-    the forward transform reads the first before it writes the second, and
-    the inverse the other way round."""
-    *lead, nx, ny = shape
-    along_y, along_x = (*lead, nx, ny // 2 + 1), (*lead, nx // 2 + 1, ny)
+def _fft_buffers(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A real (nx, ny) array and one complex block seen as the half spectra
+    along each axis, (nx, ny//2 + 1) and (nx//2 + 1, ny): the forward
+    transform reads the first before it writes the second, and the inverse
+    the other way round."""
+    along_y, along_x = (nx, ny // 2 + 1), (nx // 2 + 1, ny)
     block = np.empty(max(math.prod(along_y), math.prod(along_x)), dtype=complex)
-    return np.empty(shape), block[: math.prod(along_y)].reshape(along_y), block[: math.prod(along_x)].reshape(along_x)
+    return np.empty((nx, ny)), block[: math.prod(along_y)].reshape(along_y), block[: math.prod(along_x)].reshape(along_x)
 
 
 @lru_cache(maxsize=32)
@@ -164,64 +164,65 @@ def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fft_forward(buf: np.ndarray) -> None:
-    """The orthonormal DCT-II over the last two axes of `buf`, written over
-    it, by one rfft along each axis. Along an axis of n samples, with
+    """The orthonormal DCT-II of the (Nx, Ny) field `buf`, written over it,
+    by one rfft along each axis. Along an axis of n samples, with
     m = (n + 1)//2 even samples, h = n//2 + 1 modes and q = n - h:
     v = (x[0], x[2], ..., x[3], x[1]), Z = twiddle * rfft(v), and
-    X[:h] = Re Z, X[h:] = -Im Z[q:0:-1]. The split of the axis -1 spectrum
-    is written straight into the reorder of axis -2."""
-    nx, ny = buf.shape[-2:]
-    real, along_y, along_x = _workspace(("fft", buf.shape), lambda: _fft_buffers(buf.shape))
+    X[:h] = Re Z, X[h:] = -Im Z[q:0:-1]. The split of the axis 1 spectrum
+    is written straight into the reorder of axis 0."""
+    nx, ny = buf.shape
+    real, along_y, along_x = _workspace(("fft", buf.shape), lambda: _fft_buffers(nx, ny))
     mx, my = (nx + 1) // 2, (ny + 1) // 2
     hx, hy = nx // 2 + 1, ny // 2 + 1
-    np.copyto(real[..., :my], buf[..., 0::2])
-    np.copyto(real[..., my:], buf[..., 1::2][..., ::-1])
-    rfft(real, axis=-1, out=along_y)
+    np.copyto(real[:, :my], buf[:, 0::2])
+    np.copyto(real[:, my:], buf[:, 1::2][:, ::-1])
+    rfft(real, axis=1, out=along_y)
     along_y *= _twiddles(ny)[0]
     re, im = along_y.real, along_y.imag
-    np.copyto(buf[..., :mx, :hy], re[..., 0::2, :])
-    np.copyto(buf[..., mx:, :hy], re[..., 1::2, :][..., ::-1, :])
-    np.negative(im[..., 0::2, ny - hy : 0 : -1], out=buf[..., :mx, hy:])
-    np.negative(im[..., 1::2, ny - hy : 0 : -1][..., ::-1, :], out=buf[..., mx:, hy:])
-    rfft(buf, axis=-2, out=along_x)
+    np.copyto(buf[:mx, :hy], re[0::2])
+    np.copyto(buf[mx:, :hy], re[1::2][::-1])
+    np.negative(im[0::2, ny - hy : 0 : -1], out=buf[:mx, hy:])
+    np.negative(im[1::2, ny - hy : 0 : -1][::-1], out=buf[mx:, hy:])
+    rfft(buf, axis=0, out=along_x)
     along_x *= _twiddles(nx)[0][:, None]
-    np.copyto(buf[..., :hx, :], along_x.real)
-    np.negative(along_x.imag[..., nx - hx : 0 : -1, :], out=buf[..., hx:, :])
+    np.copyto(buf[:hx], along_x.real)
+    np.negative(along_x.imag[nx - hx : 0 : -1], out=buf[hx:])
 
 
 def _fft_inverse(buf: np.ndarray) -> None:
     """The inverse of _fft_forward, its steps in reverse: per axis
     Z = X[:h] - i (0, X[m:][::-1]), v = irfft(Z / twiddle), and the samples
-    put back in order. The axis -2 reorder writes the axis -1 spectrum."""
-    nx, ny = buf.shape[-2:]
-    real, along_y, along_x = _workspace(("fft", buf.shape), lambda: _fft_buffers(buf.shape))
+    put back in order. The axis 0 reorder writes the axis 1 spectrum."""
+    nx, ny = buf.shape
+    real, along_y, along_x = _workspace(("fft", buf.shape), lambda: _fft_buffers(nx, ny))
     mx, my = (nx + 1) // 2, (ny + 1) // 2
     hx, hy = nx // 2 + 1, ny // 2 + 1
-    np.copyto(along_x.real, buf[..., :hx, :])
-    along_x.imag[..., 0, :] = 0.0
-    np.negative(buf[..., mx:, :][..., ::-1, :], out=along_x.imag[..., 1:, :])
+    np.copyto(along_x.real, buf[:hx])
+    along_x.imag[0] = 0.0
+    np.negative(buf[mx:][::-1], out=along_x.imag[1:])
     along_x *= _twiddles(nx)[1][:, None]
-    irfft(along_x, n=nx, axis=-2, out=real)
+    irfft(along_x, n=nx, axis=0, out=real)
     re, im = along_y.real, along_y.imag
-    np.copyto(re[..., 0::2, :], real[..., :mx, :hy])
-    np.copyto(re[..., 1::2, :], real[..., mx:, :hy][..., ::-1, :])
-    im[..., 0] = 0.0
-    np.negative(real[..., :mx, my:][..., ::-1], out=im[..., 0::2, 1:])
-    np.negative(real[..., mx:, my:][..., ::-1, ::-1], out=im[..., 1::2, 1:])
+    np.copyto(re[0::2], real[:mx, :hy])
+    np.copyto(re[1::2], real[mx:, :hy][::-1])
+    im[:, 0] = 0.0
+    np.negative(real[:mx, my:][:, ::-1], out=im[0::2, 1:])
+    np.negative(real[mx:, my:][::-1, ::-1], out=im[1::2, 1:])
     along_y *= _twiddles(ny)[1]
-    irfft(along_y, n=ny, axis=-1, out=real)
-    np.copyto(buf[..., 0::2], real[..., :my])
-    np.copyto(buf[..., 1::2], real[..., my:][..., ::-1])
+    irfft(along_y, n=ny, axis=1, out=real)
+    np.copyto(buf[:, 0::2], real[:, :my])
+    np.copyto(buf[:, 1::2], real[:, my:][:, ::-1])
 
 
 def _forward(buf: np.ndarray) -> np.ndarray:
-    """The DCT-II over the last two axes of the float64 array `buf`, written
-    over it; the result is `buf` itself."""
+    """The DCT-II over the last two axes of the float64 field or stack `buf`,
+    written over it; the result is `buf` itself."""
     nx, ny = buf.shape[-2:]
     if max(nx, ny) <= _MATMUL_MAX_CELLS:
         np.matmul(_dct_matrix(nx) @ buf, _dct_matrix(ny).T, out=buf)
     else:
-        _fft_forward(buf)
+        for field in (buf,) if buf.ndim == 2 else buf:
+            _fft_forward(field)
     return buf
 
 
@@ -231,7 +232,8 @@ def _inverse(buf: np.ndarray) -> np.ndarray:
     if max(nx, ny) <= _MATMUL_MAX_CELLS:
         np.matmul(_dct_matrix(nx).T @ buf, _dct_matrix(ny), out=buf)
     else:
-        _fft_inverse(buf)
+        for field in (buf,) if buf.ndim == 2 else buf:
+            _fft_inverse(field)
     return buf
 
 
@@ -363,17 +365,16 @@ def _drift_potential(values, u_min: float, u_max: float, params: ModelParams, do
     _check_density(u_min, u_max, params, dom)
     chi, xi = params.chi, params.xi
     if coeffs is not None and params.rho == 1.0 and u_min >= 0.0:
-        repulsion = _work_array("drift-parts", (2, *values.shape))[1]
+        repulsion = np.multiply(coeffs, params.gamma, out=_work_array("drift-part", values.shape))
         phi_hat = np.multiply(coeffs, params.alpha)
         phi_hat /= _screened_denominators(dom, params.beta)
         phi_hat *= chi
-        np.multiply(coeffs, params.gamma, out=repulsion)
         repulsion /= _screened_denominators(dom, params.delta)
         phi_hat -= np.multiply(repulsion, xi, out=repulsion)
     elif params.beta == params.delta:
-        attraction, repulsion = _work_array("drift-parts", (2, *values.shape))
-        _production(values, u_min, params.rho, chi * params.alpha, out=attraction)
-        phi_hat = np.subtract(attraction, np.multiply(values, xi * params.gamma, out=repulsion))
+        # -r + a is exactly a - r: the bits of chi alpha u^rho - xi gamma u.
+        phi_hat = np.multiply(values, -(xi * params.gamma))
+        phi_hat += _production(values, u_min, params.rho, chi * params.alpha, out=_work_array("drift-part", values.shape))
         _forward(phi_hat)
         phi_hat /= _screened_denominators(dom, params.beta)
     else:

@@ -159,7 +159,9 @@ def _gaussian(dom: DomainSpec, center, width: float, amplitude: float) -> np.nda
     x, y = dom.cell_centers()
     cx, cy = center
     r2 = (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2
-    return amplitude * np.exp(-r2 / (2.0 * width**2))
+    values = np.exp(-r2 / (2.0 * width**2))
+    values *= amplitude
+    return values
 
 
 def build_initial_data(spec: InitialData, dom: DomainSpec):

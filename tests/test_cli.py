@@ -284,6 +284,44 @@ class TestSimulate:
         assert field in err and "expected a" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            # without the check each of these runs at its default with exit code 0
+            ({"stepper": {"shceme": "imex-diffusion"}}, "stepper.shceme"),
+            ({"diagnostics": {"every": 3}}, "diagnostics.every"),
+            ({"t_ned": 1.0}, "t_ned"),
+            (
+                {
+                    "initial": {
+                        "kind": "multi-bump",
+                        "bumps": [{"centre": [0.5, 0.5], "width": 0.1, "amplitude": 1.0}],
+                    }
+                },
+                "initial.bumps[0].centre",
+            ),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, **overrides)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        assert f"config field '{field}': unknown key" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_config_directory_is_an_error(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field '<file>': cannot read") and str(tmp_path) in err
+
+    def test_output_path_that_is_a_file_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main(["simulate", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "kept\n"
+
     def test_bounds_exponent_joins_sampled_exponents(self, tmp_path):
         cfg = write_config(tmp_path, bounds={"p": 1.5}, diagnostics={"p": [2.0]})
         out_dir = tmp_path / "run"

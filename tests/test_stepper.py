@@ -863,6 +863,23 @@ class TestStepWorkMemory:
         assert result.steps == 3
         assert peak <= fields * state.u.values.nbytes
 
+    @pytest.mark.parametrize("n", [48, 72], ids=["matmul", "rfft"])
+    def test_store_holds_each_buffer_once(self, n):
+        # Warm runs of both schemes, sampled every step, leave at most eight
+        # store arrays for the grid, and no (2, N, N) stack among them.
+        elliptic._WORKSPACES.arrays.clear()
+        diagnostics = DiagnosticsConfig(ps=(2.0, 1.5), every=1)
+        for scheme in SCHEMES:
+            state, params, cfg = work_memory_case(n, scheme, 1.0)
+            t_end = 2.5 * stable_dt(state, params, cfg)
+            for _ in range(2):
+                run(state, params, cfg, t_end, diagnostics=diagnostics)
+        store = elliptic._WORKSPACES.arrays
+        assert len(store) <= 8
+        for arrays in store.values():
+            for array in arrays if isinstance(arrays, tuple) else (arrays,):
+                assert array.ndim == 2
+
     @pytest.mark.parametrize("n", [48, 96], ids=["matmul", "rfft"])
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_on_state_may_use_the_grid(self, n, scheme):
