@@ -225,20 +225,35 @@ def _family_maxima(dom: DomainSpec, p: float, eta: float | None, gn: bool) -> tu
     the one drawn. Each member feeds the Ehrling requirement (when eta is
     given) and then the GN ratio (when gn is set) before the next member is
     drawn; a constant not asked for reads 0.0.
+
+    The constant member gives both ratios a positive finite value on any
+    domain whose norms stay in the float range. On one whose lengths are
+    too large or too small a norm overflows or a ratio's denominator
+    overflows or underflows, and this raises DomainError naming the lengths.
     """
     theta = interpolation_exponent(p, 2)
     h = dom.h
     best_gn = best_e = 0.0
-    for values, squares, grad in _test_family(dom):
-        if eta is not None:
-            low = _low_norm(values, dom, 2.0 / (p + 1.0))
-            best_e = max(best_e, (squares * h * h * (1.0 - eta) - eta * grad) / (low * low))
-        if gn:
-            low = _low_norm(values, dom, 2.0 / p)
-            denom = math.sqrt(grad) ** theta * low ** (1.0 - theta) + low
-            if denom > 0.0:
-                best_gn = max(best_gn, math.sqrt(squares * h * h) / denom)
+    try:
+        for values, squares, grad in _test_family(dom):
+            if eta is not None:
+                low = _low_norm(values, dom, 2.0 / (p + 1.0))
+                best_e = max(best_e, (squares * h * h * (1.0 - eta) - eta * grad) / (low * low))
+            if gn:
+                low = _low_norm(values, dom, 2.0 / p)
+                denom = math.sqrt(grad) ** theta * low ** (1.0 - theta) + low
+                if denom > 0.0:
+                    best_gn = max(best_gn, math.sqrt(squares * h * h) / denom)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _out_of_range(dom) from exc
+    asked = ([best_gn] if gn else []) + ([best_e] if eta is not None else [])
+    if not all(0.0 < best < math.inf for best in asked):
+        raise _out_of_range(dom)
     return best_gn, best_e
+
+
+def _out_of_range(dom: DomainSpec) -> DomainError:
+    return DomainError(f"test-family norms leave the float range on a domain of lengths {dom.lengths}")
 
 
 def estimate_gn_constant(dom: DomainSpec, p: float) -> float:

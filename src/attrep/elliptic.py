@@ -61,7 +61,7 @@ _MATMUL_MAX_CELLS = 64
 
 # The work arrays one thread keeps (_workspace), by key. One grid takes at
 # most eight, none of them a stack: the transform buffers of a field; the
-# update, denominators and coefficients of an IMEX step; the face speeds of
+# update, denominators and coefficients of an IMEX step; the face drops of
 # each axis; the steady-state change of run; and the work field of the
 # drift's coefficients (beta = delta, or the IMEX step's at rho = 1).
 _WORKSPACE_ARRAYS = 12

@@ -1,19 +1,24 @@
 """Conservative transport stepping for the density equation.
 
 The update is finite-volume in face-flux form. On each interior face between
-cells L and R (normal pointing L to R) the stored flux is
+cells L and R (normal pointing L to R) the flux is
 
     F = (u_R - u_L)/h - u_up * (phi_R - phi_L)/h
 
 with phi = chi v - xi w the drift potential and u_up the donor cell with
-respect to the physical face drift V = (phi_R - phi_L)/h: u_up = u_L when
-V > 0, else u_R. Boundary faces are exactly zero. One step is
+respect to the face drop D = phi_R - phi_L, h times the physical face drift:
+u_up = u_L when D > 0, else u_R. Boundary faces are exactly zero. One step is
 
     u' = u + dt * div(F)
 
 so mass conservation is structural (interior fluxes telescope, boundary
 fluxes vanish) and donor-cell upwinding keeps the update monotone under the
-CFL bound.
+CFL bound. The kernel works in h-scaled units. It stores hF = (u_R - u_L) -
+u_up D on each face, or for the IMEX scheme's transport, which has no
+diffusion, u_up D = -hF (the minus sign moves into the scale). It sums each
+cell's face differences without dividing by h and applies one scale:
+u' = u + ((dt/h)/h) * sum. A zero donor gives an exactly zero drift flux,
+so a cell at 0 takes no outflow.
 
 Two schemes: "explicit-upwind" treats everything explicitly and obeys both
 the diffusive and the advective dt bound; "imex-diffusion" advects explicitly
@@ -26,12 +31,12 @@ initial_state and step end with the one inverse transform that makes it
 (elliptic._drift_potential), after at most one forward transform: 2
 transforms an explicit step; the IMEX step adds the 2 of its diffusion
 solve, so 4, or 3 at rho = 1, where the solve's coefficients of u replace
-the drift's forward transform. run builds the face speeds V from the
-state's phi once a step, in work arrays of the thread like every reusable
-buffer of a step (elliptic._workspace), and hands them to stable_dt and
-step. A state records the params its phi was built with; stable_dt, step
-and run handed other params form phi anew from u under theirs, so a state
-can be stepped under any params. v and w are a read of u
+the drift's forward transform. run builds the face drops D from the state's
+phi once a step, in work arrays of the thread like every reusable buffer of
+a step (elliptic._workspace), and hands them to stable_dt and step as
+`speeds`. A state records the params its phi was built with; stable_dt,
+step and run handed other params form phi anew from u under theirs, so a
+state can be stepped under any params. v and w are a read of u
 (elliptic.solve_signals, diagnostics.sample), checked there.
 """
 
@@ -128,68 +133,100 @@ def _phi(state: SimState, params: ModelParams) -> np.ndarray:
     return _drift_potential(state.u.values, state.u_min, state.u_max, params, state.u.domain)
 
 
-# The left and right cells of the interior faces normal to each axis.
-_FACES = ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:]))
+# The faces normal to x are kept as an (Nx - 1, Ny) array, those normal to y
+# as an (Nx, Ny) array whose last column, the boundary faces, holds 0. Entry
+# (i, j) is the face between cell (i, j) and the next cell along the axis,
+# Ny cells further on in the flattened grid along x and 1 along y. So one
+# contiguous pass over the flattened grid covers the faces of either axis;
+# along y it pairs the end of one row with the start of the next at a
+# boundary face, which is then set to 0.
 
 
-def _face_speeds(phi: np.ndarray, h: float) -> list[np.ndarray]:
-    """The face drift V = (phi_R - phi_L)/h on the interior faces of each
-    axis, in work arrays of the calling thread (elliptic._workspace) that the
-    next build on a grid of the same shape writes over."""
-    speeds = [
-        np.subtract(phi[right], phi[left], out=_work_array("face-speeds", phi[right].shape)) for left, right in _FACES
-    ]
-    for speed in speeds:
-        speed /= h
-    return speeds
+def _face_drops(phi: np.ndarray) -> list[np.ndarray]:
+    """The drift's drop D = phi_R - phi_L on the faces of each axis, in work
+    arrays of the calling thread (elliptic._workspace) that the next build on
+    the grid writes over."""
+    nx, ny = phi.shape
+    flat = phi.reshape(-1)
+    drops = [_work_array("face-drops", (nx - 1, ny)), _work_array("face-drops", (nx, ny))]
+    for drop, offset in zip(drops, (ny, 1)):
+        np.subtract(flat[offset:], flat[:-offset], out=drop.reshape(-1)[: flat.size - offset])
+    drops[1][:, -1] = 0.0
+    return drops
 
 
-def _fluxes(u: np.ndarray, speeds: list[np.ndarray], h: float, diffusion: bool, scratch: np.ndarray) -> list[np.ndarray]:
-    """Overwrite the face speeds V with the flux -u_up V (+ (u_R - u_L)/h),
-    where the donor u_up = u_L where V > 0, else u_R, and return them. The
-    arithmetic is the same, operation for operation, as in fresh arrays. The
-    donors of each axis in turn are built in `scratch`, a contiguous float64
-    array of u's size."""
+def _fluxes(u: np.ndarray, drops: list[np.ndarray], diffusion: bool, scratch: np.ndarray) -> list[np.ndarray]:
+    """Overwrite the face drops D with the h-scaled flux, (u_R - u_L) - u_up D
+    with diffusion, else u_up D, where the donor u_up = u_L where D > 0, else
+    u_R, and return them; the boundary faces stay 0. The donors of each axis
+    in turn are built in `scratch`, a contiguous float64 array of u's size."""
+    flat = u.reshape(-1)
     cells = scratch.reshape(-1)
-    for speed, (left, right) in zip(speeds, _FACES):
-        up = cells[: speed.size].reshape(speed.shape)
-        np.copyto(up, u[right])
-        np.copyto(up, u[left], where=speed > 0.0)
-        np.negative(up, out=up)
-        speed *= up
+    for drop, offset in zip(drops, (u.shape[1], 1)):
+        face = drop.reshape(-1)[: flat.size - offset]
+        left, right = flat[:-offset], flat[offset:]
+        up = cells[:-offset]
+        np.copyto(up, right)
+        np.copyto(up, left, where=face > 0.0)
+        face *= up
         if diffusion:
-            grad = np.subtract(u[right], u[left], out=up)
-            grad /= h
-            speed += grad
-    return speeds
+            grad = np.subtract(right, left, out=up)
+            np.subtract(grad, face, out=face)
+    drops[1][:, -1] = 0.0
+    return drops
 
 
-def _flux_divergence(fx: np.ndarray, fy: np.ndarray, dom: DomainSpec, div: np.ndarray) -> np.ndarray:
-    """div(F) on the cells, written into `div`."""
-    # 0.0 + fx, as accumulating onto zeros would give: it turns -0.0 into 0.0.
-    np.add(fx, 0.0, out=div[:-1, :])
-    div[-1, :] = 0.0
-    div[1:, :] -= fx
-    div[:, :-1] += fy
-    div[:, 1:] -= fy
-    div /= dom.h
+def _flux_divergence(fx: np.ndarray, fy: np.ndarray, div: np.ndarray) -> np.ndarray:
+    """The sum of each cell's face differences of the fluxes on the faces of
+    each axis, written into `div`: h^2 div(F) for the h-scaled fluxes hF.
+    Each cell takes its faces to the next cells (the last row has no x face
+    there, and a boundary y face adds 0), then gives its faces from the
+    previous ones."""
+    ny = div.shape[1]
+    cells, x, y = div.reshape(-1), fx.reshape(-1), fy.reshape(-1)
+    np.add(x, y[: x.size], out=cells[: x.size])
+    cells[x.size :] = y[x.size :]
+    cells[ny:] -= x
+    cells[1:] -= y[:-1]
     return div
+
+
+def _transport(u: np.ndarray, drops: list[np.ndarray], dt: float, h: float, diffusion: bool, out: np.ndarray) -> np.ndarray:
+    """u + dt div(F), the forward-Euler transport of u over the face drops
+    (with diffusion or the drift alone), written into `out`, which first
+    holds the flux donors (_fluxes). The drops become the fluxes. The one
+    scale is (dt/h)/h, not dt/h^2, whose h^2 overflows or underflows first;
+    it is negated for the drift-only flux u_up D = -hF."""
+    _flux_divergence(*_fluxes(u, drops, diffusion, out), out)
+    scale = (dt / h) / h
+    if scale < math.inf:
+        out *= scale if diffusion else -scale
+    else:
+        # Past the float range, divide by h first, so that a zero sum stays 0
+        # where inf * 0 would make it NaN.
+        out /= h
+        out /= h
+        out *= dt if diffusion else -dt
+    out += u
+    return out
 
 
 def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speeds=None) -> float:
     """cfl_safety * min(diffusive bound h^2/(2 dim), advective bound h/vmax),
     clamped to [dt_min, dt_max]; imex-diffusion drops the diffusive bound. A
-    drift with NaN or Inf raises NonFiniteState. `speeds`, the list of face
-    speeds of the drift under params, is built when omitted."""
+    drift with NaN or Inf, or whose largest face speed max|D|/h overflows,
+    raises NonFiniteState. `speeds`, the list of face drops D of the drift
+    under params (_face_drops), is built when omitted."""
     h = state.u.domain.h
     if speeds is None:
-        speeds = _face_speeds(_phi(state, params), h)
-    # max|V| = max(max V, -min V); dividing by h is monotone, so this is
-    # max|phi_R - phi_L| / h to the bit. NaN propagates through min and max.
+        speeds = _face_drops(_phi(state, params))
+    # max|D/h| = max(max D, -min D)/h to the bit: dividing by h > 0 is
+    # monotone. The boundary faces' zeros leave max(max D, -min D) as it is,
+    # as it is never below 0. NaN propagates through min and max.
     extrema = [x for s in speeds if s.size for x in (float(s.max()), -float(s.min()))]
-    if not all(map(math.isfinite, extrema)):
+    vmax = max(extrema, default=0.0) / h
+    if not all(map(math.isfinite, [*extrema, vmax])):
         raise NonFiniteState(f"drift lost finiteness at t = {state.t}")
-    vmax = max(extrema, default=0.0)
     bounds = [h * h / (2.0 * state.u.values.ndim)] if cfg.scheme == "explicit-upwind" else []
     if vmax > 0.0:
         bounds.append(h / vmax)
@@ -205,26 +242,23 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
     implicit diffusion solve lost finiteness), a dip below -1e-13 max raises
     NegativeDensity; the new state carries the pair, which also bounds the
     signal sources (SolverDiverged). `speeds` as for stable_dt: step writes
-    the fluxes into them and empties the list."""
+    the fluxes into the drops and empties the list."""
     if dt is not None and not 0.0 < dt < math.inf:
         raise ValueError(f"dt must satisfy 0 < dt < inf, got {dt}")
     u = state.u
     dom = u.domain
     if speeds is None:
-        speeds = _face_speeds(_phi(state, params), dom.h)
+        speeds = _face_drops(_phi(state, params))
     if dt is None:
         dt = stable_dt(state, params, cfg, speeds=speeds)
     imex = cfg.scheme == "imex-diffusion"
-    # u + dt * div(F), in the divergence buffer, which holds the flux donors
-    # first; the fluxes overwrite the speeds and go before the transforms,
-    # the caller's list emptied too. The explicit update is the new density;
-    # the IMEX one is kept per thread (elliptic._workspace), as its solve
-    # makes the new density.
+    # u + dt * div(F); the fluxes overwrite the drops, and the caller's list
+    # is emptied. The explicit update is the new density; the IMEX one is
+    # kept per thread (elliptic._workspace), as its solve makes the new
+    # density.
     update = _work_array("imex-update", dom.cells) if imex else np.empty(dom.cells)
-    _flux_divergence(*_fluxes(u.values, speeds, dom.h, not imex, update), dom, update)
+    _transport(u.values, speeds, dt, dom.h, not imex, update)
     speeds.clear()
-    update *= dt
-    update += u.values
     if imex:
         new_u, coeffs = _implicit_solve(update, dt, dom)
     else:
@@ -296,7 +330,7 @@ def run(
     if math.isnan(steady_tol):
         raise ValueError("steady_tol is NaN")
     mass_initial = integrate(state.u)
-    h, vol = state.u.h, state.u.domain.volume
+    vol = state.u.domain.volume
     threshold = blowup_threshold if blowup_threshold is not None else BLOWUP_FACTOR * mass_initial / vol
 
     records: list = []
@@ -320,8 +354,8 @@ def run(
             if diagnostics is not None and state.step % diagnostics.every == 0:
                 records.append(sample(state, params, diagnostics.ps, bounds=diagnostics.bounds))
                 last_sampled = state.step
-            # One build of the face speeds serves stable_dt and then step.
-            speeds = _face_speeds(_phi(state, params), h)
+            # One build of the face drops serves stable_dt and then step.
+            speeds = _face_drops(_phi(state, params))
             dt = stable_dt(state, params, cfg, speeds=speeds)
             if dt <= cfg.dt_min:
                 status = Status.BLOWUP_SUSPECTED

@@ -12,9 +12,11 @@ arbitrary-precision energy reference, checked wrappers of the grid's norm and
 gradient kernels, the five-point zero-flux Laplacian stencil and a dense
 matrix assembly of the Helmholtz operator built from it for direct-solve
 comparisons, the real-space drift chi v - xi w from the two solved signals,
-the one helper that hand-makes stepper states from a given u and drift, and
-the list-based test family with one estimator per constant that
-the streamed single-pass estimator in attrep.bounds must match bit for bit.
+the forward-Euler transport in the speed form the stepper used before it
+kept face drops, the one helper that hand-makes stepper states from a given
+u and drift, and the list-based test family with one estimator per constant
+that the streamed single-pass estimator in attrep.bounds must match bit for
+bit.
 """
 
 import math
@@ -123,6 +125,27 @@ def real_space_drift(u, params):
     solve_signals returns for the density u."""
     v, w = solve_signals(u, params)
     return params.chi * v.values - params.xi * w.values
+
+
+def speed_form_update(u, phi, dt, h, diffusion=True):
+    """u + dt div(F) in the speed form, bit for bit the update of the stepper
+    before it worked in face drops: the face speed V = (phi_R - phi_L)/h, the
+    flux F = -u_up V (+ (u_R - u_L)/h with diffusion), with u_up = u_L where
+    V > 0, else u_R, and the divergence summed onto zeros and divided by h."""
+    vx = (phi[1:, :] - phi[:-1, :]) / h
+    fx = -np.where(vx > 0.0, u[:-1, :], u[1:, :]) * vx
+    vy = (phi[:, 1:] - phi[:, :-1]) / h
+    fy = -np.where(vy > 0.0, u[:, :-1], u[:, 1:]) * vy
+    if diffusion:
+        fx = fx + (u[1:, :] - u[:-1, :]) / h
+        fy = fy + (u[:, 1:] - u[:, :-1]) / h
+    div = np.zeros(u.shape)
+    div[:-1, :] += fx
+    div[1:, :] -= fx
+    div[:, :-1] += fy
+    div[:, 1:] -= fy
+    div /= h
+    return u + dt * div
 
 
 def hand_state(u, phi, params, t=0.0, step=0):

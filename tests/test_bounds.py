@@ -6,6 +6,7 @@ evaluation in tests/_oracles.py, frozen before this module was written.
 """
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -374,6 +375,19 @@ class TestComputeBounds:
         dom = DomainSpec((1e160, 1e160), (16, 16))
         with pytest.raises(DomainError, match="domain volume"):
             compute_bounds(params, 100.0, 1.5, dom=dom)
+
+    @pytest.mark.parametrize("length", [1e150, 1e-150, 1e100, 1e-100])
+    def test_norms_out_of_float_range_rejected(self, length):
+        # A finite area, but a norm in the Ehrling ratio overflows (1e150), or
+        # its denominator underflows to 0 (1e-150) or overflows (1e100). The
+        # GN ratio alone stays in range.
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
+        dom = DomainSpec((length, length), (8, 8))
+        message = re.escape(f"float range on a domain of lengths ({length!r}, {length!r})")
+        for given in ({}, {"cgn": 1.0}):
+            with pytest.raises(DomainError, match=message):
+                compute_bounds(params, 1.0, 1.5, dom=dom, **given)
+        assert 0.0 < compute_bounds(params, 1.0, 1.5, dom=dom, ce=1.0).cgn < math.inf
 
     def test_higher_dimension_needs_explicit_estimates(self):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5, dim=3)

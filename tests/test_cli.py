@@ -155,6 +155,20 @@ class TestBounds:
         assert main(["bounds", cfg, "--p", "nan"]) == EXIT_ERROR
         assert "'--p': expected a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", [1e150, 1e-150])
+    def test_extreme_lengths_print_error(self, tmp_path, capsys, length):
+        # The test family's norms leave the float range: an error line and
+        # exit 1, not a traceback.
+        cfg = write_config(
+            tmp_path,
+            domain={"lengths": [length, length], "cells": [8, 8]},
+            initial={"kind": "uniform", "amplitude": 1.0, "center": None, "width": None, "mass": None},
+        )
+        assert main(["bounds", cfg, "--p", "1.5"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: test-family norms leave the float range on a domain of lengths ({length!r}, {length!r})\n"
+
     def test_linear_production_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, params={"rho": 1.0})
         assert main(["bounds", cfg]) == EXIT_ERROR

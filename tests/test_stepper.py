@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import attrep.elliptic as elliptic
 import attrep.stepper as stepper
-from _oracles import hand_state, real_space_drift
+from _oracles import hand_state, real_space_drift, speed_form_update
 from attrep import DomainSpec, Field, InitialData, ModelParams, build_initial_data
 from attrep.diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
 from attrep.elliptic import _implicit_solve, solve_signals
@@ -25,9 +25,10 @@ from attrep.stepper import (
     SimState,
     Status,
     StepperConfig,
-    _face_speeds,
+    _face_drops,
     _flux_divergence,
     _fluxes,
+    _transport,
     initial_state,
     run,
     stable_dt,
@@ -60,32 +61,76 @@ def no_drift_params(rho=0.5):
     return ModelParams(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0, chi=0.0, xi=0.0, rho=rho)
 
 
-def kernel_fluxes(u, phi, h, diffusion=True):
-    """The flux kernel on the face speeds of the raw potential phi."""
-    return _fluxes(u, _face_speeds(phi, h), h, diffusion, np.empty(u.shape))
+def kernel_fluxes(u, phi, diffusion=True):
+    """The h-scaled flux kernel on the face drops of the raw potential phi, on
+    the interior faces of each axis; its boundary faces hold 0."""
+    fx, fy = _fluxes(u, _face_drops(phi), diffusion, np.empty(u.shape))
+    assert not fy[:, -1].any()
+    return fx, fy[:, :-1]
 
 
-def where_face_fluxes(uv, pv, h, diffusion=True):
-    """The np.where formulation of the flux kernel, kept as its bitwise oracle."""
-    vx = (pv[1:, :] - pv[:-1, :]) / h
-    fx = -np.where(vx > 0.0, uv[:-1, :], uv[1:, :]) * vx
-    vy = (pv[:, 1:] - pv[:, :-1]) / h
-    fy = -np.where(vy > 0.0, uv[:, :-1], uv[:, 1:]) * vy
+def where_face_fluxes(uv, pv, diffusion=True):
+    """The np.where formulation of the h-scaled flux kernel, kept as its
+    bitwise oracle: (u_R - u_L) - u_up D with diffusion, else u_up D."""
+    dx = pv[1:, :] - pv[:-1, :]
+    fx = np.where(dx > 0.0, uv[:-1, :], uv[1:, :]) * dx
+    dy = pv[:, 1:] - pv[:, :-1]
+    fy = np.where(dy > 0.0, uv[:, :-1], uv[:, 1:]) * dy
     if diffusion:
-        fx = fx + (uv[1:, :] - uv[:-1, :]) / h
-        fy = fy + (uv[:, 1:] - uv[:, :-1]) / h
+        fx = (uv[1:, :] - uv[:-1, :]) - fx
+        fy = (uv[:, 1:] - uv[:, :-1]) - fy
     return fx, fy
 
 
+def padded_y_faces(fy, dom):
+    """The interior y-face fluxes written onto zeros of the grid's shape, as
+    the kernel keeps them: the boundary faces last, at 0."""
+    py = np.zeros(dom.cells)
+    py[:, :-1] = fy
+    return py
+
+
 def zeros_flux_divergence(fx, fy, dom):
-    """The np.zeros formulation of _flux_divergence, kept as its bitwise oracle."""
-    div = np.zeros(dom.cells)
-    div[:-1, :] += fx
+    """The np.zeros formulation of _flux_divergence, kept as its bitwise
+    oracle: each cell's faces to the next cells, with the boundary y faces'
+    zeros, less its faces from the previous ones."""
+    div = padded_y_faces(fy, dom)
+    div[:-1, :] = fx + div[:-1, :]
     div[1:, :] -= fx
-    div[:, :-1] += fy
     div[:, 1:] -= fy
-    div /= dom.h
     return div
+
+
+def transport_scale(dt, h, diffusion):
+    """The step's one scale of the h-scaled divergence: (dt/h)/h, negated for
+    the drift-only flux u_up D = -hF."""
+    scale = (dt / h) / h
+    return scale if diffusion else -scale
+
+
+def transport_tolerance(u, phi, dt, h, diffusion):
+    """How far the h-scaled transport and the speed form may lie apart, per
+    cell: 24 eps (|u| + s M), with s = (dt/h)/h and M the sum over the cell's
+    faces of |u_R - u_L| (with diffusion) + |u_up D|. Both forms take the
+    same rounded drops D and differences u_R - u_L. From there the h-scaled
+    form rounds each face's product and difference (2 eps of the face's
+    |u_R - u_L| + |u_up D|), the cell's sum of four faces (3 eps of M), the
+    scale (dt/h)/h and its product with the sum (3 eps), and the final
+    addition (eps of the result): within 9 eps (|u| + s M) of the exact
+    update. The speed form rounds each face's two divisions by h, product
+    and sum (4 eps), the cell's sum (3 eps), its division by h and product
+    with dt (2 eps) and the addition: within 10 eps. So they lie within
+    19 eps, and 24 covers the second-order terms."""
+    mag = np.zeros(u.shape)
+    dx, dy = (np.abs(f) for f in where_face_fluxes(u, phi, False))
+    if diffusion:
+        dx = dx + np.abs(np.diff(u, axis=0))
+        dy = dy + np.abs(np.diff(u, axis=1))
+    mag[:-1, :] += dx
+    mag[1:, :] += dx
+    mag[:, :-1] += dy
+    mag[:, 1:] += dy
+    return 24.0 * np.finfo(float).eps * (np.abs(u) + (dt / h) / h * mag)
 
 
 def assert_same_bits(actual, expected):
@@ -143,36 +188,33 @@ class TestStepperConfig:
 
 class TestFaceFluxes:
     def test_two_cell_worked_example(self):
-        # u = (1, 0), phi = (0, 1): drift velocity +1/h selects the left
-        # donor, advective flux -1/h; diffusion adds (0 - 1)/h. Total -2/h.
-        dom = DomainSpec((1.0, 0.5), (2, 1))
-        h = dom.h
+        # u = (1, 0), phi = (0, 1): the drop +1 selects the left donor,
+        # advective flux -1; diffusion adds 0 - 1. In h-units the total is -2
+        # (the flux -2/h).
         u = np.array([[1.0], [0.0]])
         phi = np.array([[0.0], [1.0]])
-        fx, _ = kernel_fluxes(u, phi, h)
+        fx, _ = kernel_fluxes(u, phi)
         assert fx.shape == (1, 1)
-        assert fx[0, 0] == pytest.approx(-2.0 / h, rel=1e-14)
+        assert fx[0, 0] == -2.0
 
     def test_uniform_state_has_zero_fluxes(self, unit_square_16):
         u = np.full(unit_square_16.cells, 3.0)
         phi = np.full(unit_square_16.cells, 1.0)
-        fx, fy = kernel_fluxes(u, phi, unit_square_16.h)
+        fx, fy = kernel_fluxes(u, phi)
         assert (fx == 0.0).all()
         assert (fy == 0.0).all()
 
     def test_constant_potential_leaves_pure_diffusion(self, unit_square_16, rng):
         u = rng.uniform(0.5, 1.5, size=unit_square_16.cells)
         phi = np.full(unit_square_16.cells, 7.0)
-        h = unit_square_16.h
-        fx, _ = kernel_fluxes(u, phi, h)
-        np.testing.assert_allclose(fx, np.diff(u, axis=0) / h, rtol=0, atol=0)
+        fx, _ = kernel_fluxes(u, phi)
+        np.testing.assert_allclose(fx, np.diff(u, axis=0), rtol=0, atol=0)
 
     def test_donor_switches_with_drift_sign(self):
-        dom = DomainSpec((1.0, 0.5), (2, 1))
         u = np.array([[1.0], [0.0]])
         phi_down = np.array([[1.0], [0.0]])
-        fx, _ = kernel_fluxes(u, phi_down, dom.h, diffusion=False)
-        # drift velocity -1/h points left, donor is the right cell (u = 0)
+        fx, _ = kernel_fluxes(u, phi_down, diffusion=False)
+        # the drop -1 points left, donor is the right cell (u = 0)
         assert fx[0, 0] == 0.0
 
     @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
@@ -181,8 +223,8 @@ class TestFaceFluxes:
         dom = DomainSpec(lengths, cells)
         for _ in range(5):
             u, phi = oracle_inputs(dom, rng)
-            got = kernel_fluxes(u, phi, dom.h, diffusion=diffusion)
-            want = where_face_fluxes(u, phi, dom.h, diffusion=diffusion)
+            got = kernel_fluxes(u, phi, diffusion=diffusion)
+            want = where_face_fluxes(u, phi, diffusion=diffusion)
             assert_same_bits(got[0], want[0])
             assert_same_bits(got[1], want[1])
 
@@ -192,9 +234,21 @@ class TestFaceFluxes:
         dom = DomainSpec(lengths, cells)
         for _ in range(5):
             u, phi = oracle_inputs(dom, rng)
-            fluxes = where_face_fluxes(u, phi, dom.h, diffusion=diffusion)
-            got = _flux_divergence(*fluxes, dom, np.empty(dom.cells))
-            assert_same_bits(got, zeros_flux_divergence(*fluxes, dom))
+            fx, fy = where_face_fluxes(u, phi, diffusion=diffusion)
+            got = _flux_divergence(fx, padded_y_faces(fy, dom), np.empty(dom.cells))
+            assert_same_bits(got, zeros_flux_divergence(fx, fy, dom))
+
+    @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
+    @pytest.mark.parametrize("diffusion", [True, False])
+    def test_transport_matches_speed_form(self, rng, lengths, cells, diffusion):
+        # The h-scaled transport is the speed form up to rounding, at the
+        # CFL dt and far beyond it.
+        dom = DomainSpec(lengths, cells)
+        for dt in (1e-4, 1e-2, 10.0):
+            u, phi = oracle_inputs(dom, rng)
+            got = _transport(u, _face_drops(phi), dt, dom.h, diffusion, np.empty(dom.cells))
+            want = speed_form_update(u, phi, dt, dom.h, diffusion)
+            assert (np.abs(got - want) <= transport_tolerance(u, phi, dt, dom.h, diffusion)).all()
 
 
 class TestDriftPotential:
@@ -258,6 +312,19 @@ class TestStableDt:
         cfg = StepperConfig(scheme=scheme)
         with pytest.raises(NonFiniteState, match="drift lost finiteness at t = 0.0"):
             stable_dt(state, PARITY_PARAMS, cfg)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_overflowing_face_speed_raises(self, scheme):
+        # Every drop is finite, but the face speed max|D|/h is not.
+        dom = DomainSpec((1e-100, 1e-100), (4, 4))
+        phi = np.zeros(dom.cells)
+        phi[2, 2] = 1e210
+        state = hand_state(Field.full(dom, 1.0), Field(phi, dom), PARITY_PARAMS)
+        assert all(np.isfinite(d).all() for d in _face_drops(state.phi))
+        cfg = StepperConfig(scheme=scheme)
+        with pytest.raises(NonFiniteState, match="drift lost finiteness at t = 0.0"):
+            stable_dt(state, PARITY_PARAMS, cfg)
+        assert run(state, PARITY_PARAMS, cfg, 1.0).state.status is Status.BLOWUP_SUSPECTED
 
 
 class TestStep:
@@ -327,6 +394,13 @@ class TestStep:
         with pytest.raises(NonFiniteState):
             step(state, params, StepperConfig(), dt=1e308)
 
+    def test_zero_fluxes_past_the_float_range(self):
+        # dt/h^2 = 1e310 overflows, but a state with no flux stays as it is.
+        dom = DomainSpec((8e-150, 8e-150), (8, 8))
+        state = initial_state(Field.full(dom, 2.0), no_drift_params())
+        new = step(state, no_drift_params(), StepperConfig(), dt=1e10)
+        np.testing.assert_array_equal(new.u.values, 2.0)
+
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         scheme=st.sampled_from(SCHEMES),
@@ -373,11 +447,38 @@ class TestStep:
         phi = state.phi
         assert_drift_of(state, params)
         explicit = scheme == "explicit-upwind"
-        fluxes = where_face_fluxes(state.u.values, phi, dom.h, diffusion=explicit)
-        want = state.u.values + dt * zeros_flux_divergence(*fluxes, dom)
+        fluxes = where_face_fluxes(state.u.values, phi, diffusion=explicit)
+        want = state.u.values + transport_scale(dt, dom.h, explicit) * zeros_flux_divergence(*fluxes, dom)
         if not explicit:
             want, _ = _implicit_solve(want, dt, dom)
         assert_same_bits(step(state, params, cfg, dt).u.values, want)
+
+    @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_speed_form(self, rng, lengths, cells, scheme):
+        # The explicit step is the transport update, within its per-cell
+        # tolerance of the speed form. The IMEX step solves the heat step on
+        # it: that solve is linear with a nonnegative inverse of unit row
+        # sums, so it moves no value by more than the largest difference of
+        # its inputs, and each computed solve rounds within (Nx + Ny) eps of
+        # the largest input (7 eps at 16^2 against a dense direct solve).
+        dom = DomainSpec(lengths, cells)
+        explicit = scheme == "explicit-upwind"
+        cfg = StepperConfig(scheme=scheme, cfl_safety=0.1)
+        for _ in range(5):
+            u, phi = oracle_inputs(dom, rng)
+            state = hand_state(Field(u, dom), Field(phi, dom), PARITY_PARAMS)
+            dt = stable_dt(state, PARITY_PARAMS, cfg)
+            got = step(state, PARITY_PARAMS, cfg, dt).u.values
+            want = speed_form_update(u, phi, dt, dom.h, explicit)
+            tol = transport_tolerance(u, phi, dt, dom.h, explicit)
+            if explicit:
+                assert (np.abs(got - want) <= tol).all()
+            else:
+                eps = np.finfo(float).eps
+                solve_tol = 2 * sum(cells) * eps * np.abs(want).max()
+                want, _ = _implicit_solve(want, dt, dom)
+                assert np.abs(got - want).max() <= tol.max() + solve_tol
 
     def test_imex_signals_from_implicit_coefficients(self):
         # w's source gamma u (and at rho = 1 v's, alpha u) is scaled from the
@@ -389,6 +490,51 @@ class TestStep:
             params = ModelParams(1.0, 1.0, 1.3, 0.7, chi=4.0, xi=0.5, rho=rho)
             new = step(initial_state(bump_field(dom, width=0.08), params), params, cfg)
             assert_drift_of(new, params)
+
+
+class TestDropForm:
+    """The transport in h-scaled units over random densities with zero cells,
+    random potentials, strips and cells from 1e-100 to 1e100 wide."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        cells=st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6)),
+        log_h=st.sampled_from([-100.0, 0.0, 100.0]) | st.floats(min_value=-100.0, max_value=100.0),
+        log_phi=st.floats(min_value=-3.0, max_value=3.0),
+        log_stretch=st.floats(min_value=0.0, max_value=12.0),
+        scheme=st.sampled_from(SCHEMES),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mass_sign_and_speed_form(self, seed, cells, log_h, log_phi, log_stretch, scheme):
+        width = 10.0**log_h
+        dom = DomainSpec((cells[0] * width, cells[1] * width), cells)
+        h = dom.h
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.0, 2.0, size=cells)
+        u[rng.random(cells) < 0.3] = 0.0
+        phi = rng.standard_normal(cells) * 10.0**log_phi
+        explicit = scheme == "explicit-upwind"
+        state = hand_state(Field(u, dom), Field(phi, dom), PARITY_PARAMS)
+        cfg = StepperConfig(scheme=scheme, cfl_safety=0.1, dt_min=1e-300, dt_max=1.0)
+
+        # The CFL dt is the speed form's, max|D/h|, to the bit.
+        speeds = [np.abs(np.diff(phi, axis=axis) / h) for axis in (0, 1) if cells[axis] > 1]
+        vmax = max((float(v.max()) for v in speeds), default=0.0)
+        bounds = ([h * h / 4.0] if explicit else []) + ([h / vmax] if vmax > 0.0 else [])
+        dt = stable_dt(state, PARITY_PARAMS, cfg)
+        assert dt == max(min(0.1 * min(bounds) if bounds else math.inf, 1.0), 1e-300)
+
+        # Mass is conserved by the step, and its transport is the speed form's.
+        new = step(state, PARITY_PARAMS, cfg, dt)
+        mass = integrate(state.u)
+        assert abs(integrate(new.u) - mass) <= 1e-13 * mass
+        got = _transport(u, _face_drops(phi), dt, h, explicit, np.empty(cells))
+        want = speed_form_update(u, phi, dt, h, explicit)
+        assert (np.abs(got - want) <= transport_tolerance(u, phi, dt, h, explicit)).all()
+
+        # A cell at exactly 0 takes no outflow, at any dt.
+        big = _transport(u, _face_drops(phi), dt * 10.0**log_stretch, h, explicit, np.empty(cells))
+        assert (big[u == 0.0] >= 0.0).all()
 
 
 def spike_state(dom, amplitude):
@@ -480,7 +626,7 @@ def drift_case(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 class TestDriftMemo:
-    """No state carries face speeds: each step uses those of its own state
+    """No state carries face drops: each step uses those of its own state
     under its own params, built for it or handed over by its caller."""
 
     def test_step_uses_its_own_params(self, scheme):
@@ -523,7 +669,7 @@ class TestDriftMemo:
         # run builds the speeds once and hands them to stable_dt, then to
         # step, which writes its fluxes into them and empties the list.
         state, params, cfg = drift_case(scheme)
-        speeds = _face_speeds(state.phi, state.u.h)
+        speeds = _face_drops(state.phi)
         dt = stable_dt(state, params, cfg, speeds=speeds)
         assert dt == stable_dt(state, params, cfg)
         got = step(state, params, cfg, dt, speeds=speeds)
@@ -586,11 +732,11 @@ class TestStateIsData:
         t_end = 6.5 * stable_dt(state, params, cfg)
         calls = []
 
-        def counted(*args, _original=stepper._face_speeds):
+        def counted(*args, _original=stepper._face_drops):
             calls.append(1)
             return _original(*args)
 
-        monkeypatch.setattr(stepper, "_face_speeds", counted)
+        monkeypatch.setattr(stepper, "_face_drops", counted)
         result = run(state, params, cfg, t_end)
         assert result.steps > 0
         assert len(calls) == result.steps
