@@ -77,18 +77,20 @@ def sublinear_production_bound(
     """c1: the constant Young's inequality leaves from the attraction term.
 
     Exists only for rho strictly below 1; scales linearly with the domain
-    volume and vanishes in the rho -> 1 limit whenever the inner base
-    exceeds 1.
+    volume; vanishes as chi -> 0 (0.0 at chi = 0) and in the rho -> 1 limit
+    whenever the inner base exceeds 1.
     """
     p = _require("p", p, above=1.0)
     rho = float(rho)
     if not (0.0 < rho < 1.0):
         raise RhoNotSublinear(f"c1 requires 0 < rho < 1, got {rho}")
     alpha = _require("alpha", alpha)
-    chi = _require("chi", chi)
     gamma = _require("gamma", gamma)
     xi = _require("xi", xi)
     volume = _require("domain volume", volume)
+    if chi == 0.0:
+        return 0.0
+    chi = _require("chi", chi)
 
     prefactor = alpha * chi * (p - 1.0) * (1.0 - rho) / (p + 1.0)
     base = ((p + 1.0) * gamma * xi) / ((p + rho) * 3.0 * alpha * chi)
@@ -327,12 +329,7 @@ class BoundsReport:
 
 
 def compute_bounds(
-    params: ModelParams,
-    m: float,
-    p: float,
-    dom: DomainSpec | None = None,
-    cgn: float | None = None,
-    ce: float | None = None,
+    params: ModelParams, m: float, p: float, dom: DomainSpec, cgn: float | None = None, ce: float | None = None
 ) -> BoundsReport:
     """Assemble every constant of the energy inequality into one report.
 
@@ -342,8 +339,6 @@ def compute_bounds(
     """
     p = _require("p", p, above=1.0)
     m = _require("m", m)
-    if dom is None:
-        raise DomainError("need a domain")
     n = int(params.dim)
 
     theta = interpolation_exponent(p, n)

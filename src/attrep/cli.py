@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .bounds import compute_bounds
-from .config import ExperimentConfig, exponent, from_dict, integer, load_config, number, set_sweep_value
+from .config import ExperimentConfig, exponent, integer, load_config, number, sweep_point
 from .diagnostics import (
     DiagnosticsConfig,
     check_absorptive_bound,
@@ -190,12 +190,12 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_point(raw: dict, axis: str, value, out_dir: str) -> dict:
-    """Run one sweep point into out_dir, exactly as `simulate` would run its
-    config; failures become data rather than aborting the sweep."""
+def _sweep_point(cfg: ExperimentConfig, value, out_dir: str) -> dict:
+    """Run cfg's sweep point at value into out_dir, exactly as `simulate`
+    would run that config; failures become data rather than aborting the sweep."""
     row = {"value": value, "prediction": "error", "observed": "error"}
     try:
-        cfg = from_dict(set_sweep_value(raw, axis, value))
+        cfg = sweep_point(cfg, value)
         _require_2d(cfg)
         u0, mass = build_initial_data(cfg.initial, cfg.domain)
         regime = classify_regime(cfg.params, mass).regime
@@ -238,10 +238,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [
-        (cfg.raw, cfg.sweep_axis, value, str(out / f"point_{i:03d}"))
-        for i, value in enumerate(cfg.sweep_values)
-    ]
+    jobs = [(cfg, value, str(out / f"point_{i:03d}")) for i, value in enumerate(cfg.sweep_values)]
     if workers == 1:
         rows = [_sweep_point(*job) for job in jobs]
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .diagnostics import DiagnosticsConfig
 from .errors import ConfigError
@@ -28,6 +28,17 @@ SWEEPABLE = (
 )
 
 
+_REQUIRED = object()
+
+# The keys each kind of initial data reads besides `kind` and `mass`, each
+# with its default; a _REQUIRED key has none.
+_INITIAL_KEYS = {
+    "uniform": {"amplitude": _REQUIRED},
+    "gaussian-bump": {"amplitude": 1.0, "center": None, "width": _REQUIRED},
+    "multi-bump": {"bumps": _REQUIRED},
+    "from-file": {"path": _REQUIRED},
+}
+
 # The keys of each block (README, Config schema), "" for the root. `initial`
 # takes the keys of all its kinds. A key outside its block's set is a typo,
 # which would otherwise leave its field at the default without a word.
@@ -36,7 +47,7 @@ _KEYS = {
     + ("t_end", "blowup_threshold", "steady_tol", "workers"),
     "domain": ("lengths", "cells"),
     "params": (*_COEFFS, "dim"),
-    "initial": ("kind", "amplitude", "center", "width", "mass", "bumps", "path"),
+    "initial": ("kind", "mass", *(key for keys in _INITIAL_KEYS.values() for key in keys)),
     "stepper": ("scheme", "dt_max", "cfl_safety", "dt_min"),
     "diagnostics": ("p", "sample_every"),
     "outputs": ("directory", "snapshot_every"),
@@ -63,9 +74,6 @@ def _section(raw: dict, name: str, required: bool = True) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(name, f"expected an object, got {type(value).__name__}")
     return _known(value, name, _KEYS[name])
-
-
-_REQUIRED = object()
 
 
 def _get(obj: dict, path: str, key: str, read, default=_REQUIRED):
@@ -149,7 +157,6 @@ class ExperimentConfig:
     sweep_axis: str | None
     sweep_values: tuple | None
     workers: int
-    raw: dict
 
 
 def _parse_domain(raw: dict) -> DomainSpec:
@@ -169,36 +176,30 @@ def _parse_params(raw: dict) -> ModelParams:
     return ModelParams(**kwargs)
 
 
+def _bumps(field: str, value) -> tuple:
+    """A non-empty list of bump objects, each with a center, width and amplitude."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(field, "expected a non-empty list")
+    bumps = []
+    for i, b in enumerate(value):
+        path = f"{field}[{i}]"
+        if not isinstance(b, dict):
+            raise ConfigError(path, "expected an object")
+        _known(b, path, ("center", "width", "amplitude"))
+        center = _get(b, path, "center", _pair(number))
+        bumps.append(BumpSpec(center, _get(b, path, "width", number), _get(b, path, "amplitude", number)))
+    return tuple(bumps)
+
+
 def _parse_initial(raw: dict) -> InitialData:
     obj = _section(raw, "initial")
     kind = _get(obj, "initial", "kind", string)
+    if kind not in _INITIAL_KEYS:
+        raise ConfigError("initial.kind", f"unknown kind {kind!r}")
     mass = _get(obj, "initial", "mass", number, None)
-    if kind == "uniform":
-        return InitialData(kind=kind, amplitude=_get(obj, "initial", "amplitude", number), mass=mass)
-    if kind == "gaussian-bump":
-        return InitialData(
-            kind=kind,
-            amplitude=_get(obj, "initial", "amplitude", number, 1.0),
-            center=_get(obj, "initial", "center", _pair(number), None),
-            width=_get(obj, "initial", "width", number),
-            mass=mass,
-        )
-    if kind == "multi-bump":
-        raw_bumps = obj.get("bumps")
-        if not isinstance(raw_bumps, list) or not raw_bumps:
-            raise ConfigError("initial.bumps", "expected a non-empty list")
-        bumps = []
-        for i, b in enumerate(raw_bumps):
-            path = f"initial.bumps[{i}]"
-            if not isinstance(b, dict):
-                raise ConfigError(path, "expected an object")
-            _known(b, path, ("center", "width", "amplitude"))
-            center = _get(b, path, "center", _pair(number))
-            bumps.append(BumpSpec(center, _get(b, path, "width", number), _get(b, path, "amplitude", number)))
-        return InitialData(kind=kind, bumps=tuple(bumps), mass=mass)
-    if kind == "from-file":
-        return InitialData(kind=kind, path=_get(obj, "initial", "path", string), mass=mass)
-    raise ConfigError("initial.kind", f"unknown kind {kind!r}")
+    read = {"amplitude": number, "center": _pair(number), "width": number, "bumps": _bumps, "path": string}
+    shape = {key: _get(obj, "initial", key, read[key], default) for key, default in _INITIAL_KEYS[kind].items()}
+    return InitialData(kind, mass=mass, **shape)
 
 
 def _parse_stepper(raw: dict) -> StepperConfig:
@@ -243,11 +244,19 @@ def from_dict(raw: dict) -> ExperimentConfig:
         for i, value in enumerate(values):
             number(f"sweep.values[{i}]", value)
         sweep_values = tuple(values)
+    domain, params, initial = _parse_domain(raw), _parse_params(raw), _parse_initial(raw)
+    # An axis the initial data never reads would run the same point N times.
+    section, _, leaf = (sweep_axis or "").partition(".")
+    if section == "initial" and leaf != "mass":
+        if leaf not in _INITIAL_KEYS[initial.kind]:
+            raise ConfigError("sweep.axis", f"{initial.kind} initial data never reads {sweep_axis!r}")
+        if leaf == "amplitude" and initial.mass is not None:
+            raise ConfigError("sweep.axis", f"{sweep_axis!r} is cancelled by the rescale to initial.mass")
 
     return ExperimentConfig(
-        domain=_parse_domain(raw),
-        params=_parse_params(raw),
-        initial=_parse_initial(raw),
+        domain=domain,
+        params=params,
+        initial=initial,
         t_end=_get(raw, "", "t_end", number, 1.0),
         stepper=_parse_stepper(raw),
         diag_ps=diag_ps,
@@ -262,7 +271,6 @@ def from_dict(raw: dict) -> ExperimentConfig:
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
         workers=_get(raw, "", "workers", integer(1), 1),
-        raw=raw,
     )
 
 
@@ -279,15 +287,12 @@ def load_config(path) -> ExperimentConfig:
     return from_dict(raw)
 
 
-def set_sweep_value(raw: dict, axis: str, value) -> dict:
-    """Return a deep-enough copy of `raw` with the dotted sweep leaf set."""
-    if axis not in SWEEPABLE:
-        raise ConfigError("sweep.axis", f"{axis!r} is not sweepable")
-    out = dict(raw)
-    out.pop("sweep", None)
-    section, _, leaf = axis.rpartition(".")
-    target = out
-    if section:
-        target = out[section] = dict(out.get(section) or {})
-    target[leaf] = value
-    return out
+def sweep_point(cfg: ExperimentConfig, value) -> ExperimentConfig:
+    """cfg with its sweep axis leaf set to value, a float (an int for
+    params.dim as given). The leaf's owner checks it as it is built: a
+    replaced coefficient goes through ModelParams."""
+    section, _, leaf = cfg.sweep_axis.rpartition(".")
+    value = value if leaf == "dim" else float(value)
+    if not section:
+        return replace(cfg, **{leaf: value})
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{leaf: value})})

@@ -53,7 +53,7 @@ from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
 from .elliptic import _drift_potential, _implicit_solve, _work_array
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate, require_finite
-from .model import DomainSpec, ModelParams
+from .model import ModelParams
 
 SCHEMES = ("explicit-upwind", "imex-diffusion")
 
@@ -83,8 +83,8 @@ class StepperConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if not (0.0 < self.dt_min < self.dt_max):
-            raise ValueError(f"need 0 < dt_min < dt_max, got {self.dt_min}, {self.dt_max}")
+        if not (0.0 < self.dt_min < self.dt_max < math.inf):
+            raise ValueError(f"need 0 < dt_min < dt_max < inf, got {self.dt_min}, {self.dt_max}")
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,27 @@ class TestSublinearProductionBound:
         value = sublinear_production_bound(2.0, 1.0 - 1e-12, 1.0, 1.0, 0.01, 0.01, 1.0)
         assert value == math.inf
 
+    @pytest.mark.parametrize("chi", [1e-2, 1e-4, 1e-40])
+    def test_vanishes_as_chi_goes_to_zero(self, chi):
+        # c1 ~ chi^(1 + (p + rho)/(1 - rho)) = chi^6 at p = 2, rho = 1/2
+        value = sublinear_production_bound(2.0, 0.5, 1.0, chi, 1.0, 1.0, 1.0)
+        assert_close_to_oracle(value, o_c1(2.0, 0.5, 1.0, chi, 1.0, 1.0, 1.0), 1e-12, "c1")
+        assert value == pytest.approx(16.276041666666668 * chi**6, rel=1e-12)
+
+    def test_zero_chi_reads_zero(self):
+        assert sublinear_production_bound(2.0, 0.5, 1.0, 0.0, 1.0, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("chi", [-1.0, math.inf, math.nan])
+    def test_negative_or_non_finite_chi_rejected(self, chi):
+        with pytest.raises(DomainError, match="chi"):
+            sublinear_production_bound(2.0, 0.5, 1.0, chi, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("chi", [1.0, 0.0])
+    def test_zero_xi_rejected(self, chi):
+        # c1 -> inf as xi -> 0, so there is no value to report, at chi = 0 too
+        with pytest.raises(DomainError, match="xi"):
+            sublinear_production_bound(2.0, 0.5, 1.0, chi, 1.0, 0.0, 1.0)
+
 
 class TestEhrlingSchedule:
     def test_unit_sigma(self):
@@ -366,7 +387,7 @@ class TestComputeBounds:
 
     def test_needs_domain_or_volume(self):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError, match="dom"):
             compute_bounds(params, 1.0, 2.0)
 
     def test_overflowing_domain_area_rejected(self):

@@ -7,14 +7,15 @@ import importlib.util
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from attrep import DomainSpec, Field, ModelParams, compute_bounds
+from attrep import BumpSpec, DomainSpec, Field, InitialData, ModelParams, compute_bounds
 from attrep.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, main
-from attrep.config import from_dict, load_config, set_sweep_value
+from attrep.config import from_dict, load_config, sweep_point
 from attrep.errors import SimulationError
 from attrep.grid import read_field_csv, write_field_csv
 
@@ -62,6 +63,19 @@ def base_config(**overrides):
         else:
             cfg[key] = value
     return cfg
+
+
+# A two-bump multi-bump initial block for base_config, without the bump keys.
+MULTI_BUMP = {
+    "kind": "multi-bump",
+    "bumps": [
+        {"center": [0.3, 0.3], "width": 0.1, "amplitude": 1.0},
+        {"center": [0.7, 0.6], "width": 0.1, "amplitude": 2.0},
+    ],
+    "amplitude": None,
+    "center": None,
+    "width": None,
+}
 
 
 def write_config(tmp_path, name="exp.json", **overrides):
@@ -174,6 +188,17 @@ class TestBounds:
         assert main(["bounds", cfg]) == EXIT_ERROR
         assert "rho" in capsys.readouterr().err
 
+    def test_pure_repulsion_has_zero_c1(self, tmp_path, capsys):
+        # chi = 0 switches attraction off, and c1 -> 0 as chi -> 0
+        cfg = write_config(tmp_path, domain={"cells": [16, 16]}, params={"chi": 0.0}, bounds={"p": 2.0})
+        assert main(["bounds", cfg]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["c1"] == 0.0
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_OK
+        summary = read_json(out_dir / "summary.json")
+        assert summary["bounds"]["c1"] == 0.0
+        assert summary["energy_inequality"]["n_pairs"] > 0
+
 
 class TestSimulate:
     def test_output_tree(self, tmp_path, capsys):
@@ -248,6 +273,37 @@ class TestSimulate:
         path.write_text(json.dumps(raw))
         assert main(["simulate", str(path)]) == EXIT_ERROR
         assert "params.rho" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "initial, expected",
+        [
+            ({"kind": "uniform", "amplitude": 3}, InitialData("uniform", amplitude=3.0, mass=2.0)),
+            ({"amplitude": None, "center": None}, InitialData("gaussian-bump", width=0.1, mass=2.0)),
+            (
+                MULTI_BUMP,
+                InitialData(
+                    "multi-bump", bumps=(BumpSpec((0.3, 0.3), 0.1, 1.0), BumpSpec((0.7, 0.6), 0.1, 2.0)), mass=2.0
+                ),
+            ),
+            ({"kind": "from-file", "path": "u0.csv"}, InitialData("from-file", path="u0.csv", mass=2.0)),
+        ],
+    )
+    def test_each_initial_kind_reads_its_keys(self, tmp_path, initial, expected):
+        # keys of other kinds are left at their defaults, as is gaussian-bump's amplitude
+        assert load_config(write_config(tmp_path, initial=initial)).initial == expected
+
+    @pytest.mark.parametrize(
+        "initial, key",
+        [
+            ({"kind": "uniform", "amplitude": None}, "amplitude"),
+            ({"width": None}, "width"),
+            ({**MULTI_BUMP, "bumps": None}, "bumps"),
+            ({"kind": "from-file"}, "path"),
+        ],
+    )
+    def test_required_initial_key_missing(self, tmp_path, initial, key):
+        with pytest.raises(SimulationError, match=re.escape(f"'initial.{key}': missing")):
+            load_config(write_config(tmp_path, initial=initial))
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -544,11 +600,10 @@ class TestSweep:
         cfg = write_config(tmp_path, **overrides)
         sweep_dir = tmp_path / "sweep"
         assert main(["sweep", cfg, "--out", str(sweep_dir)]) == EXIT_OK
-        raw = base_config(**overrides)
-        for i, value in enumerate(raw["sweep"]["values"]):
+        for i, value in enumerate(overrides["sweep"]["values"]):
             point = sweep_dir / f"point_{i:03d}"
             path = tmp_path / f"point_{i}.json"
-            path.write_text(json.dumps(set_sweep_value(raw, "initial.mass", value)))
+            path.write_text(json.dumps(base_config(initial={"mass": value}, **overrides)))
             run_dir = tmp_path / f"simulate_{i}"
             assert main(["simulate", str(path), "--out", str(run_dir)]) == EXIT_OK
             names = sorted(p.name for p in point.iterdir())
@@ -591,14 +646,59 @@ class TestSweep:
         assert not out_dir.exists()
 
     def test_root_level_axis(self):
-        raw = base_config(sweep={"axis": "t_end", "values": [0.5]})
-        point = set_sweep_value(raw, "t_end", 0.5)
-        assert point["t_end"] == 0.5 and "sweep" not in point
-        assert raw["t_end"] == 2e-3 and "sweep" in raw
-        assert point["params"] is raw["params"]
-        assert from_dict(point).t_end == 0.5
-        nested = set_sweep_value(raw, "params.rho", 0.7)
-        assert nested["params"]["rho"] == 0.7 and raw["params"]["rho"] == 0.5
+        cfg = from_dict(base_config(sweep={"axis": "t_end", "values": [0.5]}))
+        point = sweep_point(cfg, 0.5)
+        assert point == replace(cfg, t_end=0.5)
+        assert cfg.t_end == 2e-3
+        assert point.params is cfg.params and point.initial is cfg.initial
+        nested = sweep_point(replace(cfg, sweep_axis="params.rho"), 0.7)
+        assert nested.params == replace(cfg.params, rho=0.7)
+        assert cfg.params.rho == 0.5
+        assert nested.initial is cfg.initial
+
+    def test_point_values_are_floats_but_dim(self):
+        cfg = from_dict(base_config(sweep={"axis": "initial.mass", "values": [3]}))
+        assert type(sweep_point(cfg, 3).initial.mass) is float
+        dim = sweep_point(replace(cfg, sweep_axis="params.dim"), 3)
+        assert type(dim.params.dim) is int and dim.params.dim == 3
+
+    def test_non_integer_dim_point_is_error_row(self, tmp_path, capsys):
+        # the point's ModelParams, not the config reader, rejects 2.5
+        cfg = write_config(tmp_path, sweep={"axis": "params.dim", "values": [2, 2.5]})
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err == "params.dim = 2.5: error: coefficient 'dim' must be an integer, not a float, got 2.5\n"
+        lines = (out_dir / "regime_map.csv").read_text().splitlines()
+        assert lines[1:] == ["2,SublinearGlobal,bounded,true", "2.5,error,error,na"]
+
+    @pytest.mark.parametrize(
+        "initial, axis, problem",
+        [
+            (MULTI_BUMP, "initial.width", "multi-bump initial data never reads 'initial.width'"),
+            (MULTI_BUMP, "initial.amplitude", "multi-bump initial data never reads 'initial.amplitude'"),
+            ({"kind": "uniform", "mass": None}, "initial.width", "uniform initial data never reads 'initial.width'"),
+            ({"kind": "from-file", "path": "u0.csv"}, "initial.width", "from-file initial data never reads"),
+            ({"kind": "from-file", "path": "u0.csv"}, "initial.amplitude", "from-file initial data never reads"),
+            ({}, "initial.amplitude", "'initial.amplitude' is cancelled by the rescale to initial.mass"),
+            ({"kind": "uniform"}, "initial.amplitude", "'initial.amplitude' is cancelled by the rescale"),
+        ],
+    )
+    def test_unread_axis_rejected_at_load(self, tmp_path, capsys, initial, axis, problem):
+        cfg = write_config(tmp_path, initial=initial, sweep={"axis": axis, "values": [0.5, 1.0]})
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        assert f"error: config field 'sweep.axis': {problem}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_amplitude_axis_without_mass_runs(self, tmp_path):
+        cfg = write_config(
+            tmp_path, initial={"mass": None}, sweep={"axis": "initial.amplitude", "values": [1.0, 2.0]}
+        )
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_OK
+        masses = [read_json(out_dir / f"point_{i:03d}" / "summary.json")["mass_initial"] for i in (0, 1)]
+        assert masses[1] == pytest.approx(2.0 * masses[0], rel=1e-14)
 
     def test_int_values_kept(self, tmp_path):
         cfg = load_config(write_config(tmp_path, sweep={"axis": "params.dim", "values": [2, 3]}))
@@ -663,8 +763,24 @@ class TestRepoConfigs:
     def test_examples_exist(self):
         assert len(REPO_CONFIGS) >= 3
 
-    # sha256 of repr(ExperimentConfig), first 16 hex digits, as the config
-    # parser built it before its leaf readers were merged into one per kind.
+    # sha256 of repr(ExperimentConfig), first 16 hex digits. `digest` is the
+    # pin of the parser from before its leaf readers were merged into one per
+    # kind; its config ended in a field `raw` holding the input dict, so the
+    # test appends `, raw={...}` to today's repr to check it. REPR_PINS were
+    # taken from the last parser with `raw`: its repr with the trailing
+    # `, raw={...}` cut.
+    REPR_PINS = {
+        ("critical_mass_sweep", None): "e7bb2e10ff1e60af",
+        ("diffusion_bump", None): "dd6b76be1653f684",
+        ("sublinear_bounded", None): "d64ac8b3a5f8d3a8",
+        ("diag-io-64", 1): "cf6c59052653af88",
+        ("diag-io-64", 2): "0df89c323ef46724",
+        ("imex-cli-128", 1): "3ea36f93f68ddcf3",
+        ("imex-cli-128", 2): "a4ee942151632d38",
+        ("sweep-64", 1): "186a4ae4c6192116",
+        ("sweep-64", 2): "319edd7eb0c92683",
+    }
+
     @pytest.mark.parametrize(
         "name, seed, digest",
         [
@@ -681,10 +797,13 @@ class TestRepoConfigs:
     )
     def test_parses_as_before(self, name, seed, digest):
         if seed is None:
-            cfg = load_config(str(REPO_ROOT / "configs" / f"{name}.json"))
+            raw = read_json(REPO_ROOT / "configs" / f"{name}.json")
         else:
             spec = importlib.util.spec_from_file_location("workloads", REPO_ROOT / "perfbench" / "workloads.py")
             workloads = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(workloads)
-            cfg = from_dict(workloads.make_spec(name, seed)["config"])
-        assert hashlib.sha256(repr(cfg).encode()).hexdigest()[:16] == digest
+            raw = workloads.make_spec(name, seed)["config"]
+        text = repr(from_dict(raw))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.REPR_PINS[name, seed]
+        with_raw = f"{text[:-1]}, raw={raw!r})"
+        assert hashlib.sha256(with_raw.encode()).hexdigest()[:16] == digest

@@ -185,6 +185,23 @@ class TestStepperConfig:
         with pytest.raises(ValueError, match="dt_min"):
             StepperConfig(dt_max=1e-6, dt_min=1e-3)
 
+    def test_infinite_dt_max_rejected(self):
+        # stable_dt is inf where the drift vanishes, so dt_max is the only cap
+        with pytest.raises(ValueError, match="dt_max < inf"):
+            StepperConfig(dt_max=math.inf)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_vanishing_drift_imex_run_ends_with_a_status(self, unit_square_16, uniform):
+        # chi = xi = 0, or a uniform density: no drift bound, so dt = dt_max
+        params = replace(no_drift_params(), chi=1.0) if uniform else no_drift_params()
+        values = np.ones(unit_square_16.cells) if uniform else bump_field(unit_square_16).values
+        state = initial_state(Field(values, unit_square_16), params)
+        cfg = StepperConfig(dt_max=1e-2, scheme="imex-diffusion")
+        assert stable_dt(state, params, replace(cfg, dt_max=1.0)) == 1.0
+        result = run(state, params, cfg, 1.0)
+        assert result.state.status in (Status.COMPLETED, Status.STEADY_DETECTED)
+        assert result.state.t > 0.0
+
 
 class TestFaceFluxes:
     def test_two_cell_worked_example(self):
