@@ -66,9 +66,7 @@ def _bounds_report(cfg: ExperimentConfig, mass: float, p: float):
 def _require_2d(cfg: ExperimentConfig) -> None:
     """The stepper is two dimensional; a run must not silently ignore dim."""
     if cfg.params.dim != 2:
-        raise ConfigError(
-            "params.dim", f"simulate and sweep support dim = 2 only, got {cfg.params.dim}"
-        )
+        raise ConfigError("params.dim", f"simulate and sweep support dim = 2 only, got {cfg.params.dim}")
 
 
 def _run_experiment(cfg: ExperimentConfig, u0: Field, mass: float, out: Path) -> RunResult:
@@ -196,15 +194,12 @@ def _sweep_point(cfg: ExperimentConfig, value, out_dir: str) -> dict:
     row = {"value": value, "prediction": "error", "observed": "error"}
     try:
         cfg = sweep_point(cfg, value)
-        _require_2d(cfg)
         u0, mass = build_initial_data(cfg.initial, cfg.domain)
         regime = classify_regime(cfg.params, mass).regime
         row["prediction"] = regime.value
         row["predicted_outcome"] = _PREDICTED_OUTCOME[regime]
         result = _run_experiment(cfg, u0, mass, Path(out_dir))
-        row["observed"] = (
-            "blowup" if result.state.status is Status.BLOWUP_SUSPECTED else "bounded"
-        )
+        row["observed"] = "blowup" if result.state.status is Status.BLOWUP_SUSPECTED else "bounded"
     except Exception as exc:  # a broken point must not sink the sweep
         row["error"] = str(exc)
     predicted = row.get("predicted_outcome")
@@ -250,9 +245,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     with open(map_path, "w") as fh:
         fh.write(f"{cfg.sweep_axis},classifier_prediction,observed_outcome,agreement\n")
         for row in rows:
-            value = row["value"]
-            text = format(value, ".17g") if isinstance(value, float) else str(value)
-            fh.write(f"{text},{row['prediction']},{row['observed']},{row['agreement']}\n")
+            fh.write(f"{row['value']:.17g},{row['prediction']},{row['observed']},{row['agreement']}\n")
     _regime_svg(rows, cfg.sweep_axis, out / "regime_map.svg")
 
     for row in rows:

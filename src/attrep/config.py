@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .diagnostics import DiagnosticsConfig
 from .errors import ConfigError
-from .model import BumpSpec, DomainSpec, InitialData, ModelParams
+from .model import _INITIAL_KINDS, BumpSpec, DomainSpec, InitialData, ModelParams
 from .stepper import STEADY_TOL, StepperConfig
 
 _COEFFS = ("alpha", "beta", "gamma", "delta", "chi", "xi", "rho")
@@ -22,7 +22,6 @@ _COEFFS = ("alpha", "beta", "gamma", "delta", "chi", "xi", "rho")
 # Leaves a sweep may vary; anything else is a config error, not a silent no-op.
 SWEEPABLE = (
     {f"params.{name}" for name in _COEFFS}
-    | {"params.dim"}
     | {"initial.mass", "initial.amplitude", "initial.width"}
     | {"t_end", "blowup_threshold"}
 )
@@ -30,24 +29,15 @@ SWEEPABLE = (
 
 _REQUIRED = object()
 
-# The keys each kind of initial data reads besides `kind` and `mass`, each
-# with its default; a _REQUIRED key has none.
-_INITIAL_KEYS = {
-    "uniform": {"amplitude": _REQUIRED},
-    "gaussian-bump": {"amplitude": 1.0, "center": None, "width": _REQUIRED},
-    "multi-bump": {"bumps": _REQUIRED},
-    "from-file": {"path": _REQUIRED},
-}
-
 # The keys of each block (README, Config schema), "" for the root. `initial`
-# takes the keys of all its kinds. A key outside its block's set is a typo,
-# which would otherwise leave its field at the default without a word.
+# takes the keys of all its kinds (model._INITIAL_KINDS). A key outside its
+# block's set is a typo, which would otherwise leave its field at the default.
 _KEYS = {
     "": ("domain", "params", "initial", "stepper", "diagnostics", "outputs", "bounds", "sweep")
     + ("t_end", "blowup_threshold", "steady_tol", "workers"),
     "domain": ("lengths", "cells"),
     "params": (*_COEFFS, "dim"),
-    "initial": ("kind", "mass", *(key for keys in _INITIAL_KEYS.values() for key in keys)),
+    "initial": ("kind", "mass", *(key for _, reads in _INITIAL_KINDS.values() for key in reads)),
     "stepper": ("scheme", "dt_max", "cfl_safety", "dt_min"),
     "diagnostics": ("p", "sample_every"),
     "outputs": ("directory", "snapshot_every"),
@@ -194,24 +184,21 @@ def _bumps(field: str, value) -> tuple:
 def _parse_initial(raw: dict) -> InitialData:
     obj = _section(raw, "initial")
     kind = _get(obj, "initial", "kind", string)
-    if kind not in _INITIAL_KEYS:
+    if kind not in _INITIAL_KINDS:
         raise ConfigError("initial.kind", f"unknown kind {kind!r}")
     mass = _get(obj, "initial", "mass", number, None)
     read = {"amplitude": number, "center": _pair(number), "width": number, "bumps": _bumps, "path": string}
-    shape = {key: _get(obj, "initial", key, read[key], default) for key, default in _INITIAL_KEYS[kind].items()}
+    # A key the config may leave out is passed only when given, so InitialData's default stands in.
+    reads = _INITIAL_KINDS[kind][1]
+    shape = {key: _get(obj, "initial", key, read[key]) for key, required in reads.items() if required or key in obj}
     return InitialData(kind, mass=mass, **shape)
 
 
 def _parse_stepper(raw: dict) -> StepperConfig:
     obj = _section(raw, "stepper", required=False)
-    defaults = StepperConfig()
+    read = {"dt_max": number, "cfl_safety": number, "dt_min": number, "scheme": string}
     try:
-        return StepperConfig(
-            dt_max=_get(obj, "stepper", "dt_max", number, defaults.dt_max),
-            cfl_safety=_get(obj, "stepper", "cfl_safety", number, defaults.cfl_safety),
-            dt_min=_get(obj, "stepper", "dt_min", number, defaults.dt_min),
-            scheme=_get(obj, "stepper", "scheme", string, defaults.scheme),
-        )
+        return StepperConfig(**{key: _get(obj, "stepper", key, read[key]) for key in read if key in obj})
     except ValueError as exc:
         raise ConfigError("stepper", str(exc)) from exc
 
@@ -240,15 +227,12 @@ def from_dict(raw: dict) -> ExperimentConfig:
         values = sweep.get("values")
         if not isinstance(values, list):
             raise ConfigError("sweep.values", "missing or not a list")
-        # Checked as numbers but kept as given, so an int params.dim sweep stays int.
-        for i, value in enumerate(values):
-            number(f"sweep.values[{i}]", value)
-        sweep_values = tuple(values)
+        sweep_values = tuple(number(f"sweep.values[{i}]", value) for i, value in enumerate(values))
     domain, params, initial = _parse_domain(raw), _parse_params(raw), _parse_initial(raw)
     # An axis the initial data never reads would run the same point N times.
     section, _, leaf = (sweep_axis or "").partition(".")
     if section == "initial" and leaf != "mass":
-        if leaf not in _INITIAL_KEYS[initial.kind]:
+        if leaf not in _INITIAL_KINDS[initial.kind][1]:
             raise ConfigError("sweep.axis", f"{initial.kind} initial data never reads {sweep_axis!r}")
         if leaf == "amplitude" and initial.mass is not None:
             raise ConfigError("sweep.axis", f"{sweep_axis!r} is cancelled by the rescale to initial.mass")
@@ -287,12 +271,11 @@ def load_config(path) -> ExperimentConfig:
     return from_dict(raw)
 
 
-def sweep_point(cfg: ExperimentConfig, value) -> ExperimentConfig:
-    """cfg with its sweep axis leaf set to value, a float (an int for
-    params.dim as given). The leaf's owner checks it as it is built: a
-    replaced coefficient goes through ModelParams."""
+def sweep_point(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
+    """cfg with its sweep axis leaf set to value. The leaf's owner checks it
+    as it is built: a replaced coefficient goes through ModelParams, a
+    replaced mass or shape value through InitialData."""
     section, _, leaf = cfg.sweep_axis.rpartition(".")
-    value = value if leaf == "dim" else float(value)
     if not section:
         return replace(cfg, **{leaf: value})
     return replace(cfg, **{section: replace(getattr(cfg, section), **{leaf: value})})

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonFiniteField
-from .model import DomainSpec
+
+if TYPE_CHECKING:  # model builds initial data on this grid, so imports it
+    from .model import DomainSpec
 
 
 @dataclass(frozen=True)

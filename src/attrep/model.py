@@ -31,6 +31,7 @@ from .errors import (
     RhoOutOfRange,
     ZeroField,
 )
+from .grid import Field, integrate, read_field_csv
 
 # Relative tolerance on |m - critical_mass| for the knife-edge critical-mass
 # classification.
@@ -128,18 +129,28 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class BumpSpec:
+    """One Gaussian bump; construction checks it: finite center, width > 0, amplitude >= 0."""
+
     center: tuple[float, float]
     width: float
     amplitude: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.amplitude < math.inf:
+            raise NegativeAmplitude(f"bump amplitude must be >= 0, got {self.amplitude}")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError(f"bump width must be positive, got {self.width}")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"bump center must be finite, got {self.center}")
 
 
 @dataclass(frozen=True)
 class InitialData:
     """Builder tag plus shape parameters for the initial density.
 
-    kind is one of "uniform", "gaussian-bump", "multi-bump", "from-file".
-    When `mass` is set the built field is rescaled so its discrete integral
-    equals that target.
+    kind is one of "uniform", "gaussian-bump", "multi-bump", "from-file";
+    construction checks the mass and the fields that kind reads, no others.
+    When `mass` is set the built field is rescaled to that discrete integral.
     """
 
     kind: str
@@ -150,18 +161,50 @@ class InitialData:
     path: str | None = None
     mass: float | None = None
 
+    def __post_init__(self):
+        if self.kind not in _INITIAL_KINDS:
+            raise ValueError(f"unknown initial data kind {self.kind!r}")
+        reads = _INITIAL_KINDS[self.kind][1]
+        if "width" in reads:  # one bump, checked as a BumpSpec; a None center is dom's middle
+            BumpSpec(self.center if self.center is not None else (0.0, 0.0), self.width, self.amplitude)
+        elif "amplitude" in reads and not 0.0 <= self.amplitude < math.inf:
+            raise NegativeAmplitude(f"uniform level must be >= 0, got {self.amplitude}")
+        if "bumps" in reads and not (isinstance(self.bumps, tuple) and self.bumps):
+            raise ZeroField("multi-bump initial data needs at least one bump")
+        if "path" in reads and not isinstance(self.path, str):
+            raise ValueError("from-file initial data needs a path")
+        if self.mass is not None and not 0.0 < self.mass < math.inf:
+            raise ZeroField(f"target mass must be positive, got {self.mass}")
+
 
 def _gaussian(dom: DomainSpec, center, width: float, amplitude: float) -> np.ndarray:
-    if amplitude < 0:
-        raise NegativeAmplitude(f"bump amplitude must be >= 0, got {amplitude}")
-    if width <= 0:
-        raise ValueError(f"bump width must be positive, got {width}")
+    """A bump of the given width and height about center (None: the middle of dom)."""
     x, y = dom.cell_centers()
-    cx, cy = center
+    cx, cy = center if center is not None else (dom.lengths[0] / 2, dom.lengths[1] / 2)
     r2 = (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2
     values = np.exp(-r2 / (2.0 * width**2))
     values *= amplitude
     return values
+
+
+def _multi_bump(spec: InitialData, dom: DomainSpec) -> np.ndarray:
+    values = np.zeros(dom.cells)
+    for bump in spec.bumps:
+        values += _gaussian(dom, bump.center, bump.width, bump.amplitude)
+    return values
+
+
+# Each kind of initial data: its builder(spec, dom), and the fields it reads
+# besides mass, each True when a config must give it.
+_INITIAL_KINDS = {
+    "uniform": (lambda spec, dom: np.full(dom.cells, float(spec.amplitude)), {"amplitude": True}),
+    "gaussian-bump": (
+        lambda spec, dom: _gaussian(dom, spec.center, spec.width, spec.amplitude),
+        {"amplitude": False, "center": False, "width": True},
+    ),
+    "multi-bump": (_multi_bump, {"bumps": True}),
+    "from-file": (lambda spec, dom: read_field_csv(spec.path, dom).values, {"path": True}),
+}
 
 
 def build_initial_data(spec: InitialData, dom: DomainSpec):
@@ -169,39 +212,16 @@ def build_initial_data(spec: InitialData, dom: DomainSpec):
 
     Values are midpoint samples at cell centers, which is the second-order
     cell average. The reported mass is the discrete integral of the result.
+    The spec checked itself when built; left here: negative file values, a zero integral.
     """
-    from .grid import Field, integrate, read_field_csv
-
-    if spec.kind == "uniform":
-        if spec.amplitude < 0:
-            raise NegativeAmplitude(f"uniform level must be >= 0, got {spec.amplitude}")
-        values = np.full(dom.cells, float(spec.amplitude))
-    elif spec.kind == "gaussian-bump":
-        center = spec.center if spec.center is not None else (dom.lengths[0] / 2, dom.lengths[1] / 2)
-        values = _gaussian(dom, center, spec.width, spec.amplitude)
-    elif spec.kind == "multi-bump":
-        if not spec.bumps:
-            raise ZeroField("multi-bump initial data needs at least one bump")
-        values = np.zeros(dom.cells)
-        for bump in spec.bumps:
-            values += _gaussian(dom, bump.center, bump.width, bump.amplitude)
-    elif spec.kind == "from-file":
-        if spec.path is None:
-            raise ValueError("from-file initial data needs a path")
-        field = read_field_csv(spec.path, dom)
-        if field.values.min() < 0:
-            raise NegativeAmplitude(f"file {spec.path!r} holds negative density values")
-        values = np.array(field.values)
-    else:
-        raise ValueError(f"unknown initial data kind {spec.kind!r}")
-
+    values = _INITIAL_KINDS[spec.kind][0](spec, dom)
+    if values.min() < 0:  # only from a file: the other kinds checked their amplitudes
+        raise NegativeAmplitude(f"file {spec.path!r} holds negative density values")
     field = Field(values, dom)
     mass = integrate(field)
     if mass <= 0.0:
         raise ZeroField("initial data integrates to zero")
     if spec.mass is not None:
-        if spec.mass <= 0:
-            raise ZeroField(f"target mass must be positive, got {spec.mass}")
         field = Field(values * (float(spec.mass) / mass), dom)
         mass = integrate(field)
     return field, mass

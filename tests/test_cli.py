@@ -656,21 +656,31 @@ class TestSweep:
         assert cfg.params.rho == 0.5
         assert nested.initial is cfg.initial
 
-    def test_point_values_are_floats_but_dim(self):
+    def test_point_values_are_floats(self):
+        # read as floats at load, so a point replaces its leaf with a float
         cfg = from_dict(base_config(sweep={"axis": "initial.mass", "values": [3]}))
-        assert type(sweep_point(cfg, 3).initial.mass) is float
-        dim = sweep_point(replace(cfg, sweep_axis="params.dim"), 3)
-        assert type(dim.params.dim) is int and dim.params.dim == 3
+        assert cfg.sweep_values == (3.0,) and type(cfg.sweep_values[0]) is float
+        assert type(sweep_point(cfg, cfg.sweep_values[0]).initial.mass) is float
 
-    def test_non_integer_dim_point_is_error_row(self, tmp_path, capsys):
-        # the point's ModelParams, not the config reader, rejects 2.5
-        cfg = write_config(tmp_path, sweep={"axis": "params.dim", "values": [2, 2.5]})
+    @pytest.mark.parametrize(
+        "initial, text",
+        [
+            (
+                {**MULTI_BUMP, "bumps": [{"center": [0.3, 0.3], "width": -0.1, "amplitude": 1.0}]},
+                "bump width must be positive, got -0.1",
+            ),
+            ({"width": 0}, "bump width must be positive, got 0"),
+            ({"kind": "uniform", "amplitude": -1}, "uniform level must be >= 0, got -1"),
+            ({"mass": -1}, "target mass must be positive, got -1"),
+        ],
+    )
+    def test_base_initial_data_fails_at_load(self, tmp_path, capsys, initial, text):
+        # the base must build even where every point replaces the bad leaf
+        cfg = write_config(tmp_path, initial=initial, sweep={"axis": "initial.mass", "values": [1.0, 2.0]})
         out_dir = tmp_path / "sweep"
-        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_OK
-        err = capsys.readouterr().err
-        assert err == "params.dim = 2.5: error: coefficient 'dim' must be an integer, not a float, got 2.5\n"
-        lines = (out_dir / "regime_map.csv").read_text().splitlines()
-        assert lines[1:] == ["2,SublinearGlobal,bounded,true", "2.5,error,error,na"]
+        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        assert f"error: {text}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "initial, axis, problem",
@@ -700,11 +710,6 @@ class TestSweep:
         masses = [read_json(out_dir / f"point_{i:03d}" / "summary.json")["mass_initial"] for i in (0, 1)]
         assert masses[1] == pytest.approx(2.0 * masses[0], rel=1e-14)
 
-    def test_int_values_kept(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, sweep={"axis": "params.dim", "values": [2, 3]}))
-        assert cfg.sweep_values == (2, 3)
-        assert all(type(v) is int for v in cfg.sweep_values)
-
     def test_missing_sweep_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["sweep", cfg]) == EXIT_ERROR
@@ -725,9 +730,13 @@ class TestSweep:
         assert not out_dir.exists()
 
     def test_unknown_axis_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, sweep={"axis": "params.nope", "values": [1.0]})
-        assert main(["sweep", cfg]) == EXIT_ERROR
-        assert "params.nope" in capsys.readouterr().err
+        # params.dim is no axis: the stepper runs dim = 2 only
+        out_dir = tmp_path / "sweep"
+        for axis in ("params.nope", "params.dim"):
+            cfg = write_config(tmp_path, sweep={"axis": axis, "values": [2]})
+            assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+            assert f"config field 'sweep.axis': '{axis}' is not sweepable" in capsys.readouterr().err
+            assert not out_dir.exists()
 
     def test_parallel_workers_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SIM_WORKERS", "2")

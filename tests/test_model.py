@@ -1,6 +1,8 @@
 """Admissible parameters, domain geometry, initial data, regime taxonomy."""
 
 import math
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from scipy.integrate import dblquad
 
 from attrep import (
     BumpSpec,
+    DiagnosticsConfig,
     DomainSpec,
     InitialData,
     ModelParams,
     Regime,
+    StepperConfig,
     build_initial_data,
     classify_regime,
     critical_mass,
@@ -22,6 +26,7 @@ from attrep.errors import (
     NegativeAmplitude,
     NonPositiveCoefficient,
     RhoOutOfRange,
+    SimulationError,
     ZeroField,
 )
 from attrep.grid import integrate, write_field_csv
@@ -221,6 +226,30 @@ class TestBuildInitialData:
         with pytest.raises(ValueError):
             build_initial_data(InitialData(kind="plane-wave"), dom)
 
+    @pytest.mark.parametrize(
+        "build, error, text",
+        [
+            (lambda: InitialData("gaussain-bump"), ValueError, "unknown initial data kind 'gaussain-bump'"),
+            (lambda: BumpSpec((0.5, 0.5), -0.1, 1.0), ValueError, "bump width must be positive, got -0.1"),
+            (lambda: BumpSpec((0.5, 0.5), 0.1, -1.0), NegativeAmplitude, "bump amplitude must be >= 0, got -1.0"),
+            (lambda: InitialData("gaussian-bump", width=0.0), ValueError, "bump width must be positive, got 0.0"),
+            (lambda: InitialData("uniform", amplitude=-1.0), NegativeAmplitude, "uniform level must be >= 0, got -1.0"),
+            (lambda: InitialData("gaussian-bump", width=0.1, mass=-1.0), ZeroField, "target mass must be positive"),
+            (lambda: InitialData("multi-bump"), ZeroField, "multi-bump initial data needs at least one bump"),
+            (lambda: InitialData("from-file"), ValueError, "from-file initial data needs a path"),
+        ],
+        ids=["kind", "bump-width", "bump-amplitude", "width", "uniform-level", "mass", "no-bumps", "no-path"],
+    )
+    def test_rejected_when_built(self, build, error, text):
+        # the check runs when the spec is built, before any domain is known
+        with pytest.raises(error, match=re.escape(text)):
+            build()
+
+    def test_unread_fields_not_checked(self):
+        # the union rule: a field the kind never reads may hold anything
+        assert InitialData("uniform", width=-1.0, center=(math.nan, 0.0)).width == -1.0
+        assert InitialData("from-file", path="u0.csv", amplitude=-1.0, bumps=[]).amplitude == -1.0
+
     def test_output_nonnegative_with_positive_mass(self):
         dom = DomainSpec((1.0, 1.0), (32, 32))
         field, mass = build_initial_data(
@@ -304,3 +333,46 @@ class TestClassifyRegime:
         a = classify_regime(base, mass)
         b = classify_regime(scaled, mass)
         assert a.regime is b.regime
+
+
+# A valid instance of each frozen value object attrep exports, with the names
+# of its float fields; a tuple of floats counts once per entry. InitialData
+# lists, per kind, only the fields that kind reads.
+_BUMP = BumpSpec((0.5, 0.5), 0.1, 1.0)
+VALUE_OBJECTS = [
+    (params_with(), ("alpha", "beta", "gamma", "delta", "chi", "xi", "rho")),
+    (DomainSpec((1.0, 1.0), (8, 8)), ("lengths",)),
+    (StepperConfig(), ("dt_max", "cfl_safety", "dt_min")),
+    (DiagnosticsConfig(ps=(2.0, 3.0)), ("ps",)),
+    (_BUMP, ("center", "width", "amplitude")),
+    (InitialData("uniform", amplitude=1.0, mass=1.0), ("amplitude", "mass")),
+    (InitialData("gaussian-bump", center=(0.5, 0.5), mass=1.0), ("amplitude", "center", "width", "mass")),
+    (InitialData("multi-bump", bumps=(_BUMP,), mass=1.0), ("mass",)),
+    (InitialData("from-file", path="u0.csv", mass=1.0), ("mass",)),
+]
+
+
+def _non_finite_cases():
+    for obj, names in VALUE_OBJECTS:
+        label = type(obj).__name__ + (f"-{obj.kind}" if isinstance(obj, InitialData) else "")
+        for name in names:
+            value = getattr(obj, name)
+            for index in range(len(value)) if isinstance(value, tuple) else (None,):
+                for bad in (math.nan, math.inf, -math.inf):
+                    leaf = name if index is None else f"{name}[{index}]"
+                    yield pytest.param(obj, name, index, bad, id=f"{label}.{leaf}={bad}")
+
+
+class TestNonFiniteRejected:
+    def test_every_float_field_listed(self):
+        listed = {}
+        for obj, names in VALUE_OBJECTS:
+            listed.setdefault(type(obj), set()).update(names)
+        for cls, names in listed.items():
+            assert names == {f.name for f in fields(cls) if "float" in str(f.type)}, cls.__name__
+
+    @pytest.mark.parametrize("obj, name, index, bad", _non_finite_cases())
+    def test_rejected_when_built(self, obj, name, index, bad):
+        value = bad if index is None else getattr(obj, name)[:index] + (bad,) + getattr(obj, name)[index + 1 :]
+        with pytest.raises((ValueError, SimulationError)):
+            replace(obj, **{name: value})
