@@ -1,9 +1,10 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
-Every leaf goes through one reader per kind (`number`, `exponent`,
-`integer`, `string`, `_pair`), and the `sim` flags go through the same
-readers. Errors name the offending field by its dotted path, so a bad config
-fails with a message like "config field 'params.rho': missing".
+One table, `_SCHEMA`, gives every key of a config with its reader. Every leaf
+goes through one reader per kind (`number`, `exponent`, `integer`, `string`,
+`_pair`), and the `sim` flags go through the same readers. Errors name the
+offending field by its dotted path, so a bad config fails with a message like
+"config field 'params.rho': missing".
 """
 
 from __future__ import annotations
@@ -25,57 +26,6 @@ SWEEPABLE = (
     | {"initial.mass", "initial.amplitude", "initial.width"}
     | {"t_end", "blowup_threshold"}
 )
-
-
-_REQUIRED = object()
-
-# The keys of each block (README, Config schema), "" for the root. `initial`
-# takes the keys of all its kinds (model._INITIAL_KINDS). A key outside its
-# block's set is a typo, which would otherwise leave its field at the default.
-_KEYS = {
-    "": ("domain", "params", "initial", "stepper", "diagnostics", "outputs", "bounds", "sweep")
-    + ("t_end", "blowup_threshold", "steady_tol", "workers"),
-    "domain": ("lengths", "cells"),
-    "params": (*_COEFFS, "dim"),
-    "initial": ("kind", "mass", *(key for _, reads in _INITIAL_KINDS.values() for key in reads)),
-    "stepper": ("scheme", "dt_max", "cfl_safety", "dt_min"),
-    "diagnostics": ("p", "sample_every"),
-    "outputs": ("directory", "snapshot_every"),
-    "bounds": ("p", "cgn", "ce"),
-    "sweep": ("axis", "values"),
-}
-
-
-def _known(obj: dict, path: str, keys: tuple) -> dict:
-    """obj, once every key in it is one of `keys`; else the first other key
-    fails, named by its dotted path."""
-    for key in obj:
-        if key not in keys:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-    return obj
-
-
-def _section(raw: dict, name: str, required: bool = True) -> dict:
-    if name not in raw:
-        if required:
-            raise ConfigError(name, "missing")
-        return {}
-    value = raw[name]
-    if not isinstance(value, dict):
-        raise ConfigError(name, f"expected an object, got {type(value).__name__}")
-    return _known(value, name, _KEYS[name])
-
-
-def _get(obj: dict, path: str, key: str, read, default=_REQUIRED):
-    """obj[key] passed through read(field, value), where field is the dotted
-    name path.key. An absent key gives default, or fails when it is required;
-    an explicit null is present, so its reader rejects it."""
-    field = f"{path}.{key}" if path else key
-    if key in obj:
-        return read(field, obj[key])
-    if default is _REQUIRED:
-        raise ConfigError(field, "missing")
-    return default
 
 
 def number(field: str, value) -> float:
@@ -149,112 +99,141 @@ class ExperimentConfig:
     workers: int
 
 
-def _parse_domain(raw: dict) -> DomainSpec:
-    obj = _section(raw, "domain")
-    lengths = _get(obj, "domain", "lengths", _pair(number))
-    cells = _get(obj, "domain", "cells", _pair(integer(1)))
-    try:
-        return DomainSpec(lengths, cells)
-    except ValueError as exc:
-        raise ConfigError("domain", str(exc)) from exc
+def _choice(choices, problem: str):
+    """A reader of strings in choices; problem formats the error for any other value."""
+
+    def read(field: str, value) -> str:
+        if string(field, value) not in choices:
+            raise ConfigError(field, problem.format(value=value, choices=sorted(choices)))
+        return value
+
+    return read
 
 
-def _parse_params(raw: dict) -> ModelParams:
-    obj = _section(raw, "params")
-    kwargs = {name: _get(obj, "params", name, number) for name in _COEFFS}
-    kwargs["dim"] = _get(obj, "params", "dim", integer(2), 2)
-    return ModelParams(**kwargs)
+def _block(schema: dict):
+    """A reader of objects whose keys all appear in schema, as a dict of the
+    keys given, each read by its key's reader under its dotted name. An
+    absent key stays absent, so the default of what is built from it stands."""
+
+    def read(field: str, value) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(field, f"expected an object, got {type(value).__name__}")
+        path = f"{field}." if field else ""
+        for key in value:
+            if key not in schema:
+                raise ConfigError(path + key, "unknown key")
+        return {key: schema[key](path + key, v) for key, v in value.items()}
+
+    return read
+
+
+def _given(block: dict, field: str, keys) -> dict:
+    """block, once it holds each of keys; else the first absent one is missing."""
+    for key in keys:
+        if key not in block:
+            raise ConfigError(f"{field}.{key}" if field else key, "missing")
+    return block
+
+
+_BUMP = _block({"center": _pair(number), "width": number, "amplitude": number})
 
 
 def _bumps(field: str, value) -> tuple:
     """A non-empty list of bump objects, each with a center, width and amplitude."""
     if not isinstance(value, list) or not value:
         raise ConfigError(field, "expected a non-empty list")
-    bumps = []
-    for i, b in enumerate(value):
-        path = f"{field}[{i}]"
-        if not isinstance(b, dict):
-            raise ConfigError(path, "expected an object")
-        _known(b, path, ("center", "width", "amplitude"))
-        center = _get(b, path, "center", _pair(number))
-        bumps.append(BumpSpec(center, _get(b, path, "width", number), _get(b, path, "amplitude", number)))
-    return tuple(bumps)
+    bumps = ((f"{field}[{i}]", bump) for i, bump in enumerate(value))
+    return tuple(BumpSpec(**_given(_BUMP(path, b), path, ("center", "width", "amplitude"))) for path, b in bumps)
 
 
-def _parse_initial(raw: dict) -> InitialData:
-    obj = _section(raw, "initial")
-    kind = _get(obj, "initial", "kind", string)
-    if kind not in _INITIAL_KINDS:
-        raise ConfigError("initial.kind", f"unknown kind {kind!r}")
-    mass = _get(obj, "initial", "mass", number, None)
-    read = {"amplitude": number, "center": _pair(number), "width": number, "bumps": _bumps, "path": string}
-    # A key the config may leave out is passed only when given, so InitialData's default stands in.
-    reads = _INITIAL_KINDS[kind][1]
-    shape = {key: _get(obj, "initial", key, read[key]) for key, required in reads.items() if required or key in obj}
-    return InitialData(kind, mass=mass, **shape)
+def _exponent_list(field: str, value) -> tuple:
+    """One energy exponent, or a non-empty list of distinct ones."""
+    ps = tuple(exponent(field, p) for p in (value if isinstance(value, list) else [value]))
+    if not ps:
+        raise ConfigError(field, "expected a number or a non-empty list, got []")
+    if len(set(ps)) < len(ps):
+        raise ConfigError(field, f"expected a list of distinct exponents, got {value!r}")
+    return ps
 
 
-def _parse_stepper(raw: dict) -> StepperConfig:
-    obj = _section(raw, "stepper", required=False)
-    read = {"dt_max": number, "cfl_safety": number, "dt_min": number, "scheme": string}
+def _values(field: str, value) -> tuple:
+    """A list of numbers, each named by its index."""
+    if not isinstance(value, list):
+        raise ConfigError(field, f"expected a list, got {value!r}")
+    return tuple(number(f"{field}[{i}]", v) for i, v in enumerate(value))
+
+
+# The reader of each field that a kind of initial data reads (model._INITIAL_KINDS).
+_SHAPE = {"amplitude": number, "center": _pair(number), "width": number, "bumps": _bumps, "path": string}
+
+# Every key of a config with its reader, block by block and then the root
+# scalars, as in the README's Config schema. `initial` takes the fields of
+# all its kinds, each checked even where the kind does not read it; from_dict
+# passes InitialData only the ones its kind reads.
+_SCHEMA = {
+    "domain": _block({"lengths": _pair(number), "cells": _pair(integer(1))}),
+    "params": _block({**dict.fromkeys(_COEFFS, number), "dim": integer(2)}),
+    "initial": _block({"kind": _choice(_INITIAL_KINDS, "unknown kind {value!r}"), "mass": number, **_SHAPE}),
+    "stepper": _block({"scheme": string, "dt_max": number, "cfl_safety": number, "dt_min": number}),
+    "diagnostics": _block({"p": _exponent_list, "sample_every": integer(1)}),
+    "outputs": _block({"directory": string, "snapshot_every": integer(0)}),
+    "bounds": _block({"p": exponent, "cgn": number, "ce": number}),
+    "sweep": _block(
+        {"axis": _choice(SWEEPABLE, "{value!r} is not sweepable; choose from {choices}"), "values": _values}
+    ),
+    "t_end": number,
+    "blowup_threshold": number,
+    "steady_tol": number,
+    "workers": integer(1),
+}
+
+
+def _build(cls, field: str, block: dict):
+    """cls(**block), its ValueError named by field."""
     try:
-        return StepperConfig(**{key: _get(obj, "stepper", key, read[key]) for key in read if key in obj})
+        return cls(**block)
     except ValueError as exc:
-        raise ConfigError("stepper", str(exc)) from exc
+        raise ConfigError(field, str(exc)) from exc
 
 
 def from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "top level must be a JSON object")
-    _known(raw, "", _KEYS[""])
-    diag = _section(raw, "diagnostics", required=False)
-    ps = diag.get("p", list(DiagnosticsConfig.ps))
-    ps = ps if isinstance(ps, list) else [ps]
-    if not ps:
-        raise ConfigError("diagnostics.p", "expected a number or a non-empty list, got []")
-    diag_ps = tuple(exponent("diagnostics.p", p) for p in ps)
-    if len(set(diag_ps)) < len(diag_ps):
-        raise ConfigError("diagnostics.p", f"expected a list of distinct exponents, got {ps!r}")
-    outputs = _section(raw, "outputs", required=False)
-    bounds = _section(raw, "bounds", required=False)
-    sweep = _section(raw, "sweep", required=False)
-    sweep_axis = None
-    sweep_values = None
-    if sweep:
-        sweep_axis = _get(sweep, "sweep", "axis", string)
-        if sweep_axis not in SWEEPABLE:
-            raise ConfigError("sweep.axis", f"{sweep_axis!r} is not sweepable; choose from {sorted(SWEEPABLE)}")
-        values = sweep.get("values")
-        if not isinstance(values, list):
-            raise ConfigError("sweep.values", "missing or not a list")
-        sweep_values = tuple(number(f"sweep.values[{i}]", value) for i, value in enumerate(values))
-    domain, params, initial = _parse_domain(raw), _parse_params(raw), _parse_initial(raw)
+    cfg = _given(_block(_SCHEMA)("", raw), "", ("domain", "params", "initial"))
+    domain = _build(DomainSpec, "domain", _given(cfg["domain"], "domain", ("lengths", "cells")))
+    params = ModelParams(**_given(cfg["params"], "params", _COEFFS))
+    block = _given(cfg["initial"], "initial", ("kind",))
+    reads = _INITIAL_KINDS[block["kind"]][1]
+    _given(block, "initial", [key for key, required in reads.items() if required])
+    initial = InitialData(block["kind"], mass=block.get("mass"), **{k: block[k] for k in reads if k in block})
+    sweep = _given(cfg["sweep"], "sweep", ("axis", "values")) if cfg.get("sweep") else {}
     # An axis the initial data never reads would run the same point N times.
-    section, _, leaf = (sweep_axis or "").partition(".")
+    axis = sweep.get("axis")
+    section, _, leaf = (axis or "").partition(".")
     if section == "initial" and leaf != "mass":
-        if leaf not in _INITIAL_KINDS[initial.kind][1]:
-            raise ConfigError("sweep.axis", f"{initial.kind} initial data never reads {sweep_axis!r}")
+        if leaf not in reads:
+            raise ConfigError("sweep.axis", f"{initial.kind} initial data never reads {axis!r}")
         if leaf == "amplitude" and initial.mass is not None:
-            raise ConfigError("sweep.axis", f"{sweep_axis!r} is cancelled by the rescale to initial.mass")
-
+            raise ConfigError("sweep.axis", f"{axis!r} is cancelled by the rescale to initial.mass")
+    diag, outputs, bounds = (cfg.get(name, {}) for name in ("diagnostics", "outputs", "bounds"))
     return ExperimentConfig(
         domain=domain,
         params=params,
         initial=initial,
-        t_end=_get(raw, "", "t_end", number, 1.0),
-        stepper=_parse_stepper(raw),
-        diag_ps=diag_ps,
-        sample_every=_get(diag, "diagnostics", "sample_every", integer(1), DiagnosticsConfig.every),
-        out_dir=_get(outputs, "outputs", "directory", string, "sim_out"),
-        snapshot_every=_get(outputs, "outputs", "snapshot_every", integer(0), 0),
-        blowup_threshold=_get(raw, "", "blowup_threshold", number, None),
-        steady_tol=_get(raw, "", "steady_tol", number, STEADY_TOL),
-        bounds_p=_get(bounds, "bounds", "p", exponent, None),
-        bounds_cgn=_get(bounds, "bounds", "cgn", number, None),
-        bounds_ce=_get(bounds, "bounds", "ce", number, None),
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
-        workers=_get(raw, "", "workers", integer(1), 1),
+        t_end=cfg.get("t_end", 1.0),
+        stepper=_build(StepperConfig, "stepper", cfg.get("stepper", {})),
+        diag_ps=diag.get("p", DiagnosticsConfig.ps),
+        sample_every=diag.get("sample_every", DiagnosticsConfig.every),
+        out_dir=outputs.get("directory", "sim_out"),
+        snapshot_every=outputs.get("snapshot_every", 0),
+        blowup_threshold=cfg.get("blowup_threshold"),
+        steady_tol=cfg.get("steady_tol", STEADY_TOL),
+        bounds_p=bounds.get("p"),
+        bounds_cgn=bounds.get("cgn"),
+        bounds_ce=bounds.get("ce"),
+        sweep_axis=axis,
+        sweep_values=sweep.get("values"),
+        workers=cfg.get("workers", 1),
     )
 
 

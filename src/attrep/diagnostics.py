@@ -29,9 +29,12 @@ if TYPE_CHECKING:
 
 
 def _exponents(ps) -> tuple[float, ...]:
-    """The energy exponents as floats: at least one, each finite and above 1,
-    none repeated (ValueError naming them)."""
-    ps = tuple(float(p) for p in ps)
+    """The energy exponents as floats: at least one, each a finite real number
+    above 1 (not a bool or a string), none repeated (ValueError naming them)."""
+    values = (ps,) if isinstance(ps, str) else tuple(ps)
+    if not all(_is(numbers.Real, p) for p in values):
+        raise ValueError(f"every exponent must be a real number, got {ps!r}")
+    ps = tuple(float(p) for p in values)
     if not ps:
         raise ValueError("need at least one exponent p")
     if not all(1.0 < p < math.inf for p in ps):

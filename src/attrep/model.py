@@ -129,19 +129,24 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """One Gaussian bump; construction checks it: finite center, width > 0, amplitude >= 0."""
+    """One Gaussian bump; construction checks it: a pair of finite reals for
+    center, real width > 0 and amplitude >= 0 (not bools or strings)."""
 
     center: tuple[float, float]
     width: float
     amplitude: float
 
     def __post_init__(self):
+        for name in ("width", "amplitude"):
+            if not _is(numbers.Real, getattr(self, name)):
+                raise ValueError(f"bump {name} must be a real number, got {getattr(self, name)!r}")
         if not 0.0 <= self.amplitude < math.inf:
             raise NegativeAmplitude(f"bump amplitude must be >= 0, got {self.amplitude}")
         if not 0.0 < self.width < math.inf:
             raise ValueError(f"bump width must be positive, got {self.width}")
-        if not all(map(math.isfinite, self.center)):
-            raise ValueError(f"bump center must be finite, got {self.center}")
+        pair = isinstance(self.center, tuple) and len(self.center) == 2
+        if not (pair and all(_is(numbers.Real, c) and math.isfinite(c) for c in self.center)):
+            raise ValueError(f"bump center must be a pair of finite real numbers, got {self.center!r}")
 
 
 @dataclass(frozen=True)
@@ -165,12 +170,18 @@ class InitialData:
         if self.kind not in _INITIAL_KINDS:
             raise ValueError(f"unknown initial data kind {self.kind!r}")
         reads = _INITIAL_KINDS[self.kind][1]
+        for name in ("amplitude", "width", "mass"):
+            value = getattr(self, name)
+            if (name in reads or name == "mass" and value is not None) and not _is(numbers.Real, value):
+                raise ValueError(f"initial data {name} must be a real number, got {value!r}")
         if "width" in reads:  # one bump, checked as a BumpSpec; a None center is dom's middle
             BumpSpec(self.center if self.center is not None else (0.0, 0.0), self.width, self.amplitude)
         elif "amplitude" in reads and not 0.0 <= self.amplitude < math.inf:
             raise NegativeAmplitude(f"uniform level must be >= 0, got {self.amplitude}")
         if "bumps" in reads and not (isinstance(self.bumps, tuple) and self.bumps):
             raise ZeroField("multi-bump initial data needs at least one bump")
+        if "bumps" in reads and not all(isinstance(b, BumpSpec) for b in self.bumps):
+            raise ValueError(f"multi-bump bumps must be BumpSpecs, got {self.bumps!r}")
         if "path" in reads and not isinstance(self.path, str):
             raise ValueError("from-file initial data needs a path")
         if self.mass is not None and not 0.0 < self.mass < math.inf:

@@ -4,6 +4,8 @@ cli.main so coverage and determinism are easy to reason about."""
 
 import hashlib
 import importlib.util
+import inspect
+import itertools
 import json
 import math
 import re
@@ -15,9 +17,10 @@ import pytest
 
 from attrep import BumpSpec, DomainSpec, Field, InitialData, ModelParams, compute_bounds
 from attrep.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, main
-from attrep.config import from_dict, load_config, sweep_point
+from attrep.config import _SCHEMA, from_dict, load_config, sweep_point
 from attrep.errors import SimulationError
 from attrep.grid import read_field_csv, write_field_csv
+from attrep.model import _INITIAL_KINDS
 
 FOUR_PI = 4.0 * math.pi
 
@@ -344,6 +347,11 @@ class TestSimulate:
             # one column per exponent: a repeat would write E_2 twice
             ({"diagnostics": {"p": [2.0, 2.0]}}, "diagnostics.p"),
             ({"diagnostics": {"p": [2.0, 2]}}, "diagnostics.p"),
+            # every key of initial is read, also where its kind never uses it
+            ({"initial": {"kind": "uniform", "width": "abc"}}, "initial.width"),
+            ({"initial": {"kind": "uniform", "center": [None, "x"]}}, "initial.center"),
+            ({"initial": {"kind": "uniform", "bumps": 7}}, "initial.bumps"),
+            ({"initial": {"kind": "uniform", "path": 3}}, "initial.path"),
         ],
     )
     def test_bad_config_number_rejected(self, tmp_path, capsys, overrides, field):
@@ -378,6 +386,24 @@ class TestSimulate:
         assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_ERROR
         assert f"config field '{field}': unknown key" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_readme_schema_table_matches_reader(self):
+        # the README's `| block | keys |` table lists, per block, the keys the
+        # reader takes; the root row lists the scalars outside any block
+        lines = (REPO_ROOT / "README.md").read_text().splitlines()
+        start = lines.index("| block | keys |") + 2
+        table = {}
+        for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+            block, keys = (cell.strip() for cell in line.strip("|").split("|"))
+            keys = re.sub(r"\([^)]*\)|\[[^]]*\]", "", keys)  # drop notes and value shapes
+            quoted = ",".join(re.findall(r"`([^`]*)`", keys))
+            table[block.strip("`")] = {key.strip() for key in quoted.split(",")}
+        root = table.pop("root")
+        assert set(table) | root == set(_SCHEMA)
+        for block, keys in table.items():
+            assert keys == set(inspect.getclosurevars(_SCHEMA[block]).nonlocals["schema"]), block
+        shape = {key for _, reads in _INITIAL_KINDS.values() for key in reads}
+        assert table["initial"] == {"kind", "mass"} | shape
 
     def test_config_directory_is_an_error(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path)]) == EXIT_ERROR

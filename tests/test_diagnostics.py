@@ -80,6 +80,13 @@ class TestDiagnosticsConfig:
                 DiagnosticsConfig(every=every)
         assert DiagnosticsConfig(every=np.int64(3)).every == 3
 
+    def test_exponents_are_real_numbers(self):
+        # a string would be iterated and each character read as an exponent
+        for check in exponent_checks():
+            for ps in ("23", ("3",), (2.0, True), (2.0, None)):
+                with pytest.raises(ValueError, match="real number"):
+                    check(ps)
+
     def test_ints_coerced_to_floats(self):
         assert DiagnosticsConfig(ps=(2,)).ps == (2.0,)
 

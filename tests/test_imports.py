@@ -1,12 +1,15 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is referenced somewhere in the package.
 
-The check reads the source with `ast` only. A name counts as used where it
+The checks read the source with `ast` only. A name counts as used where it
 appears as a name anywhere in the module, `if TYPE_CHECKING:` blocks
 included, inside a string annotation, or, for the package's `__init__`, in
-`__all__`.
+`__all__`. A private name counts as referenced where any module mentions it,
+as a name, an attribute or an import, outside the definition that binds it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,77 @@ def f(x: "Quoted", y: list["Hidden"]) -> Typed:
 __all__ = ["Listed"]
 """
     assert unused_imports(source) == ["6: Unused", "7: Alias"]
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level function, class and assignment
+    whose name is private (one leading underscore, not a dunder)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _mentions(node) -> Counter:
+    """How often each name appears under node: as a name, an attribute or an import."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name] += 1
+    return found
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """'module: name' for each private module-level name that no module
+    mentions outside the definition that binds it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((_mentions(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if everywhere[name] <= _mentions(node)[name]
+    ]
+
+
+def test_every_private_name_is_referenced():
+    # a private helper, table or constant that nothing reads is dead code
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_privates(sources) == []
+
+
+def test_private_checker_sees_each_kind_of_reference():
+    sources = {
+        "a.py": """
+_TABLE = {}
+_DEAD = 1
+def _helper():
+    return _helper()
+class _Used:
+    pass
+def public():
+    return _TABLE, _Used
+""",
+        "b.py": """
+from .a import _imported
+import a
+a._attribute
+""",
+        "c.py": """
+def _imported():
+    pass
+_attribute = 2
+""",
+    }
+    assert unreferenced_privates(sources) == ["a.py: _DEAD", "a.py: _helper"]

@@ -245,6 +245,38 @@ class TestBuildInitialData:
         with pytest.raises(error, match=re.escape(text)):
             build()
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: BumpSpec((0.5, 0.5, 0.5), 0.1, 1.0), "center"),
+            (lambda: BumpSpec((0.5, "0.5"), 0.1, 1.0), "center"),
+            (lambda: BumpSpec([0.5, 0.5], 0.1, 1.0), "center"),
+            (lambda: BumpSpec((0.5, 0.5), "0.1", 1.0), "width"),
+            (lambda: BumpSpec((0.5, 0.5), 0.1, True), "amplitude"),
+            (lambda: InitialData("multi-bump", bumps=((0.5, 0.5),)), "bumps"),
+            (lambda: InitialData("uniform", amplitude="1"), "amplitude"),
+            (lambda: InitialData("gaussian-bump", width="0.1"), "width"),
+            (lambda: InitialData("gaussian-bump", center=(0.5, None)), "center"),
+            (lambda: InitialData("uniform", mass=True), "mass"),
+        ],
+        ids=[
+            "bump-center-triple",
+            "bump-center-string",
+            "bump-center-list",
+            "bump-width-string",
+            "bump-amplitude-bool",
+            "bumps-not-bumpspecs",
+            "uniform-amplitude-string",
+            "width-string",
+            "center-none-entry",
+            "mass-bool",
+        ],
+    )
+    def test_ill_typed_field_rejected_when_built(self, build, field):
+        # a string or bool would otherwise build, or fail later in a bare TypeError
+        with pytest.raises(ValueError, match=field):
+            build()
+
     def test_unread_fields_not_checked(self):
         # the union rule: a field the kind never reads may hold anything
         assert InitialData("uniform", width=-1.0, center=(math.nan, 0.0)).width == -1.0
