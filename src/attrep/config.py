@@ -206,7 +206,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
     reads = _INITIAL_KINDS[block["kind"]][1]
     _given(block, "initial", [key for key, required in reads.items() if required])
     initial = InitialData(block["kind"], mass=block.get("mass"), **{k: block[k] for k in reads if k in block})
-    sweep = _given(cfg["sweep"], "sweep", ("axis", "values")) if cfg.get("sweep") else {}
+    sweep = _given(cfg["sweep"], "sweep", ("axis", "values")) if "sweep" in cfg else {}
     # An axis the initial data never reads would run the same point N times.
     axis = sweep.get("axis")
     section, _, leaf = (axis or "").partition(".")

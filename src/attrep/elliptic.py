@@ -7,12 +7,10 @@ denominator positive, no zero-mode special case is needed, and the residual
 sits at rounding level.
 
 The step needs only the drift phi = chi v - xi w, which _drift_potential
-forms from the density with one forward transform and one inverse: when
-beta = delta as the solve of the one source chi alpha u^rho - xi gamma u,
-and otherwise from both signals' coefficients, transformed as one stack
-(_signal_coefficients). At rho = 1 the coefficients of u that the IMEX step
-hands over replace the forward transform; that is the one case where they
-save one. Reading v and w (_signals, behind solve_signals and
+forms from the density alone with one forward transform and one inverse:
+when beta = delta as the solve of the one source chi alpha u^rho - xi gamma
+u, and otherwise from both signals' coefficients, transformed as one stack
+(_signal_coefficients). Reading v and w (_signals, behind solve_signals and
 diagnostics.sample) costs one forward and one inverse transform of the
 stack.
 
@@ -60,10 +58,10 @@ NEGATIVE_TOL = 1e-13
 _MATMUL_MAX_CELLS = 64
 
 # The work arrays one thread keeps (_workspace), by key. One grid takes at
-# most eight, none of them a stack: the transform buffers of a field; the
-# update, denominators and coefficients of an IMEX step; the face drops of
-# each axis; the steady-state change of run; and the work field of the
-# drift's coefficients (beta = delta, or the IMEX step's at rho = 1).
+# most seven, none of them a stack: the transform buffers of a field; the
+# update and denominators of an IMEX step; the face drops of each axis; the
+# steady-state change of run; and the work field of the drift's one source
+# at beta = delta.
 _WORKSPACE_ARRAYS = 12
 
 
@@ -255,19 +253,16 @@ def solve_helmholtz(source: Field, kappa: float) -> Field:
     return Field(out, source.domain)
 
 
-def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(I - dt Lap)^-1 values, the backward-Euler heat step, as a new array,
-    and its cosine coefficients for the signals, in a work array of the
-    calling thread that the next solve on the grid writes over. The zero
+def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> np.ndarray:
+    """(I - dt Lap)^-1 values, the backward-Euler heat step, as a new array:
+    a copy of values transformed, divided and inverted in place. The zero
     mode has eigenvalue 0, so the mean (hence the mass) is kept exactly;
     every other mode is damped. dt > 0 (checked by stepper.step)."""
     denom = np.multiply(_mode_eigenvalues(dom), dt, out=_work_array("implicit-denominators", values.shape))
     denom += 1.0
-    coeffs = _work_array("implicit-coefficients", values.shape)
-    np.copyto(coeffs, values)
-    _forward(coeffs)
+    coeffs = _forward(values.copy())
     coeffs /= denom
-    return _inverse(coeffs.copy()), coeffs
+    return _inverse(coeffs)
 
 
 def _production(values: np.ndarray, u_min: float, rho: float, coefficient: float, out: np.ndarray) -> np.ndarray:
@@ -349,29 +344,19 @@ def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: Domai
     return signals, (extrema[0][2], extrema[1][2])
 
 
-def _drift_potential(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec, coeffs=None) -> np.ndarray:
+def _drift_potential(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec) -> np.ndarray:
     """phi = chi v - xi w, the drift potential of a finite density with
     extrema u_min and u_max, from its cosine coefficients with one inverse
-    transform (checks: _check_density). `coeffs`, the cosine coefficients of
-    `values` that the IMEX step hands over, are read, never written.
+    transform (checks: _check_density).
 
-    phi's coefficients are formed in one of three ways:
-    - given coeffs at rho = 1 with no dip to clamp, the one case where they
-      save a transform: the two signals' as multiples of them;
+    phi's coefficients are formed in one of two ways:
     - beta = delta: DCT(chi alpha u^rho - xi gamma u) / (beta + lambda), one forward transform;
     - otherwise chi v_hat - xi w_hat from _signal_coefficients, one forward
       transform of the stack.
     """
     _check_density(u_min, u_max, params, dom)
     chi, xi = params.chi, params.xi
-    if coeffs is not None and params.rho == 1.0 and u_min >= 0.0:
-        repulsion = np.multiply(coeffs, params.gamma, out=_work_array("drift-part", values.shape))
-        phi_hat = np.multiply(coeffs, params.alpha)
-        phi_hat /= _screened_denominators(dom, params.beta)
-        phi_hat *= chi
-        repulsion /= _screened_denominators(dom, params.delta)
-        phi_hat -= np.multiply(repulsion, xi, out=repulsion)
-    elif params.beta == params.delta:
+    if params.beta == params.delta:
         # -r + a is exactly a - r: the bits of chi alpha u^rho - xi gamma u.
         phi_hat = np.multiply(values, -(xi * params.gamma))
         phi_hat += _production(values, u_min, params.rho, chi * params.alpha, out=_work_array("drift-part", values.shape))

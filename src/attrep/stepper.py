@@ -28,13 +28,13 @@ diffusive bound.
 A state is plain data: the density, its extrema, the clock and the drift
 potential phi. The transport reads the signals only through phi, so
 initial_state and step end with the one inverse transform that makes it
-(elliptic._drift_potential), after at most one forward transform: 2
-transforms an explicit step; the IMEX step adds the 2 of its diffusion
-solve, so 4, or 3 at rho = 1, where the solve's coefficients of u replace
-the drift's forward transform. run builds the face drops D from the state's
-phi once a step, in work arrays of the thread like every reusable buffer of
-a step (elliptic._workspace), and hands them to stable_dt and step as
-`speeds`. A state records the params its phi was built with; stable_dt,
+(elliptic._drift_potential), after one forward transform: 2 transforms an
+explicit step; the IMEX step adds the 2 of its diffusion solve, so 4. The
+drift is formed from the new density alone, so the same density gives the
+same phi whichever scheme made it. run builds the face drops D from the
+state's phi once a step, in work arrays of the thread like every reusable
+buffer of a step (elliptic._workspace), and hands them to stable_dt and step
+as `speeds`. A state records the params its phi was built with; stable_dt,
 step and run handed other params form phi anew from u under theirs, so a
 state can be stepped under any params. v and w are a read of u
 (elliptic.solve_signals, diagnostics.sample), checked there.
@@ -259,17 +259,14 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
     update = _work_array("imex-update", dom.cells) if imex else np.empty(dom.cells)
     _transport(u.values, speeds, dt, dom.h, not imex, update)
     speeds.clear()
-    if imex:
-        new_u, coeffs = _implicit_solve(update, dt, dom)
-    else:
-        new_u, coeffs = update, None
+    new_u = _implicit_solve(update, dt, dom) if imex else update
     u_min, u_max = float(new_u.min()), float(new_u.max())
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         if imex and np.isfinite(update).all():
             raise SolverDiverged("implicit diffusion step produced non-finite values")
         raise NonFiniteState(f"density lost finiteness at t = {state.t}")
     del update  # past its check, the forward-Euler update is not needed
-    phi = _drift_potential(new_u, u_min, u_max, params, dom, coeffs)
+    phi = _drift_potential(new_u, u_min, u_max, params, dom)
     return SimState(Field(new_u, dom), phi, params, state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max))
 
 

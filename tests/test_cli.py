@@ -741,6 +741,15 @@ class TestSweep:
         assert main(["sweep", cfg]) == EXIT_ERROR
         assert "no sweep block" in capsys.readouterr().err
 
+    def test_empty_sweep_block_rejected(self, tmp_path, capsys):
+        # An empty block is a sweep with no axis, not a config without one.
+        cfg = write_config(tmp_path, sweep={})
+        for command in ("simulate", "sweep"):
+            out_dir = tmp_path / command
+            assert main([command, cfg, "--out", str(out_dir)]) == EXIT_ERROR
+            assert "config field 'sweep.axis': missing" in capsys.readouterr().err
+            assert not out_dir.exists()
+
     def test_empty_values(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sweep={"axis": "initial.mass", "values": []})
         assert main(["sweep", cfg]) == EXIT_ERROR

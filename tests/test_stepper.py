@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,8 @@ from attrep.stepper import (
     stable_dt,
     step,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def cosine_mode(dom, k, l, amplitude=1.0):
@@ -467,7 +471,7 @@ class TestStep:
         fluxes = where_face_fluxes(state.u.values, phi, diffusion=explicit)
         want = state.u.values + transport_scale(dt, dom.h, explicit) * zeros_flux_divergence(*fluxes, dom)
         if not explicit:
-            want, _ = _implicit_solve(want, dt, dom)
+            want = _implicit_solve(want, dt, dom)
         assert_same_bits(step(state, params, cfg, dt).u.values, want)
 
     @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
@@ -494,13 +498,13 @@ class TestStep:
             else:
                 eps = np.finfo(float).eps
                 solve_tol = 2 * sum(cells) * eps * np.abs(want).max()
-                want, _ = _implicit_solve(want, dt, dom)
+                want = _implicit_solve(want, dt, dom)
                 assert np.abs(got - want).max() <= tol.max() + solve_tol
 
     def test_imex_signals_from_implicit_coefficients(self):
-        # w's source gamma u (and at rho = 1 v's, alpha u) is scaled from the
-        # implicit solve's cosine coefficients: phi equals the real-space
-        # chi v - xi w of the new density up to rounding.
+        # The drift of the density that the implicit solve returns: phi
+        # equals the real-space chi v - xi w of the new density up to
+        # rounding, at sublinear and linear production.
         dom = DomainSpec((1.0, 1.0), (24, 24))
         cfg = StepperConfig(scheme="imex-diffusion")
         for rho in (0.5, 1.0):
@@ -813,9 +817,9 @@ UNREADABLE = {
 # rfft pair above.
 BUDGET_GRIDS = (16, 72)
 
-# (beta, delta, rho, dip): each way _drift_potential forms phi's coefficients:
-# one source at a shared rate, both signals' as a stack, and under the IMEX
-# scheme at rho = 1 with no dip from the step's coefficients of u.
+# (beta, delta, rho, dip): both ways _drift_potential forms phi's
+# coefficients, one source at a shared rate and both signals' as a stack, at
+# sublinear and linear production, the latter also with a dip to clamp.
 DRIFT_CASES = {
     "shared-rate": (1.0, 1.0, 0.5, False),
     "two-rates": (1.0, 0.7, 0.5, False),
@@ -855,7 +859,10 @@ class TestSignalsOnRead:
         state = initial_state(Field(u, dom), params)
         assert (state.u_min < 0.0) == dip
         assert_drift_of(state, params)
-        assert_drift_of(step(state, params, StepperConfig(scheme=scheme)), params)
+        new = step(state, params, StepperConfig(scheme=scheme))
+        assert_drift_of(new, params)
+        # phi is a function of the density alone, whichever scheme made it.
+        assert new.phi.tobytes() == initial_state(new.u, params).phi.tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("case", sorted(UNREADABLE))
@@ -928,14 +935,14 @@ RUN_BUDGETS = [
     ("explicit-upwind", 0.5, 2),
     ("explicit-upwind", 1.0, 2),
     ("imex-diffusion", 0.5, 4),
-    ("imex-diffusion", 1.0, 3),
+    ("imex-diffusion", 1.0, 4),
 ]
 
 
 class TestTransformBudget:
     """Cosine transforms per step of run: one forward transform of phi's one
-    source, or of both signals' sources as one stack, none when the IMEX
-    step's u coefficients serve at rho = 1, and one inverse for phi; reading
+    source, or of both signals' sources as one stack, and one inverse for
+    phi, plus the forward and inverse of the IMEX step's heat solve; reading
     v and w takes one forward and one inverse of their stack."""
 
     @pytest.fixture
@@ -974,11 +981,20 @@ class TestTransformBudget:
 
     @pytest.mark.parametrize("every", [None, 1], ids=["no-diagnostics", "sample-every-step"])
     def test_run_with_two_rates(self, count, every):
-        # beta != delta: both sources transformed as one stack, or under the
-        # IMEX scheme at rho = 1 scaled from the step's coefficients of u.
+        # beta != delta: both sources transformed as one stack.
         for scheme, rho, transforms in RUN_BUDGETS:
             params = ModelParams(1.0, 1.0, 1.0, 0.7, chi=1.0, xi=0.5, rho=rho)
             self.check_run(count, params, scheme, transforms, every)
+
+    def test_readme_table_matches_budgets(self):
+        # the README's transforms-per-step table: one row per scheme, one
+        # column per production regime, rho < 1 (counted at 0.5) and rho = 1
+        lines = (REPO_ROOT / "README.md").read_text().splitlines()
+        start = lines.index("| scheme | `rho < 1` | `rho = 1` |") + 2
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+        cells = ([cell.strip().strip("`") for cell in line.strip("|").split("|")] for line in rows)
+        table = [(scheme, rho, int(n)) for scheme, *counts in cells for rho, n in zip((0.5, 1.0), counts)]
+        assert table == RUN_BUDGETS
 
     @pytest.mark.parametrize("rho, transforms", [(0.5, 2), (1.0, 2)])
     def test_solve_signals(self, count, rho, transforms):
