@@ -225,9 +225,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     if cfg.sweep_axis is None:
         print("error: config has no sweep block", file=sys.stderr)
         return EXIT_ERROR
-    if not cfg.sweep_values:
-        print("error: sweep.values is empty", file=sys.stderr)
-        return EXIT_ERROR
     _require_2d(cfg)
     workers = _workers_from_env(cfg.workers)
     out = Path(out_dir)

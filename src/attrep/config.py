@@ -157,9 +157,9 @@ def _exponent_list(field: str, value) -> tuple:
 
 
 def _values(field: str, value) -> tuple:
-    """A list of numbers, each named by its index."""
-    if not isinstance(value, list):
-        raise ConfigError(field, f"expected a list, got {value!r}")
+    """A non-empty list of numbers, each named by its index."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(field, f"expected a non-empty list, got {value!r}")
     return tuple(number(f"{field}[{i}]", v) for i, v in enumerate(value))
 
 

@@ -58,8 +58,8 @@ NEGATIVE_TOL = 1e-13
 _MATMUL_MAX_CELLS = 64
 
 # The work arrays one thread keeps (_workspace), by key. One grid takes at
-# most seven, none of them a stack: the transform buffers of a field; the
-# update and denominators of an IMEX step; the face drops of each axis; the
+# most six, none of them a stack: the transform buffers of a field; the
+# denominators of an IMEX step; the face drops of each axis; the
 # steady-state change of run; and the work field of the drift's one source
 # at beta = delta.
 _WORKSPACE_ARRAYS = 12
@@ -254,15 +254,15 @@ def solve_helmholtz(source: Field, kappa: float) -> Field:
 
 
 def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> np.ndarray:
-    """(I - dt Lap)^-1 values, the backward-Euler heat step, as a new array:
-    a copy of values transformed, divided and inverted in place. The zero
+    """(I - dt Lap)^-1 values, the backward-Euler heat step, written over the
+    float64 field `values` and returned, as _forward and _inverse do. The zero
     mode has eigenvalue 0, so the mean (hence the mass) is kept exactly;
     every other mode is damped. dt > 0 (checked by stepper.step)."""
     denom = np.multiply(_mode_eigenvalues(dom), dt, out=_work_array("implicit-denominators", values.shape))
     denom += 1.0
-    coeffs = _forward(values.copy())
-    coeffs /= denom
-    return _inverse(coeffs)
+    _forward(values)
+    values /= denom
+    return _inverse(values)
 
 
 def _production(values: np.ndarray, u_min: float, rho: float, coefficient: float, out: np.ndarray) -> np.ndarray:
@@ -288,6 +288,7 @@ def _check_density(u_min: float, u_max: float, params: ModelParams, dom: DomainS
     """The checks of a finite density with extrema u_min and u_max before its
     signal sources are transformed, in O(1).
 
+    A params.dim other than 2 raises ValueError: the grid is two dimensional.
     A dip below -NEGATIVE_TOL * max raises NegativeDensity. A source f of
     magnitude at most F has orthonormal cosine coefficients of magnitude at
     most 2 sqrt(Nx Ny) F, and no mode divisor is below its kappa, so while
@@ -296,6 +297,8 @@ def _check_density(u_min: float, u_max: float, params: ModelParams, dom: DomainS
     else SolverDiverged. The drift phi = chi v - xi w can still overflow and
     is checked where it is read (stable_dt).
     """
+    if params.dim != 2:
+        raise ValueError(f"params.dim must be 2 to solve on a 2D grid, got {params.dim}")
     if u_min < -NEGATIVE_TOL * max(u_max, 0.0):
         raise NegativeDensity(f"density min {u_min} below tolerance for max {u_max}")
     spread = 2.0 * math.sqrt(dom.cells[0] * dom.cells[1])

@@ -20,10 +20,12 @@ cell's face differences without dividing by h and applies one scale:
 u' = u + ((dt/h)/h) * sum. A zero donor gives an exactly zero drift flux,
 so a cell at 0 takes no outflow.
 
-Two schemes: "explicit-upwind" treats everything explicitly and obeys both
-the diffusive and the advective dt bound; "imex-diffusion" advects explicitly
-but diffuses with a backward-Euler cosine-transform solve, dropping the
-diffusive bound.
+Two schemes, one entry each of _SCHEMES: whether the transport carries the
+diffusion (so dt obeys the diffusive bound besides the advective one), and
+the solve that turns the transported field into the new density in place.
+"explicit-upwind" treats everything explicitly, its solve the identity;
+"imex-diffusion" drops the diffusive bound and diffuses with a backward-Euler
+cosine-transform solve (elliptic._implicit_solve).
 
 A state is plain data: the density, its extrema, the clock and the drift
 potential phi. The transport reads the signals only through phi, so
@@ -55,7 +57,8 @@ from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate, require_finite
 from .model import ModelParams
 
-SCHEMES = ("explicit-upwind", "imex-diffusion")
+_SCHEMES = {"explicit-upwind": (True, lambda values, dt, dom: values), "imex-diffusion": (False, _implicit_solve)}
+SCHEMES = tuple(_SCHEMES)
 
 # Default steady-state tolerance on ||u' - u||_inf / (dt ||u||_inf).
 STEADY_TOL = 1e-10
@@ -227,7 +230,8 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
     vmax = max(extrema, default=0.0) / h
     if not all(map(math.isfinite, [*extrema, vmax])):
         raise NonFiniteState(f"drift lost finiteness at t = {state.t}")
-    bounds = [h * h / (2.0 * state.u.values.ndim)] if cfg.scheme == "explicit-upwind" else []
+    diffusion, _ = _SCHEMES[cfg.scheme]
+    bounds = [h * h / (2.0 * state.u.values.ndim)] if diffusion else []
     if vmax > 0.0:
         bounds.append(h / vmax)
     dt = cfg.cfl_safety * min(bounds) if bounds else math.inf
@@ -251,21 +255,16 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
         speeds = _face_drops(_phi(state, params))
     if dt is None:
         dt = stable_dt(state, params, cfg, speeds=speeds)
-    imex = cfg.scheme == "imex-diffusion"
-    # u + dt * div(F); the fluxes overwrite the drops, and the caller's list
-    # is emptied. The explicit update is the new density; the IMEX one is
-    # kept per thread (elliptic._workspace), as its solve makes the new
-    # density.
-    update = _work_array("imex-update", dom.cells) if imex else np.empty(dom.cells)
-    _transport(u.values, speeds, dt, dom.h, not imex, update)
+    diffusion, solve = _SCHEMES[cfg.scheme]
+    # u + dt * div(F), solved in place; the fluxes overwrite the drops.
+    new_u = solve(_transport(u.values, speeds, dt, dom.h, diffusion, np.empty(dom.cells)), dt, dom)
     speeds.clear()
-    new_u = _implicit_solve(update, dt, dom) if imex else update
     u_min, u_max = float(new_u.min()), float(new_u.max())
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
-        if imex and np.isfinite(update).all():
+        # The solve wrote over the transport: rebuild it to see which failed.
+        if np.isfinite(_transport(u.values, _face_drops(_phi(state, params)), dt, dom.h, diffusion, new_u)).all():
             raise SolverDiverged("implicit diffusion step produced non-finite values")
         raise NonFiniteState(f"density lost finiteness at t = {state.t}")
-    del update  # past its check, the forward-Euler update is not needed
     phi = _drift_potential(new_u, u_min, u_max, params, dom)
     return SimState(Field(new_u, dom), phi, params, state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max))
 

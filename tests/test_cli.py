@@ -751,9 +751,13 @@ class TestSweep:
             assert not out_dir.exists()
 
     def test_empty_values(self, tmp_path, capsys):
+        # A sweep of no points fails at load, under either command.
         cfg = write_config(tmp_path, sweep={"axis": "initial.mass", "values": []})
-        assert main(["sweep", cfg]) == EXIT_ERROR
-        assert "sweep.values is empty" in capsys.readouterr().err
+        for command in ("simulate", "sweep"):
+            out_dir = tmp_path / command
+            assert main([command, cfg, "--out", str(out_dir)]) == EXIT_ERROR
+            assert "config field 'sweep.values': expected a non-empty list" in capsys.readouterr().err
+            assert not out_dir.exists()
 
     def test_dim_other_than_two_rejected(self, tmp_path, capsys):
         cfg = write_config(

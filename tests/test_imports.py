@@ -1,5 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name is referenced somewhere in the package.
+"""Every name a module of the package imports is used in that module, every
+private module-level name is referenced somewhere in the package, and no
+module compares anything with a scheme name: only `stepper._SCHEMES`
+decides what a scheme does.
 
 The checks read the source with `ast` only. A name counts as used where it
 appears as a name anywhere in the module, `if TYPE_CHECKING:` blocks
@@ -13,6 +15,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from attrep.stepper import SCHEMES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "attrep"
 
@@ -155,3 +159,35 @@ _attribute = 2
 """,
     }
     assert unreferenced_privates(sources) == ["a.py: _DEAD", "a.py: _helper"]
+
+
+def name_comparisons(source: str, names) -> list:
+    """'line: name', in line order, for each string constant among names
+    inside an operand of a comparison (==, !=, in, is, ...)."""
+    found = [
+        (node.lineno, sub.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for sub in ast.walk(operand)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value in names
+    ]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scheme_name_is_compared(path):
+    # a scheme's bound and update are its entry of stepper._SCHEMES
+    assert name_comparisons(path.read_text(), SCHEMES) == []
+
+
+def test_comparison_checker_sees_each_form():
+    source = """
+if cfg.scheme == "imex-diffusion":
+    x = "explicit-upwind" != y
+z = s in ("explicit-upwind", "other")
+scheme: str = "explicit-upwind"
+table = {"imex-diffusion": 1}
+w = cfg.scheme == "other"
+"""
+    assert name_comparisons(source, SCHEMES) == ["2: imex-diffusion", "3: explicit-upwind", "4: explicit-upwind"]

@@ -639,6 +639,26 @@ class TestCheckParity:
             step(uniform_state(dom, 1e308, params), params, StepperConfig(scheme=scheme), 1e-3)
 
 
+def test_simulation_refuses_other_dimensions():
+    # The grid is two dimensional: every density whose signals or drift are
+    # formed under params.dim != 2 raises, as DomainSpec does for a 3D domain.
+    dom = DomainSpec((1.0, 1.0), (8, 8))
+    params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=0.5)
+    spatial = replace(params, dim=3)
+    u0 = bump_field(dom)
+    state = initial_state(u0, params)
+    calls = [
+        lambda: initial_state(u0, spatial),
+        lambda: step(state, spatial, StepperConfig()),
+        lambda: run(state, spatial, StepperConfig(), 1.0),
+        lambda: sample(state, spatial, (2.0,)),
+        lambda: solve_signals(u0, spatial),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="params.dim must be 2 to solve on a 2D grid, got 3"):
+            call()
+
+
 def drift_case(scheme):
     dom = DomainSpec((1.0, 1.0), (24, 24))
     params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=4.0, xi=0.5, rho=0.5)
@@ -1044,7 +1064,7 @@ class TestStepWorkMemory:
 
     @pytest.mark.parametrize("n", [48, 72], ids=["matmul", "rfft"])
     def test_store_holds_each_buffer_once(self, n):
-        # Warm runs of both schemes, sampled every step, leave at most eight
+        # Warm runs of both schemes, sampled every step, leave at most six
         # store arrays for the grid, and no (2, N, N) stack among them.
         elliptic._WORKSPACES.arrays.clear()
         diagnostics = DiagnosticsConfig(ps=(2.0, 1.5), every=1)
@@ -1054,7 +1074,7 @@ class TestStepWorkMemory:
             for _ in range(2):
                 run(state, params, cfg, t_end, diagnostics=diagnostics)
         store = elliptic._WORKSPACES.arrays
-        assert len(store) <= 8
+        assert len(store) <= 6
         for arrays in store.values():
             for array in arrays if isinstance(arrays, tuple) else (arrays,):
                 assert array.ndim == 2
