@@ -98,6 +98,11 @@ class ExperimentConfig:
     sweep_values: tuple | None
     workers: int
 
+    def __post_init__(self):
+        # A sweep is an axis with at least one value; no sweep has neither.
+        if (self.sweep_axis, self.sweep_values) != (None, None) and not (self.sweep_axis and self.sweep_values):
+            raise ValueError(f"a sweep needs an axis and values, got {self.sweep_axis!r} and {self.sweep_values!r}")
+
 
 def _choice(choices, problem: str):
     """A reader of strings in choices; problem formats the error for any other value."""

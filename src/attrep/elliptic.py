@@ -29,8 +29,8 @@ real DCT read off as X[k] = Re Z[k], X[N - k] = -Im Z[k]. The inverse runs
 the same steps backwards with irfft. Every reusable whole-field buffer of a
 step is a work array that the calling thread keeps per shape (_workspace),
 so a warm rfft pair allocates none and a warm step only what it returns
-(README, Performance). None is held across a call out of the step, so a
-callback may step, sample or solve on the same grid.
+and the drift it reads (README, Performance). None is held across a call
+out of the step, so a callback may step, sample or solve on the same grid.
 """
 
 from __future__ import annotations

@@ -253,8 +253,9 @@ class Regime(enum.Enum):
 class RegimeResult:
     regime: Regime
     critical_mass: float | None
-    # True when the sublinear global-boundedness guarantee covers the point;
-    # rho = 1 points fall outside it regardless of regime.
+    # True when the sublinear global-boundedness guarantee covers the point:
+    # rho < 1 with repulsion, xi > 0, which the proof's constants need
+    # (compute_bounds rejects xi = 0); rho = 1 points fall outside it.
     theorem_applies: bool
 
 
@@ -286,7 +287,7 @@ def classify_regime(params: ModelParams, mass: float) -> RegimeResult:
         raise ZeroField(f"regime classification needs positive mass, got {mass}")
 
     if params.rho < 1.0:
-        return RegimeResult(Regime.SUBLINEAR_GLOBAL, None, True)
+        return RegimeResult(Regime.SUBLINEAR_GLOBAL, None, params.xi > 0.0)
 
     if params.chi * params.alpha < params.xi * params.gamma:
         return RegimeResult(Regime.REPULSION_DOMINANT, None, False)

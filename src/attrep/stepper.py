@@ -27,17 +27,14 @@ the solve that turns the transported field into the new density in place.
 "imex-diffusion" drops the diffusive bound and diffuses with a backward-Euler
 cosine-transform solve (elliptic._implicit_solve).
 
-A state is plain data: the density, its extrema, the clock and the drift
-potential phi. The transport reads the signals only through phi, so
-initial_state and step end with the one inverse transform that makes it
-(elliptic._drift_potential), after one forward transform: 2 transforms an
-explicit step; the IMEX step adds the 2 of its diffusion solve, so 4. The
-drift is formed from the new density alone, so the same density gives the
-same phi whichever scheme made it. run builds the face drops D from the
-state's phi once a step, in work arrays of the thread like every reusable
-buffer of a step (elliptic._workspace), and hands them to stable_dt and step
-as `speeds`. A state records the params its phi was built with; stable_dt,
-step and run handed other params form phi anew from u under theirs, so a
+A state is plain data: the density, its extrema and the clock. The
+transport reads the signals only through the drift potential phi, a function
+of the density alone, which the step forms where it reads it: one forward
+transform and the one inverse that makes phi (elliptic._drift_potential), so
+2 transforms an explicit step; the IMEX step adds the 2 of its diffusion
+solve, so 4. run forms it and builds the face drops D once a step, in work
+arrays of the thread like every reusable buffer of a step
+(elliptic._workspace), and hands them to stable_dt and step as `speeds`. A
 state can be stepped under any params. v and w are a read of u
 (elliptic.solve_signals, diagnostics.sample), checked there.
 """
@@ -52,7 +49,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
-from .elliptic import _drift_potential, _implicit_solve, _work_array
+from .elliptic import _check_density, _drift_potential, _implicit_solve, _work_array
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate, require_finite
 from .model import ModelParams
@@ -92,17 +89,13 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """The density u, the drift potential phi = chi v - xi w (Nx, Ny) under
-    `params`, the clock, and the extrema u_min, u_max of the density:
+    """The density u, the clock, and the extrema u_min, u_max of the density:
     `extrema` when given (step passes the pair it checked), else taken from
-    u, as for any other construction, dataclasses.replace too.
-
-    Construction freezes `phi` in place, as Field does its values. v and w
-    are not kept: solve_signals(state.u, params) reads them."""
+    u, as for any other construction, dataclasses.replace too. No drift or
+    signal is kept: stable_dt and step form the drift from u under their
+    params, and solve_signals(state.u, params) reads v and w."""
 
     u: Field
-    phi: np.ndarray
-    params: ModelParams
     t: float
     step: int
     status: Status
@@ -114,26 +107,23 @@ class SimState:
         u_min, u_max = extrema or (float(self.u.values.min()), float(self.u.values.max()))
         object.__setattr__(self, "u_min", u_min)
         object.__setattr__(self, "u_max", u_max)
-        self.phi.setflags(write=False)
 
 
 def initial_state(u0: Field, params: ModelParams) -> SimState:
     """The state at t = 0. u0 must be finite (NonFiniteField) and nonnegative
-    up to rounding (NegativeDensity), as for solve_signals."""
+    up to rounding (NegativeDensity), its signal sources bounded
+    (SolverDiverged), as for solve_signals, and params.dim 2 (ValueError)."""
     require_finite(u0, "density")
-    values = u0.values
-    extrema = float(values.min()), float(values.max())
-    phi = _drift_potential(values, *extrema, params, u0.domain)
-    return SimState(u0, phi, params, t=0.0, step=0, status=Status.RUNNING, extrema=extrema)
+    state = SimState(u0, 0.0, 0, Status.RUNNING)
+    _check_density(state.u_min, state.u_max, params, u0.domain)
+    return state
 
 
-def _phi(state: SimState, params: ModelParams) -> np.ndarray:
-    """The drift potential of the state's density under params: the state's
-    own phi when it was built under them, else formed anew (checks and
-    transforms as for initial_state)."""
-    if state.params is params or state.params == params:
-        return state.phi
-    return _drift_potential(state.u.values, state.u_min, state.u_max, params, state.u.domain)
+def _drops(state: SimState, params: ModelParams) -> list[np.ndarray]:
+    """The face drops (_face_drops) of the drift of the state's density under
+    params (checks and transforms: elliptic._drift_potential)."""
+    u = state.u
+    return _face_drops(_drift_potential(u.values, state.u_min, state.u_max, params, u.domain))
 
 
 # The faces normal to x are kept as an (Nx - 1, Ny) array, those normal to y
@@ -219,10 +209,12 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
     clamped to [dt_min, dt_max]; imex-diffusion drops the diffusive bound. A
     drift with NaN or Inf, or whose largest face speed max|D|/h overflows,
     raises NonFiniteState. `speeds`, the list of face drops D of the drift
-    under params (_face_drops), is built when omitted."""
+    under params (_drops), is formed when omitted, so a caller that calls
+    stable_dt and then step without handing both the same speeds forms the
+    drift twice; step without dt, and run, form it once."""
     h = state.u.domain.h
     if speeds is None:
-        speeds = _face_drops(_phi(state, params))
+        speeds = _drops(state, params)
     # max|D/h| = max(max D, -min D)/h to the bit: dividing by h > 0 is
     # monotone. The boundary faces' zeros leave max(max D, -min D) as it is,
     # as it is never below 0. NaN propagates through min and max.
@@ -240,19 +232,19 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
 
 def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None, *, speeds=None) -> SimState:
     """Advance one step of size dt (stable_dt when omitted, else checked:
-    0 < dt < inf or ValueError) with the drift under params, then form the
-    drift of the new density. One min and one max of the new density carry
-    its checks: NaN/Inf raises NonFiniteState (SolverDiverged when only the
-    implicit diffusion solve lost finiteness), a dip below -1e-13 max raises
-    NegativeDensity; the new state carries the pair, which also bounds the
-    signal sources (SolverDiverged). `speeds` as for stable_dt: step writes
-    the fluxes into the drops and empties the list."""
+    0 < dt < inf or ValueError) with the drift of the state's density under
+    params. One min and one max of the new density carry its checks: NaN/Inf
+    raises NonFiniteState (SolverDiverged when only the implicit diffusion
+    solve lost finiteness), a dip below -1e-13 max raises NegativeDensity;
+    the new state carries the pair, which also bounds the signal sources
+    (SolverDiverged). `speeds` as for stable_dt: step writes the fluxes into
+    the drops and empties the list."""
     if dt is not None and not 0.0 < dt < math.inf:
         raise ValueError(f"dt must satisfy 0 < dt < inf, got {dt}")
     u = state.u
     dom = u.domain
     if speeds is None:
-        speeds = _face_drops(_phi(state, params))
+        speeds = _drops(state, params)
     if dt is None:
         dt = stable_dt(state, params, cfg, speeds=speeds)
     diffusion, solve = _SCHEMES[cfg.scheme]
@@ -262,11 +254,11 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
     u_min, u_max = float(new_u.min()), float(new_u.max())
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         # The solve wrote over the transport: rebuild it to see which failed.
-        if np.isfinite(_transport(u.values, _face_drops(_phi(state, params)), dt, dom.h, diffusion, new_u)).all():
+        if np.isfinite(_transport(u.values, _drops(state, params), dt, dom.h, diffusion, new_u)).all():
             raise SolverDiverged("implicit diffusion step produced non-finite values")
         raise NonFiniteState(f"density lost finiteness at t = {state.t}")
-    phi = _drift_potential(new_u, u_min, u_max, params, dom)
-    return SimState(Field(new_u, dom), phi, params, state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max))
+    _check_density(u_min, u_max, params, dom)
+    return SimState(Field(new_u, dom), state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max))
 
 
 @dataclass(frozen=True)
@@ -351,7 +343,7 @@ def run(
                 records.append(sample(state, params, diagnostics.ps, bounds=diagnostics.bounds))
                 last_sampled = state.step
             # One build of the face drops serves stable_dt and then step.
-            speeds = _face_drops(_phi(state, params))
+            speeds = _drops(state, params)
             dt = stable_dt(state, params, cfg, speeds=speeds)
             if dt <= cfg.dt_min:
                 status = Status.BLOWUP_SUSPECTED

@@ -148,11 +148,10 @@ def speed_form_update(u, phi, dt, h, diffusion=True):
     return u + dt * div
 
 
-def hand_state(u, phi, params, t=0.0, step=0):
-    """A running SimState from a density and a drift potential field, past
-    every check of initial_state and step: it carries phi as given (NaN and
-    Inf included), as the drift under params."""
-    return SimState(u, np.array(phi.values), params, t, step, Status.RUNNING)
+def hand_state(u, t=0.0, step=0):
+    """A running SimState from a density, past every check of initial_state
+    and step."""
+    return SimState(u, t, step, Status.RUNNING)
 
 
 class NegativeFieldWithFractionalPower(SimulationError):

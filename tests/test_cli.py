@@ -126,6 +126,14 @@ class TestClassify:
         assert out["regime"] == "SublinearGlobal"
         assert out["theorem_applies"] is True
 
+    def test_sublinear_without_repulsion(self, tmp_path, capsys):
+        # The proof's constants need xi > 0 (compute_bounds rejects xi = 0).
+        cfg = write_config(tmp_path, params={"xi": 0.0})
+        assert main(["classify", cfg]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["regime"] == "SublinearGlobal"
+        assert out["theorem_applies"] is False
+
     def test_repulsion_dominant(self, tmp_path, capsys):
         cfg = write_config(tmp_path, params={"rho": 1.0, "xi": 3.0})
         assert main(["classify", cfg]) == EXIT_OK
@@ -758,6 +766,18 @@ class TestSweep:
             assert main([command, cfg, "--out", str(out_dir)]) == EXIT_ERROR
             assert "config field 'sweep.values': expected a non-empty list" in capsys.readouterr().err
             assert not out_dir.exists()
+
+    def test_config_built_in_the_library_refuses_half_a_sweep(self):
+        # A sweep of no points, an axis without values or values without an
+        # axis is refused when the config is built, not by the sweep.
+        swept = from_dict(base_config(sweep={"axis": "initial.mass", "values": [1.0]}))
+        plain = from_dict(base_config())
+        for values in ((), None):
+            with pytest.raises(ValueError, match="a sweep needs an axis and values"):
+                replace(swept, sweep_values=values)
+        with pytest.raises(ValueError, match="a sweep needs an axis and values"):
+            replace(plain, sweep_values=(1.0,))
+        assert replace(swept, sweep_axis=None, sweep_values=None) == plain
 
     def test_dim_other_than_two_rejected(self, tmp_path, capsys):
         cfg = write_config(

@@ -127,8 +127,7 @@ class TestSample:
     def test_true_min_reported_but_powers_clamped(self, unit_square_16):
         values = np.ones(unit_square_16.cells)
         values[0, 0] = -1e-14
-        one = Field.full(unit_square_16, 1.0)
-        state = hand_state(Field(values, unit_square_16), one, PARAMS)
+        state = hand_state(Field(values, unit_square_16))
         rec = sample(state, PARAMS, (1.5,))
         assert rec.u_min == -1e-14
         assert math.isfinite(rec.energies[1.5])
@@ -159,8 +158,7 @@ class TestSample:
     def test_nonfinite_density_rejected(self, unit_square_16, bad):
         values = np.ones(unit_square_16.cells)
         values[5, 5] = bad
-        one = Field.full(unit_square_16, 1.0)
-        state = hand_state(Field(values, unit_square_16), one, PARAMS)
+        state = hand_state(Field(values, unit_square_16))
         with pytest.raises(NonFiniteField):
             sample(state, PARAMS, (2.0,))
 
@@ -171,8 +169,7 @@ class TestSample:
         # but u^3 and the squared face differences of u^{3/2} overflow.
         values = np.ones(unit_square_16.cells)
         values[5, 5] = 1e200
-        one = Field.full(unit_square_16, 1.0)
-        state = hand_state(Field(values, unit_square_16), one, PARAMS)
+        state = hand_state(Field(values, unit_square_16))
         with pytest.raises(NonFiniteField):
             sample(state, PARAMS, (3.0,))
         with pytest.raises(NonFiniteField):

@@ -20,9 +20,11 @@ from attrep import (
     StepperConfig,
     build_initial_data,
     classify_regime,
+    compute_bounds,
     critical_mass,
 )
 from attrep.errors import (
+    DomainError,
     NegativeAmplitude,
     NonPositiveCoefficient,
     RhoOutOfRange,
@@ -297,6 +299,15 @@ class TestClassifyRegime:
         assert result.regime is Regime.SUBLINEAR_GLOBAL
         assert result.theorem_applies
         assert result.critical_mass is None
+
+    def test_sublinear_without_repulsion_is_outside_the_theorem(self):
+        # The regime stands, but the proof's constants need xi > 0.
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=5.0, xi=0.0, rho=0.5)
+        result = classify_regime(params, 10.0)
+        assert result.regime is Regime.SUBLINEAR_GLOBAL
+        assert not result.theorem_applies
+        with pytest.raises(DomainError):
+            compute_bounds(params, 10.0, 1.5, dom=DomainSpec((1.0, 1.0), (8, 8)))
 
     def test_repulsion_dominant(self):
         result = classify_regime(params_with(rho=1.0, chi=1.0, alpha=1.0, xi=2.0, gamma=1.0), 5.0)

@@ -1,6 +1,8 @@
 """The package's public names, pinned so that adding or removing one shows
 up as a diff of this test, and its runtime imports."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -52,6 +54,30 @@ def test_public_names_pinned():
     assert sorted(attrep.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(attrep, name), name
+
+
+# The stepping API as its users call it: a state is its density, extrema and
+# clock, and no entry point takes or returns a stored drift.
+SIM_STATE_FIELDS = ["u", "t", "step", "status", "u_min", "u_max"]
+STEPPING_SIGNATURES = {
+    "initial_state": "(u0: 'Field', params: 'ModelParams') -> 'SimState'",
+    "stable_dt": "(state: 'SimState', params: 'ModelParams', cfg: 'StepperConfig', *, speeds=None) -> 'float'",
+    "step": (
+        "(state: 'SimState', params: 'ModelParams', cfg: 'StepperConfig', dt: 'float | None' = None, *, "
+        "speeds=None) -> 'SimState'"
+    ),
+    "run": (
+        "(state: 'SimState', params: 'ModelParams', cfg: 'StepperConfig', t_end: 'float', *, "
+        "diagnostics: 'DiagnosticsConfig | None' = None, blowup_threshold: 'float | None' = None, "
+        "steady_tol: 'float' = 1e-10, on_state=None) -> 'RunResult'"
+    ),
+}
+
+
+def test_stepping_api_pinned():
+    assert [f.name for f in dataclasses.fields(attrep.SimState)] == SIM_STATE_FIELDS
+    for name, signature in STEPPING_SIGNATURES.items():
+        assert str(inspect.signature(getattr(attrep, name))) == signature, name
 
 
 # Imports the package and its CLI, then steps a grid past the matrix-product

@@ -145,15 +145,28 @@ def assert_same_bits(actual, expected):
 
 
 def assert_same_state(actual, expected):
-    """The density and the drift of two states, to the last bit."""
+    """The density and its extrema of two states, to the last bit."""
     assert_same_bits(actual.u.values, expected.u.values)
-    assert_same_bits(actual.phi, expected.phi)
+    assert [x.hex() for x in (actual.u_min, actual.u_max)] == [x.hex() for x in (expected.u_min, expected.u_max)]
+
+
+def drift_of(state, params):
+    """The drift phi = chi v - xi w that stable_dt and step form from the
+    state's density under params."""
+    return elliptic._drift_potential(state.u.values, state.u_min, state.u_max, params, state.u.domain)
 
 
 def assert_drift_of(state, params, rtol=1e-13):
-    """The state's phi is chi v - xi w of its density, to rtol of max|phi|."""
+    """The drift formed from the state's density is chi v - xi w of it, to
+    rtol of max|phi|."""
     want = real_space_drift(state.u, params)
-    np.testing.assert_allclose(state.phi, want, rtol=0.0, atol=rtol * np.abs(want).max())
+    np.testing.assert_allclose(drift_of(state, params), want, rtol=0.0, atol=rtol * np.abs(want).max())
+
+
+def hand_drift(monkeypatch, phi):
+    """Make stepper take the face drops of the potential phi (NaN and Inf
+    included) as the drift of every state, wherever it forms one."""
+    monkeypatch.setattr(stepper, "_drops", lambda state, params: _face_drops(phi))
 
 
 # Grids for the bitwise oracle checks, degenerate strips included.
@@ -281,13 +294,14 @@ class TestDriftPotential:
             params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=rho)
             state = initial_state(u, params)
             assert_drift_of(state, params)
-        assert (initial_state(u, replace(params, rho=1.0)).phi == 0.0).all()
+        linear = replace(params, rho=1.0)
+        assert (drift_of(initial_state(u, linear), linear) == 0.0).all()
 
     def test_constant_signals(self, unit_square_16):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=2.0, xi=1.0, rho=0.5)
         state = initial_state(Field.full(unit_square_16, 1.0), params)
         # phi comes back from cosine space: 1 up to the transforms' rounding.
-        np.testing.assert_allclose(state.phi, 1.0, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(drift_of(state, params), 1.0, rtol=1e-15, atol=0.0)
 
 
 class TestStableDt:
@@ -307,9 +321,9 @@ class TestStableDt:
         x, _ = dom.cell_centers()
         u = Field.full(dom, 1.0)
         v = Field(np.repeat(10.0 * x[:, None], 64, axis=1), dom)
-        state = hand_state(u, v, params)
         cfg = StepperConfig(dt_max=1.0, cfl_safety=0.4, scheme="imex-diffusion")
-        assert stable_dt(state, params, cfg) == pytest.approx(0.4 / 64.0 / 10.0, rel=1e-13)
+        dt = stable_dt(hand_state(u), params, cfg, speeds=_face_drops(v.values))
+        assert dt == pytest.approx(0.4 / 64.0 / 10.0, rel=1e-13)
 
     def test_imex_uniform_hits_dt_max(self):
         dom = DomainSpec((1.0, 1.0), (64, 64))
@@ -329,22 +343,23 @@ class TestStableDt:
     def test_non_finite_drift_raises(self, scheme, bad):
         # A NaN face speed fails every comparison, so the advective bound
         # would silently drop out and leave dt_max.
-        state = nan_signal_state(DomainSpec((1.0, 1.0), (8, 8)), bad)
+        state, phi = nan_signal_state(DomainSpec((1.0, 1.0), (8, 8)), bad)
         cfg = StepperConfig(scheme=scheme)
         with pytest.raises(NonFiniteState, match="drift lost finiteness at t = 0.0"):
-            stable_dt(state, PARITY_PARAMS, cfg)
+            stable_dt(state, PARITY_PARAMS, cfg, speeds=_face_drops(phi))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_overflowing_face_speed_raises(self, scheme):
+    def test_overflowing_face_speed_raises(self, scheme, monkeypatch):
         # Every drop is finite, but the face speed max|D|/h is not.
         dom = DomainSpec((1e-100, 1e-100), (4, 4))
         phi = np.zeros(dom.cells)
         phi[2, 2] = 1e210
-        state = hand_state(Field.full(dom, 1.0), Field(phi, dom), PARITY_PARAMS)
-        assert all(np.isfinite(d).all() for d in _face_drops(state.phi))
+        state = hand_state(Field.full(dom, 1.0))
+        assert all(np.isfinite(d).all() for d in _face_drops(phi))
         cfg = StepperConfig(scheme=scheme)
         with pytest.raises(NonFiniteState, match="drift lost finiteness at t = 0.0"):
-            stable_dt(state, PARITY_PARAMS, cfg)
+            stable_dt(state, PARITY_PARAMS, cfg, speeds=_face_drops(phi))
+        hand_drift(monkeypatch, phi)
         assert run(state, PARITY_PARAMS, cfg, 1.0).state.status is Status.BLOWUP_SUSPECTED
 
 
@@ -455,7 +470,7 @@ class TestStep:
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=0.5)
         state = initial_state(bump_field(dom), params)
         new = step(state, params, StepperConfig())
-        assert not np.array_equal(new.phi, state.phi)
+        assert not np.array_equal(drift_of(new, params), drift_of(state, params))
         assert_drift_of(new, params)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -465,7 +480,7 @@ class TestStep:
         cfg = StepperConfig(scheme=scheme)
         state = initial_state(bump_field(dom, width=0.08), params)
         dt = stable_dt(state, params, cfg)
-        phi = state.phi
+        phi = drift_of(state, params)
         assert_drift_of(state, params)
         explicit = scheme == "explicit-upwind"
         fluxes = where_face_fluxes(state.u.values, phi, diffusion=explicit)
@@ -488,9 +503,9 @@ class TestStep:
         cfg = StepperConfig(scheme=scheme, cfl_safety=0.1)
         for _ in range(5):
             u, phi = oracle_inputs(dom, rng)
-            state = hand_state(Field(u, dom), Field(phi, dom), PARITY_PARAMS)
-            dt = stable_dt(state, PARITY_PARAMS, cfg)
-            got = step(state, PARITY_PARAMS, cfg, dt).u.values
+            state = hand_state(Field(u, dom))
+            dt = stable_dt(state, PARITY_PARAMS, cfg, speeds=_face_drops(phi))
+            got = step(state, PARITY_PARAMS, cfg, dt, speeds=_face_drops(phi)).u.values
             want = speed_form_update(u, phi, dt, dom.h, explicit)
             tol = transport_tolerance(u, phi, dt, dom.h, explicit)
             if explicit:
@@ -535,18 +550,18 @@ class TestDropForm:
         u[rng.random(cells) < 0.3] = 0.0
         phi = rng.standard_normal(cells) * 10.0**log_phi
         explicit = scheme == "explicit-upwind"
-        state = hand_state(Field(u, dom), Field(phi, dom), PARITY_PARAMS)
+        state = hand_state(Field(u, dom))
         cfg = StepperConfig(scheme=scheme, cfl_safety=0.1, dt_min=1e-300, dt_max=1.0)
 
         # The CFL dt is the speed form's, max|D/h|, to the bit.
         speeds = [np.abs(np.diff(phi, axis=axis) / h) for axis in (0, 1) if cells[axis] > 1]
         vmax = max((float(v.max()) for v in speeds), default=0.0)
         bounds = ([h * h / 4.0] if explicit else []) + ([h / vmax] if vmax > 0.0 else [])
-        dt = stable_dt(state, PARITY_PARAMS, cfg)
+        dt = stable_dt(state, PARITY_PARAMS, cfg, speeds=_face_drops(phi))
         assert dt == max(min(0.1 * min(bounds) if bounds else math.inf, 1.0), 1e-300)
 
         # Mass is conserved by the step, and its transport is the speed form's.
-        new = step(state, PARITY_PARAMS, cfg, dt)
+        new = step(state, PARITY_PARAMS, cfg, dt, speeds=_face_drops(phi))
         mass = integrate(state.u)
         assert abs(integrate(new.u) - mass) <= 1e-13 * mass
         got = _transport(u, _face_drops(phi), dt, h, explicit, np.empty(cells))
@@ -558,6 +573,10 @@ class TestDropForm:
         assert (big[u == 0.0] >= 0.0).all()
 
 
+# Hand-built states and the drift potentials they are stepped with:
+# (state, phi).
+
+
 def spike_state(dom, amplitude):
     """All density in the centre cell, at the bottom of a steep cone of v, so
     that it drifts out through all four faces at the largest face speed."""
@@ -565,17 +584,17 @@ def spike_state(dom, amplitude):
     u[4, 4] = amplitude
     i = np.abs(np.arange(dom.cells[0]) - 4)
     cone = 100.0 * (i[:, None] + i[None, :]).astype(float)
-    return hand_state(Field(u, dom), Field(cone, dom), PARITY_PARAMS)
+    return hand_state(Field(u, dom)), cone
 
 
 def nan_signal_state(dom, bad=np.nan):
     v = np.ones(dom.cells)
     v[3, 3] = bad
-    return hand_state(bump_field(dom), Field(v, dom), PARITY_PARAMS)
+    return hand_state(bump_field(dom)), v
 
 
-def uniform_state(dom, value, params):
-    return hand_state(Field.full(dom, value), Field.full(dom, 0.0), params)
+def uniform_state(dom, value):
+    return hand_state(Field.full(dom, value)), np.zeros(dom.cells)
 
 
 PARITY_PARAMS = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.0, rho=0.5)
@@ -588,7 +607,7 @@ PARITY_CASES = {
     "inf-update": (lambda dom: spike_state(dom, 1e308), PARITY_PARAMS, NonFiniteState, "density lost finiteness"),
     "negative-dip": (lambda dom: spike_state(dom, 1.0), PARITY_PARAMS, NegativeDensity, "below tolerance"),
     "overflowing-source": (
-        lambda dom: uniform_state(dom, 1e299, OVERFLOWING_SOURCE_PARAMS),
+        lambda dom: uniform_state(dom, 1e299),
         OVERFLOWING_SOURCE_PARAMS,
         SolverDiverged,
         "cosine-transform solve would overflow",
@@ -599,15 +618,18 @@ PARITY_CASES = {
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 class TestCheckParity:
     """One minimum and one maximum of each new field carry every check of the
-    step: the same states fail with the same exception and message."""
+    step: the same states fail with the same exception and message. Each
+    state is stepped with its hand-built drift (hand_drift), which the
+    step's rebuild after a failure forms again."""
 
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_step_raises(self, scheme, case):
+    def test_step_raises(self, scheme, case, monkeypatch):
         make, params, exc, message = PARITY_CASES[case]
         dom = DomainSpec((1.0, 1.0), (8, 8))
         cfg = StepperConfig(scheme=scheme, cfl_safety=1.0)
-        state = make(dom)
+        state, phi = make(dom)
+        hand_drift(monkeypatch, phi)
         # stable_dt already rejects the NaN drift, so step gets its own dt.
         dt = 1e-3 if case == "nan-update" else stable_dt(state, params, cfg)
         with pytest.raises(exc, match=message):
@@ -615,11 +637,13 @@ class TestCheckParity:
 
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_run_reports_blowup_suspected(self, scheme, case):
+    def test_run_reports_blowup_suspected(self, scheme, case, monkeypatch):
         make, params, _, _ = PARITY_CASES[case]
         dom = DomainSpec((1.0, 1.0), (8, 8))
         cfg = StepperConfig(scheme=scheme, cfl_safety=1.0)
-        result = run(make(dom), params, cfg, 1.0, blowup_threshold=math.inf)
+        state, phi = make(dom)
+        hand_drift(monkeypatch, phi)
+        result = run(state, params, cfg, 1.0, blowup_threshold=math.inf)
         assert result.state.status is Status.BLOWUP_SUSPECTED
         assert result.steps == 0
 
@@ -630,13 +654,15 @@ class TestCheckParity:
             ("imex-diffusion", "implicit diffusion step produced non-finite values"),
         ],
     )
-    def test_overflowing_transform_is_solver_diverged(self, scheme, message):
+    def test_overflowing_transform_is_solver_diverged(self, scheme, message, monkeypatch):
         # The update is finite; its cosine transform overflows, in the signal
         # solve (explicit) or already in the implicit diffusion solve (IMEX).
         dom = DomainSpec((1.0, 1.0), (8, 8))
         params = replace(PARITY_PARAMS, chi=0.0)
+        state, phi = uniform_state(dom, 1e308)
+        hand_drift(monkeypatch, phi)
         with pytest.raises(SolverDiverged, match=message):
-            step(uniform_state(dom, 1e308, params), params, StepperConfig(scheme=scheme), 1e-3)
+            step(state, params, StepperConfig(scheme=scheme), 1e-3)
 
 
 def test_simulation_refuses_other_dimensions():
@@ -672,7 +698,7 @@ class TestDriftMemo:
 
     def test_step_uses_its_own_params(self, scheme):
         # A state built under params_a steps and runs under params_b as the
-        # state built under params_b does: phi is formed anew from u.
+        # state built under params_b does: the drift is formed from u.
         dom = DomainSpec((1.0, 1.0), (24, 24))
         params_a = ModelParams(1.0, 1.0, 1.0, 1.0, chi=4.0, xi=0.5, rho=0.5)
         cfg = StepperConfig(scheme=scheme)
@@ -680,11 +706,9 @@ class TestDriftMemo:
         for other in ({"chi": 1.0, "xi": 2.0}, {"alpha": 2.0, "delta": 0.7}):
             params_b = replace(params_a, **other)
             fresh = initial_state(bump_field(dom, width=0.08), params_b)
-            assert state.params == params_a and fresh.params == params_b
             dt = stable_dt(state, params_b, cfg)
             assert dt == stable_dt(fresh, params_b, cfg)
             got = step(state, params_b, cfg, dt)
-            assert got.params == params_b
             assert not np.array_equal(got.u.values, step(state, params_a, cfg, dt).u.values)
             assert_same_state(got, step(fresh, params_b, cfg, dt))
             diagnostics = DiagnosticsConfig(ps=(2.0, 1.5), every=1)
@@ -710,7 +734,7 @@ class TestDriftMemo:
         # run builds the speeds once and hands them to stable_dt, then to
         # step, which writes its fluxes into them and empties the list.
         state, params, cfg = drift_case(scheme)
-        speeds = _face_drops(state.phi)
+        speeds = stepper._drops(state, params)
         dt = stable_dt(state, params, cfg, speeds=speeds)
         assert dt == stable_dt(state, params, cfg)
         got = step(state, params, cfg, dt, speeds=speeds)
@@ -803,7 +827,7 @@ def overflowing_read_state():
     """A state past every check whose density is finite, but whose w source
     gamma u overflows under OVERFLOWING_READ_PARAMS."""
     dom = DomainSpec((1.0, 1.0), (8, 8))
-    return hand_state(Field.full(dom, 2.0), Field.full(dom, 0.0), OVERFLOWING_READ_PARAMS)
+    return hand_state(Field.full(dom, 2.0))
 
 
 OVERFLOWING_READ_PARAMS = replace(PARITY_PARAMS, gamma=1e308)
@@ -850,8 +874,9 @@ DRIFT_CASES = {
 
 
 class TestSignalsOnRead:
-    """A state carries the drift phi; v and w are read from its density
-    (solve_signals, sample) and checked each time."""
+    """A state carries its density alone; the drift is formed from it where
+    the step reads it, and v and w where they are read (solve_signals,
+    sample), checked each time."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("rho", [0.5, 1.0])
@@ -863,8 +888,6 @@ class TestSignalsOnRead:
         for s in (state, new):
             assert_drift_of(s, params)
             assert (s.u_min, s.u_max) == (float(s.u.values.min()), float(s.u.values.max()))
-            assert s.phi.shape == dom.cells
-            assert not s.phi.flags.writeable
 
     @pytest.mark.parametrize("n", BUDGET_GRIDS)
     @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
@@ -879,10 +902,11 @@ class TestSignalsOnRead:
         state = initial_state(Field(u, dom), params)
         assert (state.u_min < 0.0) == dip
         assert_drift_of(state, params)
-        new = step(state, params, StepperConfig(scheme=scheme))
+        cfg = StepperConfig(scheme=scheme)
+        new = step(state, params, cfg)
         assert_drift_of(new, params)
-        # phi is a function of the density alone, whichever scheme made it.
-        assert new.phi.tobytes() == initial_state(new.u, params).phi.tobytes()
+        # The step reads the density alone, whichever scheme made it.
+        assert_same_state(step(new, params, cfg), step(initial_state(new.u, params), params, cfg))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("case", sorted(UNREADABLE))
@@ -1040,13 +1064,15 @@ class TestStepWorkMemory:
     @pytest.mark.parametrize(
         "scheme, delta, fields",
         [
-            # Two states' u and phi, donor masks, and at 48^2 the matrix
-            # product's temporary.
-            ("explicit-upwind", 1.0, 6),
-            ("imex-diffusion", 1.0, 6),
+            # Two states' u, the drift, donor masks, and at 48^2 the matrix
+            # product's temporary. Each id names the budget of the case when
+            # a state also held its drift, two fields more, so that the cases
+            # keep their names.
+            pytest.param("explicit-upwind", 1.0, 4, id="explicit-upwind-1.0-6"),
+            pytest.param("imex-diffusion", 1.0, 4, id="imex-diffusion-1.0-6"),
             # The same, plus the (2, N, N) coefficient stack.
-            ("explicit-upwind", 0.7, 8),
-            ("imex-diffusion", 0.7, 8),
+            pytest.param("explicit-upwind", 0.7, 6, id="explicit-upwind-0.7-8"),
+            pytest.param("imex-diffusion", 0.7, 6, id="imex-diffusion-0.7-8"),
         ],
     )
     def test_warm_run_allocates_its_states(self, n, scheme, delta, fields):
