@@ -5,7 +5,10 @@ their gradient terms integral(|grad u^{p/2}|^2), and the signal maxima. Rate
 estimates (dE/dt) are forward differences between consecutive samples, filled
 in after a run. The two check_* functions compare a sampled series against
 the analytic energy inequality and the absorptive bound; they are
-consistency reports for discrete trajectories, not proofs.
+consistency reports for discrete trajectories, not proofs. A sample's sums
+and both signal solves go through one work field, `scratch`
+(elliptic._workspace): a warm one allocates only the powers u^{p/2} for
+p != 2 and the clamp of a u that dips below 0.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .elliptic import _signals
+from .elliptic import _signals, _work_array
 from .errors import InsufficientSamples, MismatchedP, NonFiniteField
 from .grid import _grad_sum, _integral, _lp_integral
 from .model import _is
@@ -82,9 +85,8 @@ def sample(state: "SimState", params: "ModelParams", ps, bounds: "BoundsReport |
     `ps` must pass DiagnosticsConfig's rule (ValueError). Rounding-level
     negative dips in u are clamped to zero inside the powers only; u_min
     reports the true minimum, which the state carries. Each distinct power of
-    u is computed once. v and w are read from u under params,
-    with one forward and one inverse transform of their stack, and checked
-    (SolverDiverged); their maxima come from that check."""
+    u is computed once. v and w are read from u under params, one after the
+    other, and checked (SolverDiverged); their maxima come from that check."""
     ps = _exponents(ps)
     h = state.u.h
     uv = state.u.values
@@ -100,8 +102,9 @@ def sample(state: "SimState", params: "ModelParams", ps, bounds: "BoundsReport |
     # and E_1.5. An overflowing power fails its kernel's sum (NonFiniteField).
     roots = {p: clamped if p == 2.0 else np.power(clamped, p / 2.0) for p in ps}
     powers = {p / 2.0: root for p, root in roots.items()}
-    energies = {p: _lp_integral(powers[p], 1.0, h) if p in powers else _lp_integral(clamped, p, h) for p in ps}
-    grads = {p: _grad_sum(root) for p, root in roots.items()}
+    scratch = _work_array("scratch", uv.shape)
+    energies = {p: _lp_integral(powers[p], 1.0, h, scratch) if p in powers else _lp_integral(clamped, p, h, scratch) for p in ps}
+    grads = {p: _grad_sum(root, scratch) for p, root in roots.items()}
 
     rhs_bound = math.nan
     if bounds is not None:
@@ -110,7 +113,7 @@ def sample(state: "SimState", params: "ModelParams", ps, bounds: "BoundsReport |
         p = bounds.p
         rhs_bound = -(4.0 * (p - 1.0) / p) * grads[p] + bounds.cbar
 
-    _, (v_max, w_max) = _signals(uv, u_min, u_max, params, state.u.domain)
+    v_max, w_max = _signals(uv, u_min, u_max, params, state.u.domain)
     return DiagnosticsRecord(
         t=float(state.t),
         mass=_integral(uv, h),
@@ -216,14 +219,13 @@ def diagnostics_header(ps) -> str:
 
 
 def write_diagnostics_csv(records: list, ps, path) -> None:
-    """One row per sample, 17 significant digits, header always present."""
+    """One row per sample, 17 significant digits, header first; streamed by row."""
     ps = tuple(float(p) for p in ps)
-    lines = [diagnostics_header(ps)]
-    for rec in records:
-        row = [rec.t, rec.mass, rec.u_min, rec.u_max]
-        row += [rec.energies[p] for p in ps]
-        row += [rec.grad_energies[p] for p in ps]
-        row += [rec.v_max, rec.w_max, rec.dedt_estimate, rec.rhs_bound]
-        lines.append(",".join(format(v, ".17g") for v in row))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(diagnostics_header(ps) + "\n")
+        for rec in records:
+            row = [rec.t, rec.mass, rec.u_min, rec.u_max]
+            row += [rec.energies[p] for p in ps]
+            row += [rec.grad_energies[p] for p in ps]
+            row += [rec.v_max, rec.w_max, rec.dedt_estimate, rec.rhs_bound]
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

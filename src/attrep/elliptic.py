@@ -7,30 +7,28 @@ denominator positive, no zero-mode special case is needed, and the residual
 sits at rounding level.
 
 The step needs only the drift phi = chi v - xi w, which _drift_potential
-forms from the density alone with one forward transform and one inverse:
-when beta = delta as the solve of the one source chi alpha u^rho - xi gamma
-u, and otherwise from both signals' coefficients, transformed as one stack
-(_signal_coefficients). Reading v and w (_signals, behind solve_signals and
-diagnostics.sample) costs one forward and one inverse transform of the
-stack.
+forms from the density alone with one inverse transform: when beta = delta
+as the solve of the one source chi alpha u^rho - xi gamma u (one forward
+transform), and otherwise from the coefficients of v and of w in turn (two).
+Reading v and w (_signals, behind solve_signals and diagnostics.sample)
+forms v and then w, one forward and one inverse transform each.
 
 Every transform goes through one pair, _forward and _inverse: the
-orthonormal DCT-II and its inverse over the last two axes of a field
-(Nx, Ny) or a stack (2, Nx, Ny), written over the given buffer. On a grid
-whose axes both have at most _MATMUL_MAX_CELLS cells the pair is two matrix
-products with cached cosine matrices, C X C'^T forward and C^T X C'
-inverse, over the whole stack at once; at that size a product costs less
-than the per-line calls of an FFT. Larger grids take one field at a time (a
-stack is its two fields in turn) through numpy's real FFT along each axis,
-in the form of Makhoul (A fast cosine transform in one and two
-dimensions, IEEE TASSP 28, 1980): the samples reordered (even ones, then
-odd ones reversed), one rfft, a twiddle e^{-i pi k / 2N} per mode, and the
-real DCT read off as X[k] = Re Z[k], X[N - k] = -Im Z[k]. The inverse runs
-the same steps backwards with irfft. Every reusable whole-field buffer of a
-step is a work array that the calling thread keeps per shape (_workspace),
-so a warm rfft pair allocates none and a warm step only what it returns
-and the drift it reads (README, Performance). None is held across a call
-out of the step, so a callback may step, sample or solve on the same grid.
+orthonormal DCT-II and its inverse of one field (Nx, Ny), written over it.
+On a grid whose axes both have at most _MATMUL_MAX_CELLS cells the pair is
+two matrix products with cached cosine matrices, C X C'^T forward and
+C^T X C' inverse; at that size a product costs less than the per-line calls
+of an FFT. Larger grids go through numpy's real FFT along each axis, in the
+form of Makhoul (A fast cosine transform in one and two dimensions, IEEE
+TASSP 28, 1980): the samples reordered (even ones, then odd ones reversed),
+one rfft, a twiddle e^{-i pi k / 2N} per mode, and the real DCT read off as
+X[k] = Re Z[k], X[N - k] = -Im Z[k]. The inverse runs the same steps
+backwards with irfft. Every reusable whole-field buffer of a step or a
+sample is a work array that the calling thread keeps per shape
+(_workspace), the one work field `scratch` among them, so a warm rfft pair
+allocates none and a warm step only what it returns and the drift it reads
+(README, Performance). None is held across a call out of the step, so a
+callback may step, sample or solve on the same grid.
 """
 
 from __future__ import annotations
@@ -58,23 +56,25 @@ NEGATIVE_TOL = 1e-13
 _MATMUL_MAX_CELLS = 64
 
 # The work arrays one thread keeps (_workspace), by key. One grid takes at
-# most six, none of them a stack: the transform buffers of a field; the
-# denominators of an IMEX step; the face drops of each axis; the
-# steady-state change of run; and the work field of the drift's one source
-# at beta = delta.
+# most five, each one field or less: the transform buffers of a field; the
+# denominators of an IMEX step; the face drops of each axis; and `scratch`,
+# the one work field that the drift, a sample, a read of the signals and
+# run's steady-state change each fill and read in turn.
 _WORKSPACE_ARRAYS = 12
 
 
 @lru_cache(maxsize=32)
-def _mode_eigenvalues(dom: DomainSpec) -> np.ndarray:
-    """lambda_x(k) + lambda_y(l) >= 0 for the negated Neumann Laplacian."""
+def _mode_eigenvalues(dom: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """[lambda_x 1] (Nx, 2) and [1 lambda_y]^T (2, Ny), whose matrix product
+    is the eigenvalue lambda_x(k) + lambda_y(l) >= 0 of each mode of the
+    negated Neumann Laplacian: its products by 1 are exact, so it has the
+    bits of the broadcast sum, which allocates numpy's iteration buffers."""
     h = dom.h
-    nx, ny = dom.cells
-    lx = 2.0 * (1.0 - np.cos(np.pi * np.arange(nx) / nx)) / (h * h)
-    ly = 2.0 * (1.0 - np.cos(np.pi * np.arange(ny) / ny)) / (h * h)
-    eig = lx[:, None] + ly[None, :]
-    eig.setflags(write=False)
-    return eig
+    lx, ly = (2.0 * (1.0 - np.cos(np.pi * np.arange(n) / n)) / (h * h) for n in dom.cells)
+    left, right = np.stack([lx, np.ones_like(lx)], axis=1), np.stack([np.ones_like(ly), ly])
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
 
 
 @lru_cache(maxsize=32)
@@ -86,7 +86,7 @@ def _screened_denominators(dom: DomainSpec, kappa: float) -> np.ndarray:
     """
     if not (kappa > 0.0) or not np.isfinite(kappa):
         raise NonPositiveKappa(f"kappa must be > 0, got {kappa}")
-    denom = kappa + _mode_eigenvalues(dom)
+    denom = kappa + np.matmul(*_mode_eigenvalues(dom))
     denom.setflags(write=False)
     return denom
 
@@ -161,14 +161,17 @@ def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return forward, inverse
 
 
-def _fft_forward(buf: np.ndarray) -> None:
-    """The orthonormal DCT-II of the (Nx, Ny) field `buf`, written over it,
-    by one rfft along each axis. Along an axis of n samples, with
-    m = (n + 1)//2 even samples, h = n//2 + 1 modes and q = n - h:
+def _forward(buf: np.ndarray) -> np.ndarray:
+    """The orthonormal DCT-II of the float64 field `buf`, written over it; the
+    result is `buf` itself. Up to the cutoff it is C X C'^T; above it, one
+    rfft along each axis. Along an axis of n samples, with m = (n + 1)//2
+    even samples, h = n//2 + 1 modes and q = n - h:
     v = (x[0], x[2], ..., x[3], x[1]), Z = twiddle * rfft(v), and
     X[:h] = Re Z, X[h:] = -Im Z[q:0:-1]. The split of the axis 1 spectrum
     is written straight into the reorder of axis 0."""
     nx, ny = buf.shape
+    if max(nx, ny) <= _MATMUL_MAX_CELLS:
+        return np.matmul(_dct_matrix(nx) @ buf, _dct_matrix(ny).T, out=buf)
     real, along_y, along_x = _workspace(("fft", buf.shape), lambda: _fft_buffers(nx, ny))
     mx, my = (nx + 1) // 2, (ny + 1) // 2
     hx, hy = nx // 2 + 1, ny // 2 + 1
@@ -185,13 +188,17 @@ def _fft_forward(buf: np.ndarray) -> None:
     along_x *= _twiddles(nx)[0][:, None]
     np.copyto(buf[:hx], along_x.real)
     np.negative(along_x.imag[nx - hx : 0 : -1], out=buf[hx:])
+    return buf
 
 
-def _fft_inverse(buf: np.ndarray) -> None:
-    """The inverse of _fft_forward, its steps in reverse: per axis
+def _inverse(buf: np.ndarray) -> np.ndarray:
+    """The inverse of _forward, written over `buf` in the same way: C^T X C'
+    up to the cutoff; above it the rfft steps in reverse, per axis
     Z = X[:h] - i (0, X[m:][::-1]), v = irfft(Z / twiddle), and the samples
     put back in order. The axis 0 reorder writes the axis 1 spectrum."""
     nx, ny = buf.shape
+    if max(nx, ny) <= _MATMUL_MAX_CELLS:
+        return np.matmul(_dct_matrix(nx).T @ buf, _dct_matrix(ny), out=buf)
     real, along_y, along_x = _workspace(("fft", buf.shape), lambda: _fft_buffers(nx, ny))
     mx, my = (nx + 1) // 2, (ny + 1) // 2
     hx, hy = nx // 2 + 1, ny // 2 + 1
@@ -210,28 +217,6 @@ def _fft_inverse(buf: np.ndarray) -> None:
     irfft(along_y, n=ny, axis=1, out=real)
     np.copyto(buf[:, 0::2], real[:, :my])
     np.copyto(buf[:, 1::2], real[:, my:][:, ::-1])
-
-
-def _forward(buf: np.ndarray) -> np.ndarray:
-    """The DCT-II over the last two axes of the float64 field or stack `buf`,
-    written over it; the result is `buf` itself."""
-    nx, ny = buf.shape[-2:]
-    if max(nx, ny) <= _MATMUL_MAX_CELLS:
-        np.matmul(_dct_matrix(nx) @ buf, _dct_matrix(ny).T, out=buf)
-    else:
-        for field in (buf,) if buf.ndim == 2 else buf:
-            _fft_forward(field)
-    return buf
-
-
-def _inverse(buf: np.ndarray) -> np.ndarray:
-    """The inverse of _forward, written over `buf` in the same way."""
-    nx, ny = buf.shape[-2:]
-    if max(nx, ny) <= _MATMUL_MAX_CELLS:
-        np.matmul(_dct_matrix(nx).T @ buf, _dct_matrix(ny), out=buf)
-    else:
-        for field in (buf,) if buf.ndim == 2 else buf:
-            _fft_inverse(field)
     return buf
 
 
@@ -258,7 +243,8 @@ def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> np.ndarra
     float64 field `values` and returned, as _forward and _inverse do. The zero
     mode has eigenvalue 0, so the mean (hence the mass) is kept exactly;
     every other mode is damped. dt > 0 (checked by stepper.step)."""
-    denom = np.multiply(_mode_eigenvalues(dom), dt, out=_work_array("implicit-denominators", values.shape))
+    denom = np.matmul(*_mode_eigenvalues(dom), out=_work_array("implicit-denominators", values.shape))
+    denom *= dt
     denom += 1.0
     _forward(values)
     values /= denom
@@ -309,42 +295,44 @@ def _check_density(u_min: float, u_max: float, params: ModelParams, dom: DomainS
             )
 
 
-def _signal_coefficients(values, u_min: float, params: ModelParams, dom: DomainSpec) -> np.ndarray:
-    """The cosine coefficients of v and w, stacked (2, Nx, Ny), for a
-    density that passed _check_density: both sources are written into their
-    slots of the stack and transformed there in one call."""
-    stack = np.empty((2, *values.shape))
-    v_hat, w_hat = stack
-    _production(values, u_min, params.rho, params.alpha, out=v_hat)
-    np.multiply(values, params.gamma, out=w_hat)
-    _forward(stack)
-    v_hat /= _screened_denominators(dom, params.beta)
-    w_hat /= _screened_denominators(dom, params.delta)
-    return stack
+def _signal_hat(values, u_min: float, params: ModelParams, dom: DomainSpec, name: str, out: np.ndarray) -> np.ndarray:
+    """The cosine coefficients of the signal `name`, v or w, of a density
+    that passed _check_density, DCT(alpha u^rho)/(beta + lambda) or
+    DCT(gamma u)/(delta + lambda), written into `out` and returned."""
+    if name == "v":
+        _production(values, u_min, params.rho, params.alpha, out=out)
+    else:
+        np.multiply(values, params.gamma, out=out)
+    _forward(out)
+    out /= _screened_denominators(dom, params.beta if name == "v" else params.delta)
+    return out
 
 
-def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec) -> tuple[np.ndarray, tuple[float, float]]:
-    """v and w, stacked (2, Nx, Ny), for a finite density with extrema u_min
-    and u_max, with one forward and one inverse transform of the stack, and
-    the maximum of each.
+def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec, out=None) -> tuple[float, float]:
+    """The maxima of v and w for a finite density with extrema u_min and
+    u_max. v and then w are formed, with one forward and one inverse
+    transform each, into the pair of float64 fields `out`, or when it is
+    omitted both in turn in the work field `scratch`.
 
     Checked here, where they are read: the density as by _check_density;
     a NaN or an infinity in a signal, or a dip below -NEGATIVE_TOL * max (a
     broken maximum principle), raises SolverDiverged.
     """
     _check_density(u_min, u_max, params, dom)
-    signals = _inverse(_signal_coefficients(values, u_min, params, dom))
     # NaN propagates through min and max and an infinity is an extreme, so
     # one pair per signal carries its finiteness check too. That check is
     # defensive: past _check_density, Parseval bounds every partial
-    # transform of the stack by sqrt(Nx Ny) F / kappa, under float_max/8.
-    extrema = [(name, float(s.min()), float(s.max())) for name, s in zip("vw", signals)]
+    # transform by sqrt(Nx Ny) F / kappa, under float_max/8.
+    extrema = []
+    for name, signal in zip("vw", out or (_work_array("scratch", values.shape),) * 2):
+        _inverse(_signal_hat(values, u_min, params, dom, name, signal))
+        extrema.append((name, float(signal.min()), float(signal.max())))
     if not all(math.isfinite(mn) and math.isfinite(mx) for _, mn, mx in extrema):
         raise SolverDiverged("cosine-transform solve produced non-finite values")
     for name, mn, mx in extrema:
         if mn < -NEGATIVE_TOL * max(mx, 0.0):
             raise SolverDiverged(f"signal {name} violates the maximum principle: min {mn}")
-    return signals, (extrema[0][2], extrema[1][2])
+    return extrema[0][2], extrema[1][2]
 
 
 def _drift_potential(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec) -> np.ndarray:
@@ -354,21 +342,22 @@ def _drift_potential(values, u_min: float, u_max: float, params: ModelParams, do
 
     phi's coefficients are formed in one of two ways:
     - beta = delta: DCT(chi alpha u^rho - xi gamma u) / (beta + lambda), one forward transform;
-    - otherwise chi v_hat - xi w_hat from _signal_coefficients, one forward
-      transform of the stack.
+    - otherwise chi v_hat - xi w_hat, v_hat formed where phi_hat is and
+      w_hat in the work field `scratch`, one forward transform each.
     """
     _check_density(u_min, u_max, params, dom)
     chi, xi = params.chi, params.xi
+    scratch = _work_array("scratch", values.shape)
     if params.beta == params.delta:
         # -r + a is exactly a - r: the bits of chi alpha u^rho - xi gamma u.
         phi_hat = np.multiply(values, -(xi * params.gamma))
-        phi_hat += _production(values, u_min, params.rho, chi * params.alpha, out=_work_array("drift-part", values.shape))
+        phi_hat += _production(values, u_min, params.rho, chi * params.alpha, out=scratch)
         _forward(phi_hat)
         phi_hat /= _screened_denominators(dom, params.beta)
     else:
-        v_hat, w_hat = _signal_coefficients(values, u_min, params, dom)
-        phi_hat = np.multiply(v_hat, chi)
-        phi_hat -= np.multiply(w_hat, xi, out=w_hat)
+        phi_hat = _signal_hat(values, u_min, params, dom, "v", np.empty(values.shape))
+        phi_hat *= chi
+        phi_hat -= np.multiply(_signal_hat(values, u_min, params, dom, "w", scratch), xi, out=scratch)
     return _inverse(phi_hat)
 
 
@@ -386,5 +375,6 @@ def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:
     require_finite(u, "density")
     values = u.values
     dom = u.domain
-    (v, w), _ = _signals(values, float(values.min()), float(values.max()), params, dom)
+    v, w = np.empty(dom.cells), np.empty(dom.cells)
+    _signals(values, float(values.min()), float(values.max()), params, dom, out=(v, w))
     return Field(v, dom), Field(w, dom)

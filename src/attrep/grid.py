@@ -82,24 +82,31 @@ def integrate(field: Field) -> float:
     return _integral(field.values, field.h)
 
 
-def _lp_integral(values: np.ndarray, p: float, h: float) -> float:
-    """Integral of |f|^p (no 1/p root), for p >= 1."""
+def _lp_integral(values: np.ndarray, p: float, h: float, work: np.ndarray | None = None) -> float:
+    """Integral of |f|^p (no 1/p root), for p >= 1, the powers formed in
+    `work`, a float64 array of values' shape (a fresh one when omitted)."""
     if p < 1.0:
         raise ValueError(f"the integral of |f|^p needs p >= 1, got {p}")
-    if p == 1.0:
-        total = np.abs(values).sum()
-    elif p == 2.0:
-        total = (values * values).sum()
+    if p == 2.0:
+        powers = np.multiply(values, values, out=work)
     else:
-        total = np.power(np.abs(values), p).sum()
-    return _finite(float(total) * h * h, f"integral of |f|^{p}")
+        powers = np.abs(values, out=work)
+        if p != 1.0:
+            np.power(powers, p, out=powers)
+    return _finite(float(powers.sum()) * h * h, f"integral of |f|^{p}")
 
 
-def _grad_sum(v: np.ndarray) -> float:
-    """Integral of |grad f|^2: each interior face gives (diff/h)^2 h^2 = diff^2."""
-    gx = v[1:, :] - v[:-1, :]
-    gy = v[:, 1:] - v[:, :-1]
-    return _finite(float((gx * gx).sum() + (gy * gy).sum()), "gradient energy")
+def _grad_sum(v: np.ndarray, work: np.ndarray | None = None) -> float:
+    """Integral of |grad f|^2: each interior face gives (diff/h)^2 h^2 = diff^2.
+    The differences along each axis in turn are written into a contiguous
+    view of `work`, a float64 array of v's size (a fresh one when omitted),
+    and squared there, so each sum runs over the layout of its own array."""
+    flat = np.empty(v.size) if work is None else work.reshape(-1)
+    total = 0.0
+    for right, left in ((v[1:, :], v[:-1, :]), (v[:, 1:], v[:, :-1])):
+        diff = np.subtract(right, left, out=flat[: right.size].reshape(right.shape))
+        total += float(np.multiply(diff, diff, out=diff).sum())
+    return _finite(total, "gradient energy")
 
 
 def write_field_csv(field: Field, path) -> None:

@@ -30,12 +30,13 @@ cosine-transform solve (elliptic._implicit_solve).
 A state is plain data: the density, its extrema and the clock. The
 transport reads the signals only through the drift potential phi, a function
 of the density alone, which the step forms where it reads it: one forward
-transform and the one inverse that makes phi (elliptic._drift_potential), so
-2 transforms an explicit step; the IMEX step adds the 2 of its diffusion
-solve, so 4. run forms it and builds the face drops D once a step, in work
-arrays of the thread like every reusable buffer of a step
-(elliptic._workspace), and hands them to stable_dt and step as `speeds`. A
-state can be stepped under any params. v and w are a read of u
+transform (two when beta != delta) and the one inverse that makes phi
+(elliptic._drift_potential), so 2 (3) transforms an explicit step; the IMEX
+step adds the 2 of its diffusion solve, so 4 (5). run forms it and builds the
+face drops D once a step, in work arrays of the thread like every reusable
+buffer of a step (elliptic._workspace), and takes the steady-state change in
+the work field `scratch`; it hands the drops to stable_dt and step as
+`speeds`. A state can be stepped under any params. v and w are a read of u
 (elliptic.solve_signals, diagnostics.sample), checked there.
 """
 
@@ -358,7 +359,7 @@ def run(
             min_ratio = min(min_ratio, new_state.u_min / new_state.u_max)
         if on_state is not None:
             on_state(new_state)
-        diff = np.subtract(new_state.u.values, state.u.values, out=_work_array("steady-change", state.u.domain.cells))
+        diff = np.subtract(new_state.u.values, state.u.values, out=_work_array("scratch", state.u.domain.cells))
         change = float(np.abs(diff, out=diff).max())
         scale = max(state.u_max, -state.u_min)
         state = new_state

@@ -974,20 +974,24 @@ class TestCflPositivity:
         assert result.min_density_ratio >= -1e-13
 
 
-# (scheme, rho, transforms a step of run).
+# (scheme, rho, transforms a step of run) at beta = delta.
 RUN_BUDGETS = [
     ("explicit-upwind", 0.5, 2),
     ("explicit-upwind", 1.0, 2),
     ("imex-diffusion", 0.5, 4),
     ("imex-diffusion", 1.0, 4),
 ]
+# Transforms a step of run at beta != delta, by scheme, at either rho.
+TWO_RATE_BUDGETS = {"explicit-upwind": 3, "imex-diffusion": 5}
+# Transforms of one read of v and w.
+SIGNAL_READ = 4
 
 
 class TestTransformBudget:
-    """Cosine transforms per step of run: one forward transform of phi's one
-    source, or of both signals' sources as one stack, and one inverse for
-    phi, plus the forward and inverse of the IMEX step's heat solve; reading
-    v and w takes one forward and one inverse of their stack."""
+    """Cosine transforms per step of run, each of one field: one forward
+    transform of phi's one source, or one of each signal's source, and one
+    inverse for phi, plus the forward and inverse of the IMEX step's heat
+    solve; reading v and w takes one forward and one inverse of each."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -995,9 +999,10 @@ class TestTransformBudget:
         for name in ("_forward", "_inverse"):
             original = getattr(elliptic, name)
 
-            def counted(*args, _original=original, **kwargs):
+            def counted(buf, _original=original):
+                assert buf.ndim == 2
                 calls.append(1)
-                return _original(*args, **kwargs)
+                return _original(buf)
 
             monkeypatch.setattr(elliptic, name, counted)
         return calls
@@ -1015,7 +1020,7 @@ class TestTransformBudget:
             assert result.steps == 5
             samples = len(result.records)
             assert samples == (0 if every is None else 6)
-            assert len(count) == transforms * result.steps + 2 * samples
+            assert len(count) == transforms * result.steps + SIGNAL_READ * samples
 
     @pytest.mark.parametrize("scheme, rho, transforms", RUN_BUDGETS)
     @pytest.mark.parametrize("every", [None, 1], ids=["no-diagnostics", "sample-every-step"])
@@ -1025,22 +1030,24 @@ class TestTransformBudget:
 
     @pytest.mark.parametrize("every", [None, 1], ids=["no-diagnostics", "sample-every-step"])
     def test_run_with_two_rates(self, count, every):
-        # beta != delta: both sources transformed as one stack.
-        for scheme, rho, transforms in RUN_BUDGETS:
+        # beta != delta: each signal's source transformed on its own.
+        for scheme, rho, _ in RUN_BUDGETS:
             params = ModelParams(1.0, 1.0, 1.0, 0.7, chi=1.0, xi=0.5, rho=rho)
-            self.check_run(count, params, scheme, transforms, every)
+            self.check_run(count, params, scheme, TWO_RATE_BUDGETS[scheme], every)
 
     def test_readme_table_matches_budgets(self):
         # the README's transforms-per-step table: one row per scheme, one
-        # column per production regime, rho < 1 (counted at 0.5) and rho = 1
+        # column per production regime at beta = delta, rho < 1 (counted at
+        # 0.5) and rho = 1, and one for beta != delta
         lines = (REPO_ROOT / "README.md").read_text().splitlines()
-        start = lines.index("| scheme | `rho < 1` | `rho = 1` |") + 2
+        start = lines.index("| scheme | `rho < 1` | `rho = 1` | `beta != delta` |") + 2
         rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
-        cells = ([cell.strip().strip("`") for cell in line.strip("|").split("|")] for line in rows)
-        table = [(scheme, rho, int(n)) for scheme, *counts in cells for rho, n in zip((0.5, 1.0), counts)]
+        cells = [[cell.strip().strip("`") for cell in line.strip("|").split("|")] for line in rows]
+        table = [(scheme, rho, int(n)) for scheme, *counts, _ in cells for rho, n in zip((0.5, 1.0), counts)]
         assert table == RUN_BUDGETS
+        assert {scheme: int(n) for scheme, *_, n in cells} == TWO_RATE_BUDGETS
 
-    @pytest.mark.parametrize("rho, transforms", [(0.5, 2), (1.0, 2)])
+    @pytest.mark.parametrize("rho, transforms", [(0.5, SIGNAL_READ), (1.0, SIGNAL_READ)])
     def test_solve_signals(self, count, rho, transforms):
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=0.5, rho=rho)
         for n in BUDGET_GRIDS:
@@ -1055,43 +1062,80 @@ def work_memory_case(n, scheme, delta):
     return initial_state(bump_field(dom, width=0.08), params), params, StepperConfig(scheme=scheme)
 
 
+# The store's keys (elliptic._workspace), as the README lists them.
+STORE_KEYS = {"fft", "face-drops", "scratch", "implicit-denominators"}
+# numpy allocates, for a ufunc call over a strided or broadcast operand, an
+# iteration buffer of up to np.getbufsize() items of it: 128 KiB for the
+# complex twiddle products of the rfft pair, one field at 128^2.
+ITER_BUFFER = np.getbufsize() * 16
+
+
 class TestStepWorkMemory:
     """The per-thread store (elliptic._workspace) owns every reusable buffer
-    of the step, so a warm run allocates only the states it makes, and no
-    store array is live across on_state."""
+    of the step and of a sample, so a warm run allocates only the states it
+    makes, a warm sample no field, and no store array is live across
+    on_state."""
+
+    @staticmethod
+    def traced_peak(call):
+        # the peak of a warm call: call() once untraced, then once traced
+        call()
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
 
     @pytest.mark.parametrize("n", [48, 128, 256])
     @pytest.mark.parametrize(
         "scheme, delta, fields",
         [
             # Two states' u, the drift, donor masks, and at 48^2 the matrix
-            # product's temporary. Each id names the budget of the case when
-            # a state also held its drift, two fields more, so that the cases
-            # keep their names.
+            # product's temporary, whether or not beta = delta: the drift's
+            # v_hat is formed in phi_hat, its w_hat in the store. Each id
+            # names the budget of the case when a state also held its drift,
+            # two fields more, so that the cases keep their names.
             pytest.param("explicit-upwind", 1.0, 4, id="explicit-upwind-1.0-6"),
             pytest.param("imex-diffusion", 1.0, 4, id="imex-diffusion-1.0-6"),
-            # The same, plus the (2, N, N) coefficient stack.
-            pytest.param("explicit-upwind", 0.7, 6, id="explicit-upwind-0.7-8"),
-            pytest.param("imex-diffusion", 0.7, 6, id="imex-diffusion-0.7-8"),
+            pytest.param("explicit-upwind", 0.7, 4, id="explicit-upwind-0.7-8"),
+            pytest.param("imex-diffusion", 0.7, 4, id="imex-diffusion-0.7-8"),
         ],
     )
     def test_warm_run_allocates_its_states(self, n, scheme, delta, fields):
         state, params, cfg = work_memory_case(n, scheme, delta)
         t_end = 2.5 * stable_dt(state, params, cfg)
-        run(state, params, cfg, t_end)
-        tracemalloc.start()
-        try:
-            result = run(state, params, cfg, t_end)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = self.traced_peak(lambda: run(state, params, cfg, t_end))
         assert result.steps == 3
         assert peak <= fields * state.u.values.nbytes
 
+    def test_warm_sample_allocates_no_field(self):
+        # E_2, the gradient term and both signals go through the store's
+        # work field, so what a warm sample allocates beyond numpy's
+        # iteration buffer is under a quarter field. A (2, N, N) signal
+        # stack and fresh squares read three fields.
+        state, params, _ = work_memory_case(128, "explicit-upwind", 0.7)
+        _, peak = self.traced_peak(lambda: sample(state, params, (2.0,)))
+        assert peak - ITER_BUFFER < state.u.values.nbytes / 4
+
+    @pytest.mark.parametrize("n", [48, 128], ids=["matmul", "rfft"])
+    def test_solve_signals_allocates_its_outputs(self, n):
+        # v and w are formed in the two arrays returned, each its own, with
+        # no (2, N, N) stack behind them; beyond them a transform's
+        # temporary: the matrix product's field, or numpy's buffer.
+        state, params, _ = work_memory_case(n, "explicit-upwind", 0.7)
+        (v, w), peak = self.traced_peak(lambda: solve_signals(state.u, params))
+        assert v.values.base is None and w.values.base is None
+        field = state.u.values.nbytes
+        temporary = field if n <= elliptic._MATMUL_MAX_CELLS else ITER_BUFFER
+        assert peak < 2 * field + temporary + field / 4
+
     @pytest.mark.parametrize("n", [48, 72], ids=["matmul", "rfft"])
     def test_store_holds_each_buffer_once(self, n):
-        # Warm runs of both schemes, sampled every step, leave at most six
-        # store arrays for the grid, and no (2, N, N) stack among them.
+        # Warm runs of both schemes, sampled every step, leave at most five
+        # store arrays for the grid (four without the rfft buffers), under
+        # the README's keys, and no (2, N, N) stack among them.
         elliptic._WORKSPACES.arrays.clear()
         diagnostics = DiagnosticsConfig(ps=(2.0, 1.5), every=1)
         for scheme in SCHEMES:
@@ -1100,10 +1144,20 @@ class TestStepWorkMemory:
             for _ in range(2):
                 run(state, params, cfg, t_end, diagnostics=diagnostics)
         store = elliptic._WORKSPACES.arrays
-        assert len(store) <= 6
+        assert len(store) <= (4 if n <= elliptic._MATMUL_MAX_CELLS else 5)
+        assert {name for name, _ in store} == STORE_KEYS - ({"fft"} if n <= elliptic._MATMUL_MAX_CELLS else set())
         for arrays in store.values():
             for array in arrays if isinstance(arrays, tuple) else (arrays,):
                 assert array.ndim == 2
+
+    def test_readme_lists_store_keys(self):
+        # the README's list of the store's keys, one bullet each, up to the
+        # next blank line
+        lines = (REPO_ROOT / "README.md").read_text().splitlines()
+        start = lines.index("One grid takes at most five arrays, under four keys:") + 2
+        block = itertools.takewhile(str.strip, lines[start:])
+        keys = [line.split("`")[1] for line in block if line.startswith("- `")]
+        assert len(keys) == len(STORE_KEYS) and set(keys) == STORE_KEYS
 
     @pytest.mark.parametrize("n", [48, 96], ids=["matmul", "rfft"])
     @pytest.mark.parametrize("scheme", SCHEMES)
