@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .diagnostics import DiagnosticsConfig
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .model import _INITIAL_KINDS, BumpSpec, DomainSpec, InitialData, ModelParams
 from .stepper import STEADY_TOL, StepperConfig
 
@@ -148,7 +148,8 @@ def _bumps(field: str, value) -> tuple:
     if not isinstance(value, list) or not value:
         raise ConfigError(field, "expected a non-empty list")
     bumps = ((f"{field}[{i}]", bump) for i, bump in enumerate(value))
-    return tuple(BumpSpec(**_given(_BUMP(path, b), path, ("center", "width", "amplitude"))) for path, b in bumps)
+    keys = ("center", "width", "amplitude")
+    return tuple(_build(BumpSpec, path, _given(_BUMP(path, b), path, keys)) for path, b in bumps)
 
 
 def _exponent_list(field: str, value) -> tuple:
@@ -194,10 +195,10 @@ _SCHEMA = {
 
 
 def _build(cls, field: str, block: dict):
-    """cls(**block), its ValueError named by field."""
+    """cls(**block), its ValueError or SimulationError named by field."""
     try:
         return cls(**block)
-    except ValueError as exc:
+    except (ValueError, SimulationError) as exc:
         raise ConfigError(field, str(exc)) from exc
 
 
@@ -210,7 +211,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
     block = _given(cfg["initial"], "initial", ("kind",))
     reads = _INITIAL_KINDS[block["kind"]][1]
     _given(block, "initial", [key for key, required in reads.items() if required])
-    initial = InitialData(block["kind"], mass=block.get("mass"), **{k: block[k] for k in reads if k in block})
+    initial = _build(InitialData, "initial", {k: block[k] for k in ("kind", "mass", *reads) if k in block})
     sweep = _given(cfg["sweep"], "sweep", ("axis", "values")) if "sweep" in cfg else {}
     # An axis the initial data never reads would run the same point N times.
     axis = sweep.get("axis")

@@ -1,20 +1,21 @@
 """Scalar time-series diagnostics and bound-consistency checks.
 
-A sample captures mass, density extrema, the energies E_p = integral(u^p),
-their gradient terms integral(|grad u^{p/2}|^2), and the signal maxima. Rate
-estimates (dE/dt) are forward differences between consecutive samples, filled
-in after a run. The two check_* functions compare a sampled series against
-the analytic energy inequality and the absorptive bound; they are
-consistency reports for discrete trajectories, not proofs. A sample's sums
-and both signal solves go through one work field, `scratch`
-(elliptic._workspace): a warm one allocates only the powers u^{p/2} for
-p != 2 and the clamp of a u that dips below 0.
+A sample, at the exponents and bounds of a DiagnosticsConfig, captures mass,
+density extrema, the energies E_p = integral(u^p), their gradient terms
+integral(|grad u^{p/2}|^2), and the signal maxima. Rate estimates (dE/dt) are
+forward differences between consecutive samples, filled in after a run. The
+two check_* functions compare a sampled series against the analytic energy
+inequality and the absorptive bound; they are consistency reports for discrete
+trajectories, not proofs. A sample's sums and both signal solves go through
+one work field, `scratch` (elliptic._workspace): a warm one allocates only the
+powers u^{p/2} for p != 2 and the clamp of a u that dips below 0.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -32,9 +33,12 @@ if TYPE_CHECKING:
 
 
 def _exponents(ps) -> tuple[float, ...]:
-    """The energy exponents as floats: at least one, each a finite real number
-    above 1 (not a bool or a string), none repeated (ValueError naming them)."""
-    values = (ps,) if isinstance(ps, str) else tuple(ps)
+    """The energy exponents as floats: a collection (not a string, a bare
+    number or None) of at least one, each a finite real number above 1 (not a
+    bool or a string), none repeated (ValueError naming them)."""
+    if isinstance(ps, str) or not isinstance(ps, Iterable):
+        raise ValueError(f"ps must be a collection of real numbers, got {ps!r}")
+    values = tuple(ps)
     if not all(_is(numbers.Real, p) for p in values):
         raise ValueError(f"every exponent must be a real number, got {ps!r}")
     ps = tuple(float(p) for p in values)
@@ -79,15 +83,16 @@ class DiagnosticsRecord:
     rhs_bound: float
 
 
-def sample(state: "SimState", params: "ModelParams", ps, bounds: "BoundsReport | None" = None) -> DiagnosticsRecord:
-    """Pure snapshot of the state; identical states give identical records.
+def sample(state: SimState, params: ModelParams, diagnostics: DiagnosticsConfig) -> DiagnosticsRecord:
+    """Pure snapshot of the state at the exponents and bounds of diagnostics,
+    checked when it was built; identical states give identical records.
 
-    `ps` must pass DiagnosticsConfig's rule (ValueError). Rounding-level
-    negative dips in u are clamped to zero inside the powers only; u_min
-    reports the true minimum, which the state carries. Each distinct power of
-    u is computed once. v and w are read from u under params, one after the
-    other, and checked (SolverDiverged); their maxima come from that check."""
-    ps = _exponents(ps)
+    Rounding-level negative dips in u are clamped to zero inside the powers
+    only; u_min reports the true minimum, which the state carries. Each
+    distinct power of u is computed once. v and w are read from u under
+    params, one after the other, and checked (SolverDiverged); their maxima
+    come from that check."""
+    ps, bounds = diagnostics.ps, diagnostics.bounds
     h = state.u.h
     uv = state.u.values
     # NaN propagates through min and max and an infinity is an extreme, so
@@ -108,12 +113,10 @@ def sample(state: "SimState", params: "ModelParams", ps, bounds: "BoundsReport |
 
     rhs_bound = math.nan
     if bounds is not None:
-        if bounds.p not in ps:
-            raise MismatchedP(f"bounds are for p = {bounds.p}, sampled exponents are {ps}")
         p = bounds.p
         rhs_bound = -(4.0 * (p - 1.0) / p) * grads[p] + bounds.cbar
 
-    v_max, w_max = _signals(uv, u_min, u_max, params, state.u.domain)
+    v_max, w_max = _signals(state.u, params)
     return DiagnosticsRecord(
         t=float(state.t),
         mass=_integral(uv, h),

@@ -7,11 +7,11 @@ denominator positive, no zero-mode special case is needed, and the residual
 sits at rounding level.
 
 The step needs only the drift phi = chi v - xi w, which _drift_potential
-forms from the density alone with one inverse transform: when beta = delta
-as the solve of the one source chi alpha u^rho - xi gamma u (one forward
-transform), and otherwise from the coefficients of v and of w in turn (two).
-Reading v and w (_signals, behind solve_signals and diagnostics.sample)
-forms v and then w, one forward and one inverse transform each.
+forms from the density Field alone (checks: its extrema) with one inverse
+transform: when beta = delta as the solve of the one source
+chi alpha u^rho - xi gamma u (one forward transform), and otherwise from the
+coefficients of v and of w in turn (two). Reading v and w (_signals, behind
+solve_signals and diagnostics.sample) forms v then w, a transform pair each.
 
 Every transform goes through one pair, _forward and _inverse: the
 orthonormal DCT-II and its inverse of one field (Nx, Ny), written over it.
@@ -270,9 +270,9 @@ def _production(values: np.ndarray, u_min: float, rho: float, coefficient: float
 _SOURCE_LIMIT = sys.float_info.max / 4.0
 
 
-def _check_density(u_min: float, u_max: float, params: ModelParams, dom: DomainSpec) -> None:
-    """The checks of a finite density with extrema u_min and u_max before its
-    signal sources are transformed, in O(1).
+def _check_density(u: Field, params: ModelParams) -> None:
+    """The checks of a finite density u before its signal sources are
+    transformed, in O(1) from its extrema.
 
     A params.dim other than 2 raises ValueError: the grid is two dimensional.
     A dip below -NEGATIVE_TOL * max raises NegativeDensity. A source f of
@@ -285,9 +285,10 @@ def _check_density(u_min: float, u_max: float, params: ModelParams, dom: DomainS
     """
     if params.dim != 2:
         raise ValueError(f"params.dim must be 2 to solve on a 2D grid, got {params.dim}")
+    u_min, u_max = u.extrema
     if u_min < -NEGATIVE_TOL * max(u_max, 0.0):
         raise NegativeDensity(f"density min {u_min} below tolerance for max {u_max}")
-    spread = 2.0 * math.sqrt(dom.cells[0] * dom.cells[1])
+    spread = 2.0 * math.sqrt(u.values.size)
     for source, kappa in ((params.alpha * u_max**params.rho, params.beta), (params.gamma * u_max, params.delta)):
         if not (spread * source / min(1.0, kappa) <= _SOURCE_LIMIT):
             raise SolverDiverged(
@@ -295,37 +296,37 @@ def _check_density(u_min: float, u_max: float, params: ModelParams, dom: DomainS
             )
 
 
-def _signal_hat(values, u_min: float, params: ModelParams, dom: DomainSpec, name: str, out: np.ndarray) -> np.ndarray:
+def _signal_hat(u: Field, params: ModelParams, name: str, out: np.ndarray) -> np.ndarray:
     """The cosine coefficients of the signal `name`, v or w, of a density
     that passed _check_density, DCT(alpha u^rho)/(beta + lambda) or
     DCT(gamma u)/(delta + lambda), written into `out` and returned."""
     if name == "v":
-        _production(values, u_min, params.rho, params.alpha, out=out)
+        _production(u.values, u.extrema[0], params.rho, params.alpha, out=out)
     else:
-        np.multiply(values, params.gamma, out=out)
+        np.multiply(u.values, params.gamma, out=out)
     _forward(out)
-    out /= _screened_denominators(dom, params.beta if name == "v" else params.delta)
+    out /= _screened_denominators(u.domain, params.beta if name == "v" else params.delta)
     return out
 
 
-def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec, out=None) -> tuple[float, float]:
-    """The maxima of v and w for a finite density with extrema u_min and
-    u_max. v and then w are formed, with one forward and one inverse
-    transform each, into the pair of float64 fields `out`, or when it is
-    omitted both in turn in the work field `scratch`.
+def _signals(u: Field, params: ModelParams, out=None) -> tuple[float, float]:
+    """The maxima of v and w for a finite density u. v and then w are
+    formed, with one forward and one inverse transform each, into the pair
+    of float64 fields `out`, or when it is omitted both in turn in the work
+    field `scratch`.
 
     Checked here, where they are read: the density as by _check_density;
     a NaN or an infinity in a signal, or a dip below -NEGATIVE_TOL * max (a
     broken maximum principle), raises SolverDiverged.
     """
-    _check_density(u_min, u_max, params, dom)
+    _check_density(u, params)
     # NaN propagates through min and max and an infinity is an extreme, so
     # one pair per signal carries its finiteness check too. That check is
     # defensive: past _check_density, Parseval bounds every partial
     # transform by sqrt(Nx Ny) F / kappa, under float_max/8.
     extrema = []
-    for name, signal in zip("vw", out or (_work_array("scratch", values.shape),) * 2):
-        _inverse(_signal_hat(values, u_min, params, dom, name, signal))
+    for name, signal in zip("vw", out or (_work_array("scratch", u.domain.cells),) * 2):
+        _inverse(_signal_hat(u, params, name, signal))
         extrema.append((name, float(signal.min()), float(signal.max())))
     if not all(math.isfinite(mn) and math.isfinite(mx) for _, mn, mx in extrema):
         raise SolverDiverged("cosine-transform solve produced non-finite values")
@@ -335,29 +336,29 @@ def _signals(values, u_min: float, u_max: float, params: ModelParams, dom: Domai
     return extrema[0][2], extrema[1][2]
 
 
-def _drift_potential(values, u_min: float, u_max: float, params: ModelParams, dom: DomainSpec) -> np.ndarray:
-    """phi = chi v - xi w, the drift potential of a finite density with
-    extrema u_min and u_max, from its cosine coefficients with one inverse
-    transform (checks: _check_density).
+def _drift_potential(u: Field, params: ModelParams) -> np.ndarray:
+    """phi = chi v - xi w, the drift potential of a finite density u, from
+    its cosine coefficients with one inverse transform (checks:
+    _check_density).
 
     phi's coefficients are formed in one of two ways:
     - beta = delta: DCT(chi alpha u^rho - xi gamma u) / (beta + lambda), one forward transform;
     - otherwise chi v_hat - xi w_hat, v_hat formed where phi_hat is and
       w_hat in the work field `scratch`, one forward transform each.
     """
-    _check_density(u_min, u_max, params, dom)
+    _check_density(u, params)
     chi, xi = params.chi, params.xi
-    scratch = _work_array("scratch", values.shape)
+    scratch = _work_array("scratch", u.domain.cells)
     if params.beta == params.delta:
         # -r + a is exactly a - r: the bits of chi alpha u^rho - xi gamma u.
-        phi_hat = np.multiply(values, -(xi * params.gamma))
-        phi_hat += _production(values, u_min, params.rho, chi * params.alpha, out=scratch)
+        phi_hat = np.multiply(u.values, -(xi * params.gamma))
+        phi_hat += _production(u.values, u.extrema[0], params.rho, chi * params.alpha, out=scratch)
         _forward(phi_hat)
-        phi_hat /= _screened_denominators(dom, params.beta)
+        phi_hat /= _screened_denominators(u.domain, params.beta)
     else:
-        phi_hat = _signal_hat(values, u_min, params, dom, "v", np.empty(values.shape))
+        phi_hat = _signal_hat(u, params, "v", np.empty(u.domain.cells))
         phi_hat *= chi
-        phi_hat -= np.multiply(_signal_hat(values, u_min, params, dom, "w", scratch), xi, out=scratch)
+        phi_hat -= np.multiply(_signal_hat(u, params, "w", scratch), xi, out=scratch)
     return _inverse(phi_hat)
 
 
@@ -373,8 +374,7 @@ def solve_signals(u: Field, params: ModelParams) -> tuple[Field, Field]:
     overflows fails its solve's finiteness check (SolverDiverged).
     """
     require_finite(u, "density")
-    values = u.values
     dom = u.domain
     v, w = np.empty(dom.cells), np.empty(dom.cells)
-    _signals(values, float(values.min()), float(values.max()), params, dom, out=(v, w))
+    _signals(u, params, out=(v, w))
     return Field(v, dom), Field(w, dom)

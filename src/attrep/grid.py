@@ -11,14 +11,15 @@ Discretization notes, shared by everything downstream:
   the constant, and has the shifted cosine modes cos(k pi x / Lx) as exact
   eigenvectors with eigenvalue -(2/h^2)(1 - cos(pi k h / Lx)) per axis.
 
-Reductions use numpy's pairwise summation in a fixed array order, so repeated
-calls on the same field are bitwise reproducible.
+Reductions sum pairwise (numpy) in a fixed array order, so they are bitwise
+reproducible, and a Field takes its (min, max) pair, which checks read, once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,9 +58,14 @@ class Field:
     def h(self) -> float:
         return self.domain.h
 
+    @cached_property
+    def extrema(self) -> tuple[float, float]:
+        """(min, max) of the frozen values, taken once; finite exactly when the field is."""
+        return float(self.values.min()), float(self.values.max())
+
 
 def require_finite(field: Field, what: str = "field") -> None:
-    if not np.isfinite(field.values).all():
+    if not all(map(math.isfinite, field.extrema)):
         raise NonFiniteField(f"{what} contains NaN or Inf")
 
 

@@ -225,15 +225,14 @@ def build_initial_data(spec: InitialData, dom: DomainSpec):
     cell average. The reported mass is the discrete integral of the result.
     The spec checked itself when built; left here: negative file values, a zero integral.
     """
-    values = _INITIAL_KINDS[spec.kind][0](spec, dom)
-    if values.min() < 0:  # only from a file: the other kinds checked their amplitudes
+    field = Field(_INITIAL_KINDS[spec.kind][0](spec, dom), dom)
+    if field.extrema[0] < 0:  # only from a file: the other kinds checked their amplitudes
         raise NegativeAmplitude(f"file {spec.path!r} holds negative density values")
-    field = Field(values, dom)
     mass = integrate(field)
     if mass <= 0.0:
         raise ZeroField("initial data integrates to zero")
     if spec.mass is not None:
-        field = Field(values * (float(spec.mass) / mass), dom)
+        field = Field(field.values * (float(spec.mass) / mass), dom)
         mass = integrate(field)
     return field, mass
 

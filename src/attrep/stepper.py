@@ -27,10 +27,10 @@ the solve that turns the transported field into the new density in place.
 "imex-diffusion" drops the diffusive bound and diffuses with a backward-Euler
 cosine-transform solve (elliptic._implicit_solve).
 
-A state is plain data: the density, its extrema and the clock. The
-transport reads the signals only through the drift potential phi, a function
-of the density alone, which the step forms where it reads it: one forward
-transform (two when beta != delta) and the one inverse that makes phi
+A state is plain data: the density, its extrema (Field.extrema) and the clock.
+The transport reads the signals only through the drift potential phi, a
+function of the density alone, which the step forms where it reads it: one
+forward transform (two when beta != delta) and the one inverse that makes phi
 (elliptic._drift_potential), so 2 (3) transforms an explicit step; the IMEX
 step adds the 2 of its diffusion solve, so 4 (5). run forms it and builds the
 face drops D once a step, in work arrays of the thread like every reusable
@@ -44,8 +44,9 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
 from .elliptic import _check_density, _drift_potential, _implicit_solve, _work_array
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate, require_finite
-from .model import ModelParams
+from .model import ModelParams, _is
 
 _SCHEMES = {"explicit-upwind": (True, lambda values, dt, dom: values), "imex-diffusion": (False, _implicit_solve)}
 SCHEMES = tuple(_SCHEMES)
@@ -82,6 +83,9 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        for name in ("dt_max", "cfl_safety", "dt_min"):
+            if not _is(numbers.Real, getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if not (0.0 < self.dt_min < self.dt_max < math.inf):
@@ -90,24 +94,21 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """The density u, the clock, and the extrema u_min, u_max of the density:
-    `extrema` when given (step passes the pair it checked), else taken from
-    u, as for any other construction, dataclasses.replace too. No drift or
-    signal is kept: stable_dt and step form the drift from u under their
-    params, and solve_signals(state.u, params) reads v and w."""
+    """The density u, the clock, and the extrema u_min, u_max of the density,
+    u.extrema (taken once per Field, so dataclasses.replace reuses them). No
+    drift or signal is kept: stable_dt and step form the drift from u under
+    their params, and solve_signals(state.u, params) reads v and w."""
 
     u: Field
     t: float
     step: int
     status: Status
-    extrema: InitVar[tuple[float, float] | None] = None
     u_min: float = field(init=False)
     u_max: float = field(init=False)
 
-    def __post_init__(self, extrema):
-        u_min, u_max = extrema or (float(self.u.values.min()), float(self.u.values.max()))
-        object.__setattr__(self, "u_min", u_min)
-        object.__setattr__(self, "u_max", u_max)
+    def __post_init__(self):
+        object.__setattr__(self, "u_min", self.u.extrema[0])
+        object.__setattr__(self, "u_max", self.u.extrema[1])
 
 
 def initial_state(u0: Field, params: ModelParams) -> SimState:
@@ -115,16 +116,14 @@ def initial_state(u0: Field, params: ModelParams) -> SimState:
     up to rounding (NegativeDensity), its signal sources bounded
     (SolverDiverged), as for solve_signals, and params.dim 2 (ValueError)."""
     require_finite(u0, "density")
-    state = SimState(u0, 0.0, 0, Status.RUNNING)
-    _check_density(state.u_min, state.u_max, params, u0.domain)
-    return state
+    _check_density(u0, params)
+    return SimState(u0, 0.0, 0, Status.RUNNING)
 
 
 def _drops(state: SimState, params: ModelParams) -> list[np.ndarray]:
     """The face drops (_face_drops) of the drift of the state's density under
     params (checks and transforms: elliptic._drift_potential)."""
-    u = state.u
-    return _face_drops(_drift_potential(u.values, state.u_min, state.u_max, params, u.domain))
+    return _face_drops(_drift_potential(state.u, params))
 
 
 # The faces normal to x are kept as an (Nx - 1, Ny) array, those normal to y
@@ -234,12 +233,12 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
 def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None, *, speeds=None) -> SimState:
     """Advance one step of size dt (stable_dt when omitted, else checked:
     0 < dt < inf or ValueError) with the drift of the state's density under
-    params. One min and one max of the new density carry its checks: NaN/Inf
+    params. The extrema of the new density's Field carry its checks: NaN/Inf
     raises NonFiniteState (SolverDiverged when only the implicit diffusion
     solve lost finiteness), a dip below -1e-13 max raises NegativeDensity;
-    the new state carries the pair, which also bounds the signal sources
-    (SolverDiverged). `speeds` as for stable_dt: step writes the fluxes into
-    the drops and empties the list."""
+    the new state reuses the field and its pair, which also bounds the signal
+    sources (SolverDiverged). `speeds` as for stable_dt: step writes the
+    fluxes into the drops and empties the list."""
     if dt is not None and not 0.0 < dt < math.inf:
         raise ValueError(f"dt must satisfy 0 < dt < inf, got {dt}")
     u = state.u
@@ -250,16 +249,15 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | N
         dt = stable_dt(state, params, cfg, speeds=speeds)
     diffusion, solve = _SCHEMES[cfg.scheme]
     # u + dt * div(F), solved in place; the fluxes overwrite the drops.
-    new_u = solve(_transport(u.values, speeds, dt, dom.h, diffusion, np.empty(dom.cells)), dt, dom)
+    new_u = Field(solve(_transport(u.values, speeds, dt, dom.h, diffusion, np.empty(dom.cells)), dt, dom), dom)
     speeds.clear()
-    u_min, u_max = float(new_u.min()), float(new_u.max())
-    if not (math.isfinite(u_min) and math.isfinite(u_max)):
-        # The solve wrote over the transport: rebuild it to see which failed.
-        if np.isfinite(_transport(u.values, _drops(state, params), dt, dom.h, diffusion, new_u)).all():
+    if not all(map(math.isfinite, new_u.extrema)):
+        # The solve wrote over the (now frozen) transport: rebuild it to see which failed.
+        if np.isfinite(_transport(u.values, _drops(state, params), dt, dom.h, diffusion, np.empty(dom.cells))).all():
             raise SolverDiverged("implicit diffusion step produced non-finite values")
         raise NonFiniteState(f"density lost finiteness at t = {state.t}")
-    _check_density(u_min, u_max, params, dom)
-    return SimState(Field(new_u, dom), state.t + dt, state.step + 1, Status.RUNNING, (u_min, u_max))
+    _check_density(new_u, params)
+    return SimState(new_u, state.t + dt, state.step + 1, Status.RUNNING)
 
 
 @dataclass(frozen=True)
@@ -341,7 +339,7 @@ def run(
             break
         try:
             if diagnostics is not None and state.step % diagnostics.every == 0:
-                records.append(sample(state, params, diagnostics.ps, bounds=diagnostics.bounds))
+                records.append(sample(state, params, diagnostics))
                 last_sampled = state.step
             # One build of the face drops serves stable_dt and then step.
             speeds = _drops(state, params)
@@ -370,7 +368,7 @@ def run(
     if diagnostics is not None:
         if records and state.step != last_sampled:
             try:
-                records.append(sample(state, params, diagnostics.ps, bounds=diagnostics.bounds))
+                records.append(sample(state, params, diagnostics))
             except SolverDiverged:
                 status = Status.BLOWUP_SUSPECTED
         records = backfill_rate_estimates(records, diagnostics.ps[0])

@@ -370,6 +370,16 @@ class TestSimulate:
         assert field in err and "expected a" in err
         assert not out_dir.exists()
 
+    def test_bad_bump_names_its_index(self, tmp_path, capsys):
+        # each bump is built under its own path, its NegativeAmplitude too
+        bumps = [MULTI_BUMP["bumps"][0], {**MULTI_BUMP["bumps"][1], "amplitude": -2}]
+        cfg = write_config(tmp_path, initial={**MULTI_BUMP, "bumps": bumps})
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error: config field 'initial.bumps[1]': bump amplitude must be >= 0, got -2.0" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "overrides, field",
         [
@@ -709,11 +719,13 @@ class TestSweep:
         ],
     )
     def test_base_initial_data_fails_at_load(self, tmp_path, capsys, initial, text):
-        # the base must build even where every point replaces the bad leaf
+        # the base must build even where every point replaces the bad leaf,
+        # and its error names the bump or the block
         cfg = write_config(tmp_path, initial=initial, sweep={"axis": "initial.mass", "values": [1.0, 2.0]})
         out_dir = tmp_path / "sweep"
         assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_ERROR
-        assert f"error: {text}" in capsys.readouterr().err
+        field = "initial.bumps[0]" if "bumps" in initial else "initial"
+        assert f"error: config field {field!r}: {text}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(

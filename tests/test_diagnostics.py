@@ -32,10 +32,9 @@ def make_state(u, params=PARAMS):
 
 
 def exponent_checks():
-    """The two places that take energy exponents, as functions of ps:
-    DiagnosticsConfig and sample."""
-    state = make_state(Field.full(DomainSpec((1.0, 1.0), (8, 8)), 1.0))
-    return (lambda ps: DiagnosticsConfig(ps=ps), lambda ps: sample(state, PARAMS, ps))
+    """The one place that takes energy exponents, as a function of ps:
+    DiagnosticsConfig (sample reads them from one)."""
+    return (lambda ps: DiagnosticsConfig(ps=ps),)
 
 
 def synthetic_record(t, e, g, p=2.0):
@@ -90,6 +89,12 @@ class TestDiagnosticsConfig:
     def test_ints_coerced_to_floats(self):
         assert DiagnosticsConfig(ps=(2,)).ps == (2.0,)
 
+    @pytest.mark.parametrize("ps", [2.0, 2, None])
+    def test_bare_exponent_rejected(self, ps):
+        # ps is a collection; a bare number is not read as one exponent
+        with pytest.raises(ValueError, match=r"^ps must be a collection of real numbers"):
+            DiagnosticsConfig(ps=ps)
+
     @pytest.mark.parametrize("ps", [(2.0, 2.0), (2.0, 2), (3.0, 2.0, 3)])
     def test_repeated_exponent_rejected(self, ps):
         for check in exponent_checks():
@@ -101,7 +106,7 @@ class TestDiagnosticsConfig:
 class TestSample:
     def test_uniform_one(self, unit_square_16):
         state = make_state(Field.full(unit_square_16, 1.0))
-        rec = sample(state, PARAMS, (2.0,))
+        rec = sample(state, PARAMS, DiagnosticsConfig(ps=(2.0,)))
         assert rec.t == 0.0
         assert rec.mass == pytest.approx(1.0, rel=1e-14)
         assert rec.u_min == 1.0
@@ -113,14 +118,14 @@ class TestSample:
 
     def test_uniform_two_cubed(self, unit_square_16):
         state = make_state(Field.full(unit_square_16, 2.0))
-        rec = sample(state, PARAMS, (3.0,))
+        rec = sample(state, PARAMS, DiagnosticsConfig(ps=(3.0,)))
         assert rec.energies[3.0] == pytest.approx(8.0, rel=1e-14)
 
     def test_energy_against_precision_oracle(self, rng):
         dom = DomainSpec((1.0, 1.0), (24, 24))
         values = rng.uniform(0.0, 2.0, size=dom.cells)
         state = make_state(Field(values, dom))
-        rec = sample(state, PARAMS, (2.0, 1.5))
+        rec = sample(state, PARAMS, DiagnosticsConfig(ps=(2.0, 1.5)))
         for p in (2.0, 1.5):
             assert_close_to_oracle(rec.energies[p], mp_energy(values, dom.h, p), 1e-12, f"E_{p}")
 
@@ -128,14 +133,14 @@ class TestSample:
         values = np.ones(unit_square_16.cells)
         values[0, 0] = -1e-14
         state = hand_state(Field(values, unit_square_16))
-        rec = sample(state, PARAMS, (1.5,))
+        rec = sample(state, PARAMS, DiagnosticsConfig(ps=(1.5,)))
         assert rec.u_min == -1e-14
         assert math.isfinite(rec.energies[1.5])
 
     def test_pure_function_of_state(self, unit_square_16, rng):
         state = make_state(Field(rng.uniform(0.1, 1.0, size=unit_square_16.cells), unit_square_16))
-        a = sample(state, PARAMS, (2.0,))
-        b = sample(state, PARAMS, (2.0,))
+        a = sample(state, PARAMS, DiagnosticsConfig(ps=(2.0,)))
+        b = sample(state, PARAMS, DiagnosticsConfig(ps=(2.0,)))
         assert a == b
 
     def test_bits_match_public_functions(self, unit_square_16, rng):
@@ -146,7 +151,7 @@ class TestSample:
         values[2, 3] = -1e-14
         state = make_state(Field(values, unit_square_16))
         ps = (2.0, 1.5, 3.0)
-        rec = sample(state, PARAMS, ps)
+        rec = sample(state, PARAMS, DiagnosticsConfig(ps=ps))
         clamped = Field(np.maximum(values, 0.0), unit_square_16)
         for p in ps:
             assert rec.energies[p].hex() == lp_norm_p(clamped, p).hex()
@@ -160,7 +165,7 @@ class TestSample:
         values[5, 5] = bad
         state = hand_state(Field(values, unit_square_16))
         with pytest.raises(NonFiniteField):
-            sample(state, PARAMS, (2.0,))
+            sample(state, PARAMS, DiagnosticsConfig(ps=(2.0,)))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -171,13 +176,13 @@ class TestSample:
         values[5, 5] = 1e200
         state = hand_state(Field(values, unit_square_16))
         with pytest.raises(NonFiniteField):
-            sample(state, PARAMS, (3.0,))
+            sample(state, PARAMS, DiagnosticsConfig(ps=(3.0,)))
         with pytest.raises(NonFiniteField):
-            sample(state, PARAMS, (4.0,))
+            sample(state, PARAMS, DiagnosticsConfig(ps=(4.0,)))
 
     def test_signal_maxima_recorded(self, unit_square_16):
         state = make_state(Field.full(unit_square_16, 4.0))
-        rec = sample(state, PARAMS, (2.0,))
+        rec = sample(state, PARAMS, DiagnosticsConfig(ps=(2.0,)))
         # constant density 4: v = sqrt(4) = 2, w = 4 for unit coefficients
         assert rec.v_max == pytest.approx(2.0, rel=1e-12)
         assert rec.w_max == pytest.approx(4.0, rel=1e-12)
@@ -288,10 +293,10 @@ class TestPureDiffusionDissipation:
         state = make_state(Field(1e-3 + np.exp(-r2 / (2 * 0.1**2)), dom), params)
         cfg = StepperConfig()
         dt = stable_dt(state, params, cfg)
-        energies = [sample(state, params, (2.0,)).energies[2.0]]
+        energies = [sample(state, params, DiagnosticsConfig(ps=(2.0,))).energies[2.0]]
         for _ in range(200):
             state = step(state, params, cfg, dt)
-            energies.append(sample(state, params, (2.0,)).energies[2.0])
+            energies.append(sample(state, params, DiagnosticsConfig(ps=(2.0,))).energies[2.0])
         diffs = np.diff(energies)
         assert (diffs <= 1e-12 * max(energies)).all()
 
@@ -345,7 +350,7 @@ class TestBoundsWiring:
         params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
         report = compute_bounds(params, 1.0, 2.0, dom=unit_square_16, cgn=1.0, ce=1.0)
         state = make_state(Field.full(unit_square_16, 1.0))
-        rec = sample(state, PARAMS, (2.0,), bounds=report)
+        rec = sample(state, PARAMS, DiagnosticsConfig(ps=(2.0,), bounds=report))
         # uniform state has zero gradient term, so the bound is just cbar
         assert rec.rhs_bound == pytest.approx(report.cbar, rel=1e-12)
 
@@ -356,12 +361,3 @@ class TestBoundsWiring:
         report = compute_bounds(params, 1.0, 3.0, dom=unit_square_16, cgn=1.0, ce=1.0)
         with pytest.raises(MismatchedP):
             DiagnosticsConfig(ps=(2.0,), bounds=report)
-
-    def test_sample_rejects_foreign_bounds(self, unit_square_16):
-        from attrep import compute_bounds
-
-        params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
-        report = compute_bounds(params, 1.0, 3.0, dom=unit_square_16, cgn=1.0, ce=1.0)
-        state = make_state(Field.full(unit_square_16, 1.0))
-        with pytest.raises(MismatchedP):
-            sample(state, PARAMS, (2.0,), bounds=report)

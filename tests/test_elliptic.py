@@ -454,6 +454,6 @@ class TestDriftInCosineSpace:
         dom = DomainSpec((1.0, cells[1] / cells[0]), cells)
         params = ModelParams(1.0, 1.0, 1.3, delta, chi=chi, xi=xi, rho=rho)
         values = np.random.default_rng(seed).uniform(0.0, 3.0, size=cells)
-        phi = _drift_potential(values, float(values.min()), float(values.max()), params, dom)
+        phi = _drift_potential(Field(values, dom), params)
         want = real_space_drift(Field(values, dom), params)
         np.testing.assert_allclose(phi, want, rtol=0.0, atol=1e-12 * max(np.abs(want).max(), 0.0))

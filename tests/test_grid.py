@@ -2,6 +2,7 @@
 stencil that the elliptic tests use as their oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,38 @@ class TestField:
         values[3, 3] = np.nan
         with pytest.raises(NonFiniteField):
             require_finite(Field(values, unit_square_16))
+
+    def test_extrema_are_min_and_max(self, rng):
+        dom = DomainSpec((1.0, 0.6), (5, 3))
+        values = rng.uniform(-1.0, 1.0, size=dom.cells)
+        field = Field(values, dom)
+        assert [x.hex() for x in field.extrema] == [float(values.min()).hex(), float(values.max()).hex()]
+        assert field.extrema is field.extrema
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_field_has_nonfinite_extrema(self, unit_square_16, bad):
+        values = np.ones(unit_square_16.cells)
+        values[3, 3] = bad
+        field = Field(values, unit_square_16)
+        assert not all(map(math.isfinite, field.extrema))
+        with pytest.raises(NonFiniteField, match=r"^density contains NaN or Inf$"):
+            require_finite(field, "density")
+
+    def test_require_finite_allocates_no_mask(self):
+        # It reads the field's extrema, taken by two reductions that each
+        # allocate a transient 1 KiB in numpy 2.4; a NaN/Inf mask is a 64 KiB
+        # bool array. A second read takes the cached pair.
+        field = Field.full(DomainSpec((1.0, 1.0), (256, 256)), 1.0)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                require_finite(field)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < 2048 and peaks[1] < 1024
 
 
 class TestIntegrate:

@@ -57,9 +57,13 @@ def test_public_names_pinned():
 
 
 # The stepping API as its users call it: a state is its density, extrema and
-# clock, and no entry point takes or returns a stored drift.
+# clock, and no entry point takes or returns a stored drift. A state is built
+# from its density and clock alone (the extrema are the density's), and a
+# sample reads its exponents and bounds from a DiagnosticsConfig.
 SIM_STATE_FIELDS = ["u", "t", "step", "status", "u_min", "u_max"]
+SIM_STATE_SIGNATURE = "(u: 'Field', t: 'float', step: 'int', status: 'Status') -> None"
 STEPPING_SIGNATURES = {
+    "sample": "(state: 'SimState', params: 'ModelParams', diagnostics: 'DiagnosticsConfig') -> 'DiagnosticsRecord'",
     "initial_state": "(u0: 'Field', params: 'ModelParams') -> 'SimState'",
     "stable_dt": "(state: 'SimState', params: 'ModelParams', cfg: 'StepperConfig', *, speeds=None) -> 'float'",
     "step": (
@@ -76,6 +80,7 @@ STEPPING_SIGNATURES = {
 
 def test_stepping_api_pinned():
     assert [f.name for f in dataclasses.fields(attrep.SimState)] == SIM_STATE_FIELDS
+    assert str(inspect.signature(attrep.SimState)) == SIM_STATE_SIGNATURE
     for name, signature in STEPPING_SIGNATURES.items():
         assert str(inspect.signature(getattr(attrep, name))) == signature, name
 

@@ -153,7 +153,7 @@ def assert_same_state(actual, expected):
 def drift_of(state, params):
     """The drift phi = chi v - xi w that stable_dt and step form from the
     state's density under params."""
-    return elliptic._drift_potential(state.u.values, state.u_min, state.u_max, params, state.u.domain)
+    return elliptic._drift_potential(state.u, params)
 
 
 def assert_drift_of(state, params, rtol=1e-13):
@@ -201,6 +201,13 @@ class TestStepperConfig:
     def test_dt_window_must_be_ordered(self):
         with pytest.raises(ValueError, match="dt_min"):
             StepperConfig(dt_max=1e-6, dt_min=1e-3)
+
+    @pytest.mark.parametrize("value", [True, "0.4"])
+    @pytest.mark.parametrize("name", ["dt_max", "cfl_safety", "dt_min"])
+    def test_step_sizes_are_real_numbers(self, name, value):
+        # a bool would pass for 1 and a string fail in a comparison
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            StepperConfig(**{name: value})
 
     def test_infinite_dt_max_rejected(self):
         # stable_dt is inf where the drift vanishes, so dt_max is the only cap
@@ -677,7 +684,7 @@ def test_simulation_refuses_other_dimensions():
         lambda: initial_state(u0, spatial),
         lambda: step(state, spatial, StepperConfig()),
         lambda: run(state, spatial, StepperConfig(), 1.0),
-        lambda: sample(state, spatial, (2.0,)),
+        lambda: sample(state, spatial, DiagnosticsConfig()),
         lambda: solve_signals(u0, spatial),
     ]
     for call in calls:
@@ -914,7 +921,7 @@ class TestSignalsOnRead:
         make, params, message = UNREADABLE[case]
         state = make()
         with pytest.raises(SolverDiverged, match=message):
-            sample(state, params, (2.0,))
+            sample(state, params, DiagnosticsConfig())
         with pytest.raises(SolverDiverged, match=message):
             solve_signals(state.u, params)
 
@@ -1116,7 +1123,8 @@ class TestStepWorkMemory:
         # iteration buffer is under a quarter field. A (2, N, N) signal
         # stack and fresh squares read three fields.
         state, params, _ = work_memory_case(128, "explicit-upwind", 0.7)
-        _, peak = self.traced_peak(lambda: sample(state, params, (2.0,)))
+        diagnostics = DiagnosticsConfig()
+        _, peak = self.traced_peak(lambda: sample(state, params, diagnostics))
         assert peak - ITER_BUFFER < state.u.values.nbytes / 4
 
     @pytest.mark.parametrize("n", [48, 128], ids=["matmul", "rfft"])
@@ -1174,7 +1182,7 @@ class TestStepWorkMemory:
             for other_scheme in SCHEMES:
                 step(other, params, StepperConfig(scheme=other_scheme))
             run(other, params, cfg, other.t + 1.5 * stable_dt(other, params, cfg))
-            sample(other, params, diagnostics.ps)
+            sample(other, params, diagnostics)
             solve_signals(other.u, params)
             for arrays in elliptic._WORKSPACES.arrays.values():
                 for array in arrays if isinstance(arrays, tuple) else (arrays,):
@@ -1207,7 +1215,7 @@ class TestRun:
             if state.t >= t_end:
                 break
             if state.step % diag.every == 0:
-                records.append(sample(state, params, diag.ps))
+                records.append(sample(state, params, diag))
                 last_sampled = state.step
             state = step(state, params, cfg, stable_dt(state, params, cfg))
         uv = state.u.values
@@ -1216,7 +1224,7 @@ class TestRun:
             and np.isfinite(uv).all()
             and float(uv.min()) >= -1e-13 * max(float(uv.max()), 0.0)
         ):
-            records.append(sample(state, params, diag.ps))
+            records.append(sample(state, params, diag))
         records = backfill_rate_estimates(records, diag.ps[0])
         mass_final = integrate(state.u) if np.isfinite(uv).all() else math.nan
         assert result.state.status is Status.COMPLETED
