@@ -32,8 +32,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, EtaOutOfRange, RhoNotSublinear
-from .grid import _grad_sum
+from .errors import DomainError, EtaOutOfRange, NonFiniteField, RhoNotSublinear
+from .grid import _grad_sum, _lp_integral
 from .model import DomainSpec, ModelParams, _gaussian, critical_mass
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
@@ -109,16 +109,6 @@ def _interpolation_weight_k(p: float, gamma: float, c_hat: float) -> float:
     only overflow saturates, as a subnormal K keeps eta below 1/2."""
     log_k = (p + 1.0) * math.log(gamma * (p + 1.0)) + math.log(c_hat) - (p + 1.0) * math.log(4.0) - math.log(p)
     return _exp(log_k, floor=-math.inf)
-
-
-def ehrling_eta(p: float, gamma: float, xi: float, delta: float) -> float:
-    """The interpolation weight eta = sigma / (K + 2 sigma) in (0, 1/2).
-
-    This is the argument at which the Ehrling constant must be estimated
-    before ehrling_schedule can be assembled; it does not depend on that
-    constant.
-    """
-    return ehrling_schedule(p, gamma, xi, delta, 1.0).eta
 
 
 @dataclass(frozen=True)
@@ -212,14 +202,6 @@ def _member(f: np.ndarray) -> tuple[np.ndarray, float, float]:
     return f, float((f * f).sum()), _grad_sum(f)
 
 
-def _low_norm(values: np.ndarray, dom: DomainSpec, q: float) -> float:
-    """(integral |f|^q)^{1/q} for 0 < q, valid below 1 where this is only a
-    quasi-norm but still the quantity the inequalities use."""
-    h = dom.h
-    total = float(np.power(np.abs(values), q).sum()) * h * h
-    return total ** (1.0 / q)
-
-
 def _family_maxima(dom: DomainSpec, p: float, eta: float | None, gn: bool) -> tuple[float, float]:
     """(C_GN, c_E(eta)) lower estimates from one pass over the test family.
 
@@ -235,18 +217,20 @@ def _family_maxima(dom: DomainSpec, p: float, eta: float | None, gn: bool) -> tu
     """
     theta = interpolation_exponent(p, 2)
     h = dom.h
+    # The low (quasi-)norms (integral |f|^q)^(1/q), at q = 2/(p+1) and 2/p.
+    q_e, q_gn = 2.0 / (p + 1.0), 2.0 / p
     best_gn = best_e = 0.0
     try:
         for values, squares, grad in _test_family(dom):
             if eta is not None:
-                low = _low_norm(values, dom, 2.0 / (p + 1.0))
+                low = _lp_integral(values, q_e, h) ** (1.0 / q_e)
                 best_e = max(best_e, (squares * h * h * (1.0 - eta) - eta * grad) / (low * low))
             if gn:
-                low = _low_norm(values, dom, 2.0 / p)
+                low = _lp_integral(values, q_gn, h) ** (1.0 / q_gn)
                 denom = math.sqrt(grad) ** theta * low ** (1.0 - theta) + low
                 if denom > 0.0:
                     best_gn = max(best_gn, math.sqrt(squares * h * h) / denom)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, NonFiniteField) as exc:
         raise _out_of_range(dom) from exc
     asked = ([best_gn] if gn else []) + ([best_e] if eta is not None else [])
     if not all(0.0 < best < math.inf for best in asked):

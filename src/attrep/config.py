@@ -207,7 +207,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("<root>", "top level must be a JSON object")
     cfg = _given(_block(_SCHEMA)("", raw), "", ("domain", "params", "initial"))
     domain = _build(DomainSpec, "domain", _given(cfg["domain"], "domain", ("lengths", "cells")))
-    params = ModelParams(**_given(cfg["params"], "params", _COEFFS))
+    params = _build(ModelParams, "params", _given(cfg["params"], "params", _COEFFS))
     block = _given(cfg["initial"], "initial", ("kind",))
     reads = _INITIAL_KINDS[block["kind"]][1]
     _given(block, "initial", [key for key, required in reads.items() if required])

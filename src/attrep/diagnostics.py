@@ -88,7 +88,7 @@ def sample(state: SimState, params: ModelParams, diagnostics: DiagnosticsConfig)
     checked when it was built; identical states give identical records.
 
     Rounding-level negative dips in u are clamped to zero inside the powers
-    only; u_min reports the true minimum, which the state carries. Each
+    only; u_min reports the true minimum, which the density carries. Each
     distinct power of u is computed once. v and w are read from u under
     params, one after the other, and checked (SolverDiverged); their maxima
     come from that check."""
@@ -96,8 +96,8 @@ def sample(state: SimState, params: ModelParams, diagnostics: DiagnosticsConfig)
     h = state.u.h
     uv = state.u.values
     # NaN propagates through min and max and an infinity is an extreme, so
-    # the state's pair checks u for every sum below.
-    u_min, u_max = state.u_min, state.u_max
+    # the density's pair checks u for every sum below.
+    u_min, u_max = state.u.extrema
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         raise NonFiniteField("field contains NaN or Inf")
     clamped = np.maximum(uv, 0.0) if u_min < 0.0 else uv

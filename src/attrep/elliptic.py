@@ -251,11 +251,10 @@ def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> np.ndarra
     return _inverse(values)
 
 
-def _production(values: np.ndarray, u_min: float, rho: float, coefficient: float, out: np.ndarray) -> np.ndarray:
+def _production(u: Field, rho: float, coefficient: float, out: np.ndarray) -> np.ndarray:
     """coefficient * u^rho into `out`, with rounding-level dips clamped to
     zero before the power."""
-    if u_min < 0.0:
-        values = np.maximum(values, 0.0, out=out)
+    values = np.maximum(u.values, 0.0, out=out) if u.extrema[0] < 0.0 else u.values
     if rho == 1.0:
         return np.multiply(values, coefficient, out=out)
     if rho == 0.5:
@@ -281,7 +280,7 @@ def _check_density(u: Field, params: ModelParams) -> None:
     that bound, over min(1, kappa), stays under float_max/4 for both sources
     (alpha u_max^rho and gamma u_max), no coefficient of v or w is infinite;
     else SolverDiverged. The drift phi = chi v - xi w can still overflow and
-    is checked where it is read (stable_dt).
+    is checked where it is read (stepper._bound).
     """
     if params.dim != 2:
         raise ValueError(f"params.dim must be 2 to solve on a 2D grid, got {params.dim}")
@@ -301,7 +300,7 @@ def _signal_hat(u: Field, params: ModelParams, name: str, out: np.ndarray) -> np
     that passed _check_density, DCT(alpha u^rho)/(beta + lambda) or
     DCT(gamma u)/(delta + lambda), written into `out` and returned."""
     if name == "v":
-        _production(u.values, u.extrema[0], params.rho, params.alpha, out=out)
+        _production(u, params.rho, params.alpha, out=out)
     else:
         np.multiply(u.values, params.gamma, out=out)
     _forward(out)
@@ -352,7 +351,7 @@ def _drift_potential(u: Field, params: ModelParams) -> np.ndarray:
     if params.beta == params.delta:
         # -r + a is exactly a - r: the bits of chi alpha u^rho - xi gamma u.
         phi_hat = np.multiply(u.values, -(xi * params.gamma))
-        phi_hat += _production(u.values, u.extrema[0], params.rho, chi * params.alpha, out=scratch)
+        phi_hat += _production(u, params.rho, chi * params.alpha, out=scratch)
         _forward(phi_hat)
         phi_hat /= _screened_denominators(u.domain, params.beta)
     else:

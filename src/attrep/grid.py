@@ -89,10 +89,11 @@ def integrate(field: Field) -> float:
 
 
 def _lp_integral(values: np.ndarray, p: float, h: float, work: np.ndarray | None = None) -> float:
-    """Integral of |f|^p (no 1/p root), for p >= 1, the powers formed in
-    `work`, a float64 array of values' shape (a fresh one when omitted)."""
-    if p < 1.0:
-        raise ValueError(f"the integral of |f|^p needs p >= 1, got {p}")
+    """Integral of |f|^p (no 1/p root; below p = 1 its 1/p power is a quasi-norm)
+    for p > 0, the powers formed in `work`, a float64 array of values' shape
+    (a fresh one when omitted)."""
+    if not p > 0.0:
+        raise ValueError(f"the integral of |f|^p needs p > 0, got {p}")
     if p == 2.0:
         powers = np.multiply(values, values, out=work)
     else:

@@ -27,16 +27,17 @@ the solve that turns the transported field into the new density in place.
 "imex-diffusion" drops the diffusive bound and diffuses with a backward-Euler
 cosine-transform solve (elliptic._implicit_solve).
 
-A state is plain data: the density, its extrema (Field.extrema) and the clock.
-The transport reads the signals only through the drift potential phi, a
-function of the density alone, which the step forms where it reads it: one
-forward transform (two when beta != delta) and the one inverse that makes phi
-(elliptic._drift_potential), so 2 (3) transforms an explicit step; the IMEX
-step adds the 2 of its diffusion solve, so 4 (5). run forms it and builds the
-face drops D once a step, in work arrays of the thread like every reusable
-buffer of a step (elliptic._workspace), and takes the steady-state change in
-the work field `scratch`; it hands the drops to stable_dt and step as
-`speeds`. A state can be stepped under any params. v and w are a read of u
+A state is plain data: the density (its extrema are Field.extrema), the
+clock and the size of the step that made it. The transport reads the signals
+only through the drift potential phi, a function of the density alone, which
+the step forms where it reads it: one forward transform (two when beta !=
+delta) and the one inverse that makes phi (elliptic._drift_potential), so 2
+(3) transforms an explicit step; the IMEX step adds the 2 of its diffusion
+solve, so 4 (5). step builds the face drops D once, in work arrays of the
+thread like every reusable buffer of a step (elliptic._workspace), and takes
+its CFL bound from them (_bound) unless given dt; stable_dt is that bound on
+its own. run only steps, and takes the steady-state change in the work field
+`scratch`. A state can be stepped under any params. v and w are a read of u
 (elliptic.solve_signals, diagnostics.sample), checked there.
 """
 
@@ -46,7 +47,7 @@ import enum
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,8 +95,8 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """The density u, the clock, and the extrema u_min, u_max of the density,
-    u.extrema (taken once per Field, so dataclasses.replace reuses them). No
+    """The density u, the clock, and dt, the size of the step that made the
+    state (0.0 for an initial state). The density's extrema are u.extrema. No
     drift or signal is kept: stable_dt and step form the drift from u under
     their params, and solve_signals(state.u, params) reads v and w."""
 
@@ -103,12 +104,7 @@ class SimState:
     t: float
     step: int
     status: Status
-    u_min: float = field(init=False)
-    u_max: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "u_min", self.u.extrema[0])
-        object.__setattr__(self, "u_max", self.u.extrema[1])
+    dt: float = 0.0
 
 
 def initial_state(u0: Field, params: ModelParams) -> SimState:
@@ -204,21 +200,16 @@ def _transport(u: np.ndarray, drops: list[np.ndarray], dt: float, h: float, diff
     return out
 
 
-def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speeds=None) -> float:
-    """cfl_safety * min(diffusive bound h^2/(2 dim), advective bound h/vmax),
-    clamped to [dt_min, dt_max]; imex-diffusion drops the diffusive bound. A
-    drift with NaN or Inf, or whose largest face speed max|D|/h overflows,
-    raises NonFiniteState. `speeds`, the list of face drops D of the drift
-    under params (_drops), is formed when omitted, so a caller that calls
-    stable_dt and then step without handing both the same speeds forms the
-    drift twice; step without dt, and run, form it once."""
+def _bound(state: SimState, drops: list[np.ndarray], cfg: StepperConfig) -> float:
+    """cfl_safety * min(diffusive bound h^2/(2 dim), advective bound h/vmax)
+    over the face drops D of the state's drift, clamped to [dt_min, dt_max];
+    imex-diffusion drops the diffusive bound. A drift with NaN or Inf, or
+    whose largest face speed max|D|/h overflows, raises NonFiniteState."""
     h = state.u.domain.h
-    if speeds is None:
-        speeds = _drops(state, params)
     # max|D/h| = max(max D, -min D)/h to the bit: dividing by h > 0 is
     # monotone. The boundary faces' zeros leave max(max D, -min D) as it is,
     # as it is never below 0. NaN propagates through min and max.
-    extrema = [x for s in speeds if s.size for x in (float(s.max()), -float(s.min()))]
+    extrema = [x for d in drops if d.size for x in (float(d.max()), -float(d.min()))]
     vmax = max(extrema, default=0.0) / h
     if not all(map(math.isfinite, [*extrema, vmax])):
         raise NonFiniteState(f"drift lost finiteness at t = {state.t}")
@@ -230,34 +221,37 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig, *, speed
     return max(min(dt, cfg.dt_max), cfg.dt_min)
 
 
-def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None, *, speeds=None) -> SimState:
+def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float:
+    """The dt that step takes when given none (_bound), from the drift of the
+    state's density under params."""
+    return _bound(state, _drops(state, params), cfg)
+
+
+def step(state: SimState, params: ModelParams, cfg: StepperConfig, dt: float | None = None) -> SimState:
     """Advance one step of size dt (stable_dt when omitted, else checked:
     0 < dt < inf or ValueError) with the drift of the state's density under
-    params. The extrema of the new density's Field carry its checks: NaN/Inf
-    raises NonFiniteState (SolverDiverged when only the implicit diffusion
-    solve lost finiteness), a dip below -1e-13 max raises NegativeDensity;
-    the new state reuses the field and its pair, which also bounds the signal
-    sources (SolverDiverged). `speeds` as for stable_dt: step writes the
-    fluxes into the drops and empties the list."""
+    params, formed once. The new state records dt. The extrema of the new
+    density's Field carry its checks: NaN/Inf raises NonFiniteState
+    (SolverDiverged when only the implicit diffusion solve lost finiteness),
+    a dip below -1e-13 max raises NegativeDensity; the new state reuses the
+    field and its pair, which also bounds the signal sources (SolverDiverged)."""
     if dt is not None and not 0.0 < dt < math.inf:
         raise ValueError(f"dt must satisfy 0 < dt < inf, got {dt}")
     u = state.u
     dom = u.domain
-    if speeds is None:
-        speeds = _drops(state, params)
+    drops = _drops(state, params)
     if dt is None:
-        dt = stable_dt(state, params, cfg, speeds=speeds)
+        dt = _bound(state, drops, cfg)
     diffusion, solve = _SCHEMES[cfg.scheme]
     # u + dt * div(F), solved in place; the fluxes overwrite the drops.
-    new_u = Field(solve(_transport(u.values, speeds, dt, dom.h, diffusion, np.empty(dom.cells)), dt, dom), dom)
-    speeds.clear()
+    new_u = Field(solve(_transport(u.values, drops, dt, dom.h, diffusion, np.empty(dom.cells)), dt, dom), dom)
     if not all(map(math.isfinite, new_u.extrema)):
         # The solve wrote over the (now frozen) transport: rebuild it to see which failed.
         if np.isfinite(_transport(u.values, _drops(state, params), dt, dom.h, diffusion, np.empty(dom.cells))).all():
             raise SolverDiverged("implicit diffusion step produced non-finite values")
         raise NonFiniteState(f"density lost finiteness at t = {state.t}")
     _check_density(new_u, params)
-    return SimState(new_u, state.t + dt, state.step + 1, Status.RUNNING)
+    return SimState(new_u, state.t + dt, state.step + 1, Status.RUNNING, dt)
 
 
 @dataclass(frozen=True)
@@ -292,10 +286,11 @@ def run(
 ) -> RunResult:
     """Step until t_end, steady state, or blow-up suspicion.
 
-    Exit conditions, checked in this order at the top of each iteration:
-    t >= t_end (Completed); max u above the threshold, the stable dt clamped
-    at dt_min, or a non-finite/contract-violating step (all BlowupSuspected);
-    relative change per unit time below steady_tol (SteadyDetected).
+    Exit conditions, checked in this order in each iteration:
+    t >= t_end (Completed); max u above the threshold, a non-finite or
+    contract-violating step, or a step whose stable dt is clamped at dt_min
+    (all BlowupSuspected; the last is made and then discarded); relative
+    change per unit time below steady_tol (SteadyDetected).
 
     Diagnostics are sampled at the top of every diagnostics.every-th step and
     once for the final state; `on_state` receives every accepted state. With
@@ -324,9 +319,10 @@ def run(
     last_sampled = -1
     started = time.perf_counter()
 
-    # The extrema each state carries feed the density ratio, the blow-up
+    # The extrema of each density feed the density ratio, the blow-up
     # threshold and the steady-state scale max|u| = max(u_max, -u_min).
-    min_ratio = state.u_min / state.u_max if state.u_max > 0.0 else math.inf
+    u_min, u_max = state.u.extrema
+    min_ratio = u_min / u_max if u_max > 0.0 else math.inf
     if on_state is not None:
         on_state(state)
     status = Status.RUNNING
@@ -334,34 +330,33 @@ def run(
         if state.t >= t_end:
             status = Status.COMPLETED
             break
-        if state.u_max > threshold:
+        if u_max > threshold:
             status = Status.BLOWUP_SUSPECTED
             break
         try:
             if diagnostics is not None and state.step % diagnostics.every == 0:
                 records.append(sample(state, params, diagnostics))
                 last_sampled = state.step
-            # One build of the face drops serves stable_dt and then step.
-            speeds = _drops(state, params)
-            dt = stable_dt(state, params, cfg, speeds=speeds)
-            if dt <= cfg.dt_min:
-                status = Status.BLOWUP_SUSPECTED
-                break
-            new_state = step(state, params, cfg, dt, speeds=speeds)
+            new_state = step(state, params, cfg)
         except (NonFiniteState, NegativeDensity, SolverDiverged):
             # The discrete solution left the regime the scheme is built for;
             # report suspicion rather than crash mid-experiment.
             status = Status.BLOWUP_SUSPECTED
             break
-        if new_state.u_max > 0.0:
-            min_ratio = min(min_ratio, new_state.u_min / new_state.u_max)
+        if new_state.dt <= cfg.dt_min:
+            # The step bound sank to its floor: the step is not accepted.
+            status = Status.BLOWUP_SUSPECTED
+            break
+        new_min, new_max = new_state.u.extrema
+        if new_max > 0.0:
+            min_ratio = min(min_ratio, new_min / new_max)
         if on_state is not None:
             on_state(new_state)
         diff = np.subtract(new_state.u.values, state.u.values, out=_work_array("scratch", state.u.domain.cells))
         change = float(np.abs(diff, out=diff).max())
-        scale = max(state.u_max, -state.u_min)
-        state = new_state
-        if scale > 0.0 and change / (dt * scale) < steady_tol:
+        scale = max(u_max, -u_min)
+        state, u_min, u_max = new_state, new_min, new_max
+        if scale > 0.0 and change / (state.dt * scale) < steady_tol:
             status = Status.STEADY_DETECTED
             break
 

@@ -39,7 +39,6 @@ from attrep import (
 )
 from attrep.bounds import (
     combine_bounds,
-    ehrling_eta,
     ehrling_schedule,
     gn_absorption_constant,
     interpolation_exponent,
@@ -318,7 +317,7 @@ def test_criterion_6_constants_oracle():
         c1 = sublinear_production_bound(p, rho, al, ch, ga, xi, vol)
         assert_close_to_oracle(c1, o_c1(p, rho, al, ch, ga, xi, vol), 1e-12, "c1")
         try:
-            eta = ehrling_eta(p, ga, xi, de)
+            eta = ehrling_schedule(p, ga, xi, de, 1.0).eta
         except EtaOutOfRange:
             skipped += 1
             continue

@@ -36,7 +36,6 @@ from attrep.bounds import (
     EhrlingSchedule,
     combine_bounds,
     critical_mass,
-    ehrling_eta,
     ehrling_schedule,
     estimate_ehrling_constant,
     estimate_gn_constant,
@@ -141,7 +140,7 @@ class TestEhrlingSchedule:
 
     def test_unit_eta(self):
         # K = 27 * (4/3) / (64 * 2) = 9/32, eta = (1/3)/(9/32 + 2/3) = 32/91
-        assert ehrling_eta(2.0, 1.0, 1.0, 1.0) == pytest.approx(32.0 / 91.0, rel=1e-13)
+        assert ehrling_schedule(2.0, 1.0, 1.0, 1.0, 1.0).eta == pytest.approx(32.0 / 91.0, rel=1e-13)
 
     def test_unit_c_tilde(self):
         sched = ehrling_schedule(2.0, 1.0, 1.0, 1.0, 1.0)
@@ -156,7 +155,7 @@ class TestEhrlingSchedule:
     def test_eta_always_below_half(self):
         for spec in random_tuple_stream(seed=5, count=50):
             try:
-                eta = ehrling_eta(spec["p"], spec["gamma"], spec["xi"], spec["delta"])
+                eta = ehrling_schedule(spec["p"], spec["gamma"], spec["xi"], spec["delta"], 1.0).eta
             except EtaOutOfRange:
                 continue
             assert 0.0 < eta < 0.5
@@ -268,7 +267,7 @@ class TestAgainstOracle:
             assert_close_to_oracle(c1, o_c1(p, rho, al, ch, ga, xi, vol), 1e-12, "c1")
 
             try:
-                eta = ehrling_eta(p, ga, xi, de)
+                eta = ehrling_schedule(p, ga, xi, de, 1.0).eta
             except EtaOutOfRange:
                 skipped += 1
                 continue
@@ -529,7 +528,7 @@ class TestStreamedFamily:
     def test_public_estimators_match_reference(self, lengths, cells, p, eta):
         dom = DomainSpec(lengths, cells)
         if eta is None:
-            eta = ehrling_eta(p, self.PARAMS.gamma, self.PARAMS.xi, self.PARAMS.delta)
+            eta = ehrling_schedule(p, self.PARAMS.gamma, self.PARAMS.xi, self.PARAMS.delta, 1.0).eta
         cgn, ce = self.reference(dom, eta, p)
         assert estimate_gn_constant(dom, p) == cgn
         assert estimate_ehrling_constant(dom, eta, p) == ce

@@ -18,7 +18,7 @@ import pytest
 from attrep import BumpSpec, DomainSpec, Field, InitialData, ModelParams, compute_bounds
 from attrep.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, main
 from attrep.config import _SCHEMA, from_dict, load_config, sweep_point
-from attrep.errors import SimulationError
+from attrep.errors import ConfigError, SimulationError
 from attrep.grid import read_field_csv, write_field_csv
 from attrep.model import _INITIAL_KINDS
 
@@ -379,6 +379,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error: config field 'initial.bumps[1]': bump amplitude must be >= 0, got -2.0" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "params, problem",
+        [({"rho": 2.0}, "rho must lie in (0, 1]"), ({"alpha": -1.0}, "coefficient 'alpha' must be strictly positive")],
+    )
+    def test_bad_params_name_their_block(self, params, problem):
+        # ModelParams' own range errors come out as config errors of the block
+        with pytest.raises(ConfigError) as info:
+            from_dict(base_config(params=params))
+        assert info.value.field == "params"
+        assert str(info.value).startswith(f"config field 'params': {problem}")
 
     @pytest.mark.parametrize(
         "overrides, field",

@@ -310,28 +310,28 @@ class TestImplicitDiffusion:
 
 
 class TestChemicalSources:
-    """v's source alpha u^rho (the production kernel, given u's minimum) and
-    the density checks of solve_signals."""
+    """v's source alpha u^rho (the production kernel, which reads u's
+    minimum from its Field) and the density checks of solve_signals."""
 
     def test_constant_density_sublinear(self, unit_square_16, unit_params):
         params = replace(unit_params, alpha=2.0, gamma=3.0, rho=0.5)
-        sv = _production(np.ones(unit_square_16.cells), 1.0, params.rho, params.alpha, np.empty(unit_square_16.cells))
+        sv = _production(Field.full(unit_square_16, 1.0), params.rho, params.alpha, np.empty(unit_square_16.cells))
         np.testing.assert_allclose(sv, 2.0, rtol=1e-15)
 
     def test_sqrt_branch(self, unit_square_16, unit_params):
         params = replace(unit_params, rho=0.5)
-        sv = _production(np.full(unit_square_16.cells, 4.0), 4.0, params.rho, params.alpha, np.empty(unit_square_16.cells))
+        sv = _production(Field.full(unit_square_16, 4.0), params.rho, params.alpha, np.empty(unit_square_16.cells))
         np.testing.assert_allclose(sv, 2.0, rtol=1e-15)
 
     def test_linear_branch_is_identity_scaling(self, unit_square_16, unit_params, rng):
         params = replace(unit_params, rho=1.0, alpha=1.7)
         values = rng.uniform(0.0, 3.0, size=unit_square_16.cells)
-        sv = _production(values, float(values.min()), params.rho, params.alpha, np.empty(unit_square_16.cells))
+        sv = _production(Field(values, unit_square_16), params.rho, params.alpha, np.empty(unit_square_16.cells))
         np.testing.assert_array_equal(sv, 1.7 * values)
 
     def test_general_power_branch(self, unit_square_16, unit_params):
         params = replace(unit_params, rho=0.25)
-        sv = _production(np.full(unit_square_16.cells, 16.0), 16.0, params.rho, params.alpha, np.empty(unit_square_16.cells))
+        sv = _production(Field.full(unit_square_16, 16.0), params.rho, params.alpha, np.empty(unit_square_16.cells))
         np.testing.assert_allclose(sv, 2.0, rtol=1e-14)
 
     def test_small_negative_dip_clamped_before_power(self, unit_square_16, unit_params):
@@ -339,9 +339,9 @@ class TestChemicalSources:
         # carries the raw value through
         values = np.ones(unit_square_16.cells)
         values[0, 0] = -1e-14
-        sv = _production(values, -1e-14, unit_params.rho, unit_params.alpha, np.empty(unit_square_16.cells))
-        assert sv[0, 0] == 0.0
         u = Field(values, unit_square_16)
+        sv = _production(u, unit_params.rho, unit_params.alpha, np.empty(unit_square_16.cells))
+        assert sv[0, 0] == 0.0
         _, w = solve_signals(u, unit_params)
         want = solve_helmholtz(Field(unit_params.gamma * values, unit_square_16), unit_params.delta)
         assert w.values.tobytes() == want.values.tobytes()

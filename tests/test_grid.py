@@ -158,9 +158,15 @@ class TestLpNorm:
         result = _lp_integral(values, 2.0, unit_square_16.h)
         assert result > 0.0
 
-    def test_p_below_one_rejected(self, unit_square_16):
-        with pytest.raises(ValueError):
-            _lp_integral(np.ones(unit_square_16.cells), 0.5, unit_square_16.h)
+    def test_nonpositive_p_rejected(self, unit_square_16):
+        for p in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="needs p > 0"):
+                _lp_integral(np.ones(unit_square_16.cells), p, unit_square_16.h)
+
+    def test_p_below_one_is_the_quasi_norm_integral(self, unit_square_16):
+        # the bounds estimators take (integral |f|^q)^(1/q) at q = 2/(p+1) < 1
+        dom = unit_square_16
+        assert _lp_integral(np.full(dom.cells, 4.0), 0.5, dom.h) == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])

@@ -56,20 +56,17 @@ def test_public_names_pinned():
         assert hasattr(attrep, name), name
 
 
-# The stepping API as its users call it: a state is its density, extrema and
-# clock, and no entry point takes or returns a stored drift. A state is built
-# from its density and clock alone (the extrema are the density's), and a
-# sample reads its exponents and bounds from a DiagnosticsConfig.
-SIM_STATE_FIELDS = ["u", "t", "step", "status", "u_min", "u_max"]
-SIM_STATE_SIGNATURE = "(u: 'Field', t: 'float', step: 'int', status: 'Status') -> None"
+# The stepping API as its users call it: a state is its density, clock and
+# the dt of the step that made it, and no entry point takes or returns a
+# stored drift or its face drops; step forms its own bound. A sample reads its
+# exponents and bounds from a DiagnosticsConfig.
+SIM_STATE_FIELDS = ["u", "t", "step", "status", "dt"]
+SIM_STATE_SIGNATURE = "(u: 'Field', t: 'float', step: 'int', status: 'Status', dt: 'float' = 0.0) -> None"
 STEPPING_SIGNATURES = {
     "sample": "(state: 'SimState', params: 'ModelParams', diagnostics: 'DiagnosticsConfig') -> 'DiagnosticsRecord'",
     "initial_state": "(u0: 'Field', params: 'ModelParams') -> 'SimState'",
-    "stable_dt": "(state: 'SimState', params: 'ModelParams', cfg: 'StepperConfig', *, speeds=None) -> 'float'",
-    "step": (
-        "(state: 'SimState', params: 'ModelParams', cfg: 'StepperConfig', dt: 'float | None' = None, *, "
-        "speeds=None) -> 'SimState'"
-    ),
+    "stable_dt": "(state: 'SimState', params: 'ModelParams', cfg: 'StepperConfig') -> 'float'",
+    "step": "(state: 'SimState', params: 'ModelParams', cfg: 'StepperConfig', dt: 'float | None' = None) -> 'SimState'",
     "run": (
         "(state: 'SimState', params: 'ModelParams', cfg: 'StepperConfig', t_end: 'float', *, "
         "diagnostics: 'DiagnosticsConfig | None' = None, blowup_threshold: 'float | None' = None, "

@@ -147,7 +147,7 @@ def assert_same_bits(actual, expected):
 def assert_same_state(actual, expected):
     """The density and its extrema of two states, to the last bit."""
     assert_same_bits(actual.u.values, expected.u.values)
-    assert [x.hex() for x in (actual.u_min, actual.u_max)] == [x.hex() for x in (expected.u_min, expected.u_max)]
+    assert [x.hex() for x in actual.u.extrema] == [x.hex() for x in expected.u.extrema]
 
 
 def drift_of(state, params):
@@ -167,6 +167,19 @@ def hand_drift(monkeypatch, phi):
     """Make stepper take the face drops of the potential phi (NaN and Inf
     included) as the drift of every state, wherever it forms one."""
     monkeypatch.setattr(stepper, "_drops", lambda state, params: _face_drops(phi))
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap the stepper functions `names` in counters, read from the returned
+    dict; run finds them as module globals, as a tracer does."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(stepper, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, name, counted)
+    return calls
 
 
 # Grids for the bitwise oracle checks, degenerate strips included.
@@ -320,7 +333,7 @@ class TestStableDt:
             2.44140625e-5, rel=1e-14
         )
 
-    def test_advective_bound_under_imex(self):
+    def test_advective_bound_under_imex(self, monkeypatch):
         # with the diffusive restriction lifted, a face speed of 10 leaves
         # dt = 0.4 * h / 10
         dom = DomainSpec((1.0, 1.0), (64, 64))
@@ -329,7 +342,8 @@ class TestStableDt:
         u = Field.full(dom, 1.0)
         v = Field(np.repeat(10.0 * x[:, None], 64, axis=1), dom)
         cfg = StepperConfig(dt_max=1.0, cfl_safety=0.4, scheme="imex-diffusion")
-        dt = stable_dt(hand_state(u), params, cfg, speeds=_face_drops(v.values))
+        hand_drift(monkeypatch, v.values)
+        dt = stable_dt(hand_state(u), params, cfg)
         assert dt == pytest.approx(0.4 / 64.0 / 10.0, rel=1e-13)
 
     def test_imex_uniform_hits_dt_max(self):
@@ -347,13 +361,14 @@ class TestStableDt:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_non_finite_drift_raises(self, scheme, bad):
+    def test_non_finite_drift_raises(self, scheme, bad, monkeypatch):
         # A NaN face speed fails every comparison, so the advective bound
         # would silently drop out and leave dt_max.
         state, phi = nan_signal_state(DomainSpec((1.0, 1.0), (8, 8)), bad)
         cfg = StepperConfig(scheme=scheme)
+        hand_drift(monkeypatch, phi)
         with pytest.raises(NonFiniteState, match="drift lost finiteness at t = 0.0"):
-            stable_dt(state, PARITY_PARAMS, cfg, speeds=_face_drops(phi))
+            stable_dt(state, PARITY_PARAMS, cfg)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_overflowing_face_speed_raises(self, scheme, monkeypatch):
@@ -364,9 +379,9 @@ class TestStableDt:
         state = hand_state(Field.full(dom, 1.0))
         assert all(np.isfinite(d).all() for d in _face_drops(phi))
         cfg = StepperConfig(scheme=scheme)
-        with pytest.raises(NonFiniteState, match="drift lost finiteness at t = 0.0"):
-            stable_dt(state, PARITY_PARAMS, cfg, speeds=_face_drops(phi))
         hand_drift(monkeypatch, phi)
+        with pytest.raises(NonFiniteState, match="drift lost finiteness at t = 0.0"):
+            stable_dt(state, PARITY_PARAMS, cfg)
         assert run(state, PARITY_PARAMS, cfg, 1.0).state.status is Status.BLOWUP_SUSPECTED
 
 
@@ -498,7 +513,7 @@ class TestStep:
 
     @pytest.mark.parametrize("lengths, cells", ORACLE_GRIDS)
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_matches_speed_form(self, rng, lengths, cells, scheme):
+    def test_matches_speed_form(self, rng, lengths, cells, scheme, monkeypatch):
         # The explicit step is the transport update, within its per-cell
         # tolerance of the speed form. The IMEX step solves the heat step on
         # it: that solve is linear with a nonnegative inverse of unit row
@@ -511,8 +526,11 @@ class TestStep:
         for _ in range(5):
             u, phi = oracle_inputs(dom, rng)
             state = hand_state(Field(u, dom))
-            dt = stable_dt(state, PARITY_PARAMS, cfg, speeds=_face_drops(phi))
-            got = step(state, PARITY_PARAMS, cfg, dt, speeds=_face_drops(phi)).u.values
+            hand_drift(monkeypatch, phi)
+            dt = stable_dt(state, PARITY_PARAMS, cfg)
+            new = step(state, PARITY_PARAMS, cfg)
+            assert new.dt == dt
+            got = new.u.values
             want = speed_form_update(u, phi, dt, dom.h, explicit)
             tol = transport_tolerance(u, phi, dt, dom.h, explicit)
             if explicit:
@@ -564,11 +582,14 @@ class TestDropForm:
         speeds = [np.abs(np.diff(phi, axis=axis) / h) for axis in (0, 1) if cells[axis] > 1]
         vmax = max((float(v.max()) for v in speeds), default=0.0)
         bounds = ([h * h / 4.0] if explicit else []) + ([h / vmax] if vmax > 0.0 else [])
-        dt = stable_dt(state, PARITY_PARAMS, cfg, speeds=_face_drops(phi))
-        assert dt == max(min(0.1 * min(bounds) if bounds else math.inf, 1.0), 1e-300)
+        with pytest.MonkeyPatch.context() as patch:
+            hand_drift(patch, phi)
+            dt = stable_dt(state, PARITY_PARAMS, cfg)
+            assert dt == max(min(0.1 * min(bounds) if bounds else math.inf, 1.0), 1e-300)
 
-        # Mass is conserved by the step, and its transport is the speed form's.
-        new = step(state, PARITY_PARAMS, cfg, dt, speeds=_face_drops(phi))
+            # Mass is conserved by the step, and its transport is the speed form's.
+            new = step(state, PARITY_PARAMS, cfg)
+        assert new.dt == dt
         mass = integrate(state.u)
         assert abs(integrate(new.u) - mass) <= 1e-13 * mass
         got = _transport(u, _face_drops(phi), dt, h, explicit, np.empty(cells))
@@ -700,8 +721,8 @@ def drift_case(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 class TestDriftMemo:
-    """No state carries face drops: each step uses those of its own state
-    under its own params, built for it or handed over by its caller."""
+    """No state carries face drops: each step builds those of its own state
+    under its own params."""
 
     def test_step_uses_its_own_params(self, scheme):
         # A state built under params_a steps and runs under params_b as the
@@ -736,18 +757,6 @@ class TestDriftMemo:
         first = step(state, params, cfg, dt)
         second = step(state, params, cfg, dt)
         assert_same_state(first, second)
-
-    def test_handed_speeds_are_consumed(self, scheme):
-        # run builds the speeds once and hands them to stable_dt, then to
-        # step, which writes its fluxes into them and empties the list.
-        state, params, cfg = drift_case(scheme)
-        speeds = stepper._drops(state, params)
-        dt = stable_dt(state, params, cfg, speeds=speeds)
-        assert dt == stable_dt(state, params, cfg)
-        got = step(state, params, cfg, dt, speeds=speeds)
-        assert speeds == []
-        want = step(state, params, cfg, dt)
-        assert_same_state(got, want)
 
     def test_copy_builds_its_own_speeds(self, scheme):
         # Stepping the original first leaves what its copy steps to unchanged.
@@ -790,14 +799,33 @@ class TestStateIsData:
         got = step(other, params, cfg, dt)
         assert stable_dt(other, params, cfg) == dt
         assert_same_state(got, want)
-        assert (got.u_min, got.u_max, got.t) == (want.u_min, want.u_max, want.t)
+        assert (got.u.extrema, got.t, got.dt) == (want.u.extrema, want.t, want.dt)
 
     def test_replace_takes_extrema_from_u(self, scheme):
         state, params, cfg = drift_case(scheme)
         new = step(state, params, cfg)
         moved = replace(new, u=state.u)
-        assert (moved.u_min, moved.u_max) == (state.u_min, state.u_max)
-        assert (new.u_min, new.u_max) == (float(new.u.values.min()), float(new.u.values.max()))
+        assert moved.u.extrema == state.u.extrema
+        assert new.u.extrema == (float(new.u.values.min()), float(new.u.values.max()))
+
+    def test_state_records_its_dt(self, scheme):
+        # dt of the step that made the state: the bound when step takes none
+        state, params, cfg = drift_case(scheme)
+        assert state.dt == 0.0
+        dt = stable_dt(state, params, cfg)
+        new = step(state, params, cfg)
+        assert new.dt == dt and new.t == state.t + dt
+        assert step(new, params, cfg, 0.5 * dt).dt == 0.5 * dt
+
+    def test_run_steps_through_step_alone(self, scheme, monkeypatch):
+        # run takes each dt from step, through the module's step, and never
+        # calls stable_dt.
+        state, params, cfg = drift_case(scheme)
+        t_end = 6.5 * stable_dt(state, params, cfg)
+        calls = count_calls(monkeypatch, "step", "stable_dt")
+        result = run(state, params, cfg, t_end)
+        assert result.steps == 7
+        assert calls == {"step": result.steps, "stable_dt": 0}
 
     def test_run_builds_face_speeds_once_per_step(self, scheme, monkeypatch):
         state, params, cfg = drift_case(scheme)
@@ -894,7 +922,7 @@ class TestSignalsOnRead:
         new = step(state, params, StepperConfig(scheme=scheme))
         for s in (state, new):
             assert_drift_of(s, params)
-            assert (s.u_min, s.u_max) == (float(s.u.values.min()), float(s.u.values.max()))
+            assert s.u.extrema == (float(s.u.values.min()), float(s.u.values.max()))
 
     @pytest.mark.parametrize("n", BUDGET_GRIDS)
     @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
@@ -907,7 +935,7 @@ class TestSignalsOnRead:
         if dip:
             u[3, 7] = -1e-14
         state = initial_state(Field(u, dom), params)
-        assert (state.u_min < 0.0) == dip
+        assert (state.u.extrema[0] < 0.0) == dip
         assert_drift_of(state, params)
         cfg = StepperConfig(scheme=scheme)
         new = step(state, params, cfg)
@@ -1337,14 +1365,19 @@ class TestRun:
         assert result.state.status is not Status.BLOWUP_SUSPECTED
         assert BLOWUP_FACTOR == 1e6
 
-    def test_dt_floor_reports_blowup_suspected(self):
+    def test_dt_floor_reports_blowup_suspected(self, monkeypatch):
         dom = DomainSpec((1.0, 1.0), (16, 16))
         params = no_drift_params()
         state = initial_state(bump_field(dom), params)
         cfg = StepperConfig(dt_min=1e-2, dt_max=2e-2)
-        result = run(state, params, cfg, 1.0)
+        calls = count_calls(monkeypatch, "step", "stable_dt")
+        seen = []
+        result = run(state, params, cfg, 1.0, on_state=seen.append)
         assert result.state.status is Status.BLOWUP_SUSPECTED
         assert result.steps == 0
+        # The step at the floor is made, then discarded.
+        assert calls == {"step": result.steps + 1, "stable_dt": 0}
+        assert seen == [state] and result.state.u is state.u and result.state.t == 0.0
 
     def test_on_state_sees_every_accepted_state(self):
         dom = DomainSpec((1.0, 1.0), (16, 16))
