@@ -170,12 +170,10 @@ def combine_bounds(c1: float, c_tilde: float, m: float, p: float, c_star: float)
 # ---------------------------------------------------------------------------
 
 
-def _test_family(dom: DomainSpec) -> Iterator[tuple[np.ndarray, float, float]]:
+def _test_family(dom: DomainSpec) -> Iterator[np.ndarray]:
     """The constant, 15 cosine modes, then Gaussian bumps of 4 widths at the
     centre, the quarter point and the corner. Definitions depend only on
-    physical coordinates, so the family is stable under mesh refinement. Each
-    member comes with its sum of squares and its gradient sum
-    (grid._grad_sum), which both estimators read.
+    physical coordinates, so the family is stable under mesh refinement.
 
     Members are built one at a time, so a consumer that drops each before
     asking for the next holds a single grid field of the family."""
@@ -185,21 +183,17 @@ def _test_family(dom: DomainSpec) -> Iterator[tuple[np.ndarray, float, float]]:
     lx, ly = dom.lengths
     xn = x[:, None] / lx
     yn = y[None, :] / ly
-    yield _member(np.ones(dom.cells))
+    yield np.ones(dom.cells)
     for k in range(4):
         for l in range(4):
             if k == 0 and l == 0:
                 continue
-            yield _member(np.cos(np.pi * k * xn) * np.cos(np.pi * l * yn))
+            yield np.cos(np.pi * k * xn) * np.cos(np.pi * l * yn)
     scale = min(lx, ly)
     centers = [(0.5 * lx, 0.5 * ly), (0.25 * lx, 0.25 * ly), (0.0, 0.0)]
     for center in centers:
         for width in (0.04, 0.08, 0.16, 0.32):
-            yield _member(_gaussian(dom, center, width * scale, 1.0))
-
-
-def _member(f: np.ndarray) -> tuple[np.ndarray, float, float]:
-    return f, float((f * f).sum()), _grad_sum(f)
+            yield _gaussian(dom, center, width * scale, 1.0)
 
 
 def _family_maxima(dom: DomainSpec, p: float, eta: float | None, gn: bool) -> tuple[float, float]:
@@ -221,7 +215,8 @@ def _family_maxima(dom: DomainSpec, p: float, eta: float | None, gn: bool) -> tu
     q_e, q_gn = 2.0 / (p + 1.0), 2.0 / p
     best_gn = best_e = 0.0
     try:
-        for values, squares, grad in _test_family(dom):
+        for values in _test_family(dom):
+            squares, grad = float((values * values).sum()), _grad_sum(values)
             if eta is not None:
                 low = _lp_integral(values, q_e, h) ** (1.0 / q_e)
                 best_e = max(best_e, (squares * h * h * (1.0 - eta) - eta * grad) / (low * low))

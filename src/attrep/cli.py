@@ -2,8 +2,10 @@
 
 Subcommands: simulate (time-step one configuration and write its outputs),
 bounds (emit the analytic-constants report as JSON), sweep (run one config
-across a parameter axis in a worker pool and tabulate predictions against
-outcomes), classify (print the regime for a configuration).
+across a parameter axis, in a pool of at most one worker per point, and
+tabulate predictions against outcomes), classify (print the regime for a
+configuration). simulate and sweep attach the bounds report only where
+classify_regime says the theorem applies.
 
 Exit codes: 0 for Completed or SteadyDetected, 2 for BlowupSuspected, 1 for
 configuration or validation errors.
@@ -18,6 +20,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
+from itertools import repeat
 from pathlib import Path
 
 from .bounds import compute_bounds
@@ -31,7 +34,7 @@ from .diagnostics import (
 from .elliptic import solve_signals
 from .errors import ConfigError, SimulationError
 from .grid import Field, write_field_csv
-from .model import Regime, build_initial_data, classify_regime
+from .model import Regime, RegimeResult, build_initial_data, classify_regime
 from .stepper import SCHEMES, RunResult, Status, initial_state, run
 
 EXIT_OK = 0
@@ -69,17 +72,18 @@ def _require_2d(cfg: ExperimentConfig) -> None:
         raise ConfigError("params.dim", f"simulate and sweep support dim = 2 only, got {cfg.params.dim}")
 
 
-def _run_experiment(cfg: ExperimentConfig, u0: Field, mass: float, out: Path) -> RunResult:
-    """Run cfg from the initial density u0 of the given mass and write the
-    simulate output set into out: diagnostics.csv, diagnostics.svg when
-    there are records, the u, v and w final fields, density snapshots and
-    summary.json. An earlier run's plot and snapshots are deleted first.
-    Everything that can reject the config runs before out is created."""
+def _run_experiment(cfg: ExperimentConfig, u0: Field, mass: float, regime: RegimeResult, out: Path) -> RunResult:
+    """Run cfg from the initial density u0 of the given mass, classified as
+    regime, and write the simulate output set into out: diagnostics.csv,
+    diagnostics.svg when there are records, the u, v and w final fields,
+    density snapshots and summary.json. An earlier run's plot and snapshots
+    are deleted first. Everything that can reject the config runs before out
+    is created."""
     state = initial_state(u0, cfg.params)
 
-    # The bounds report exists only for sublinear production and a chosen p.
+    # The bounds report exists only where the theorem applies and a p is chosen.
     bounds = None
-    if cfg.bounds_p is not None and cfg.params.rho < 1.0:
+    if cfg.bounds_p is not None and regime.theorem_applies:
         bounds = _bounds_report(cfg, mass, cfg.bounds_p)
     ps = tuple(cfg.diag_ps)
     if bounds is not None and bounds.p not in ps:
@@ -151,7 +155,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     _require_2d(cfg)
     u0, mass = build_initial_data(cfg.initial, cfg.domain)
     out = Path(out_dir)
-    result = _run_experiment(cfg, u0, mass, out)
+    result = _run_experiment(cfg, u0, mass, classify_regime(cfg.params, mass), out)
     final = result.state
     print(
         f"{final.status.value}: t = {final.t:.6g}, steps = {result.steps}, "
@@ -195,10 +199,10 @@ def _sweep_point(cfg: ExperimentConfig, value, out_dir: str) -> dict:
     try:
         cfg = sweep_point(cfg, value)
         u0, mass = build_initial_data(cfg.initial, cfg.domain)
-        regime = classify_regime(cfg.params, mass).regime
-        row["prediction"] = regime.value
-        row["predicted_outcome"] = _PREDICTED_OUTCOME[regime]
-        result = _run_experiment(cfg, u0, mass, Path(out_dir))
+        regime = classify_regime(cfg.params, mass)
+        row["prediction"] = regime.regime.value
+        row["predicted_outcome"] = _PREDICTED_OUTCOME[regime.regime]
+        result = _run_experiment(cfg, u0, mass, regime, Path(out_dir))
         row["observed"] = "blowup" if result.state.status is Status.BLOWUP_SUSPECTED else "bounded"
     except Exception as exc:  # a broken point must not sink the sweep
         row["error"] = str(exc)
@@ -226,17 +230,17 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         print("error: config has no sweep block", file=sys.stderr)
         return EXIT_ERROR
     _require_2d(cfg)
-    workers = _workers_from_env(cfg.workers)
+    values = cfg.sweep_values
+    workers = min(_workers_from_env(cfg.workers), len(values))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(cfg, value, str(out / f"point_{i:03d}")) for i, value in enumerate(cfg.sweep_values)]
+    dirs = [str(out / f"point_{i:03d}") for i in range(len(values))]
     if workers == 1:
-        rows = [_sweep_point(*job) for job in jobs]
+        rows = list(map(_sweep_point, repeat(cfg), values, dirs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_point, *job) for job in jobs]
-            rows = [f.result() for f in futures]
+            rows = list(pool.map(_sweep_point, repeat(cfg), values, dirs))
 
     map_path = out / "regime_map.csv"
     with open(map_path, "w") as fh:

@@ -138,8 +138,8 @@ def write_field_csv(field: Field, path) -> None:
 def read_field_csv(path, dom: DomainSpec) -> Field:
     """Read a snapshot written by write_field_csv back onto `dom`.
 
-    The row count must match the domain and the corner coordinates must agree
-    with the cell centers; ordering is trusted to be row-major.
+    The row count must match the domain, and every row's (x, y) must agree
+    with the cell centers taken row-major, to 1e-9 of the longer side.
     """
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     nx, ny = dom.cells
@@ -147,15 +147,8 @@ def read_field_csv(path, dom: DomainSpec) -> Field:
         raise ValueError(
             f"snapshot {path!r} has shape {table.shape}, expected ({nx * ny}, 3) for {dom.cells}"
         )
-    h = dom.h
-    tol = 1e-9 * max(dom.lengths)
-    expect_first = (0.5 * h, 0.5 * h)
-    expect_last = (dom.lengths[0] - 0.5 * h, dom.lengths[1] - 0.5 * h)
-    if (
-        abs(table[0, 0] - expect_first[0]) > tol
-        or abs(table[0, 1] - expect_first[1]) > tol
-        or abs(table[-1, 0] - expect_last[0]) > tol
-        or abs(table[-1, 1] - expect_last[1]) > tol
-    ):
+    x, y = dom.cell_centers()
+    centers = np.column_stack((np.repeat(x, ny), np.tile(y, nx)))
+    if not np.all(np.abs(table[:, :2] - centers) <= 1e-9 * max(dom.lengths)):
         raise ValueError(f"snapshot {path!r} coordinates do not match the domain cell centers")
     return Field(table[:, 2].reshape(nx, ny), dom)

@@ -9,12 +9,14 @@ import itertools
 import json
 import math
 import re
+from concurrent.futures import Executor, Future
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import attrep.cli as cli
 from attrep import BumpSpec, DomainSpec, Field, InitialData, ModelParams, compute_bounds
 from attrep.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, main
 from attrep.config import _SCHEMA, from_dict, load_config, sweep_point
@@ -439,6 +441,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: config field '<file>': cannot read") and str(tmp_path) in err
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (None, "<file>"),
+            ("{not json", "<file>"),
+            ("[]", "<root>"),
+            (json.dumps(base_config(stepper=3)), "stepper"),
+            (json.dumps(base_config(diagnostics={"p": []})), "diagnostics.p"),
+        ],
+    )
+    def test_config_load_error_names_its_field(self, tmp_path, capsys, text, field):
+        path = tmp_path / "exp.json"
+        if text is not None:
+            path.write_text(text)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", str(path), "--out", str(out_dir)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: config field '{field}': ")
+        assert not out_dir.exists()
+
     def test_output_path_that_is_a_file_is_an_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "taken"
@@ -475,6 +496,18 @@ class TestSimulate:
         assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_ERROR
         assert text in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_bounds_skipped_where_the_theorem_does_not_apply(self, tmp_path, capsys):
+        # rho < 1 without repulsion: the theorem's constants do not exist, so
+        # the run goes without a bounds report; `sim bounds` still refuses it.
+        cfg = write_config(tmp_path, params={"xi": 0.0}, bounds={"p": 2.0})
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == EXIT_OK
+        summary = read_json(out_dir / "summary.json")
+        assert summary["bounds"] is None and "energy_inequality" not in summary
+        capsys.readouterr()
+        assert main(["bounds", cfg]) == EXIT_ERROR
+        assert "xi" in capsys.readouterr().err
 
     def test_bounds_failure_leaves_no_output_directory(self, tmp_path, capsys):
         # the config parses; compute_bounds rejects the constant inside the run pipeline
@@ -684,6 +717,15 @@ class TestSweep:
         assert lines[2] == "-1,error,error,na"
         assert not (out_dir / "point_001").exists()
 
+    def test_repulsion_axis_through_zero_has_no_error_row(self, tmp_path):
+        cfg = write_config(tmp_path, bounds={"p": 2.0}, sweep={"axis": "params.xi", "values": [0.0, 1.0]})
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_OK
+        rows = (out_dir / "regime_map.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:3] for row in rows] == [["SublinearGlobal", "bounded"]] * 2
+        assert read_json(out_dir / "point_000" / "summary.json")["bounds"] is None
+        assert read_json(out_dir / "point_001" / "summary.json")["bounds"]["p"] == 2.0
+
     @pytest.mark.parametrize("bad", ["abc", True, math.nan, -math.inf])
     def test_non_numeric_value_rejected(self, tmp_path, capsys, bad):
         cfg = write_config(tmp_path, sweep={"axis": "initial.mass", "values": [1.0, bad]})
@@ -829,6 +871,33 @@ class TestSweep:
         out_dir = tmp_path / "sweep"
         assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_OK
         assert len((out_dir / "regime_map.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("source", ["config", "env"])
+    @pytest.mark.parametrize("values", [[1.0], [1.0, 2.0]])
+    def test_pool_never_larger_than_the_sweep(self, tmp_path, monkeypatch, source, values):
+        sizes = []
+
+        class RecordingPool(Executor):
+            """Runs each point in-process and records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        if source == "env":
+            monkeypatch.setenv("SIM_WORKERS", "64")
+        workers = {"workers": 64} if source == "config" else {}
+        cfg = write_config(tmp_path, sweep={"axis": "initial.mass", "values": values}, **workers)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_OK
+        assert sizes == ([] if len(values) == 1 else [2])
+        rows = (out_dir / "regime_map.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["bounded"] * len(values)
 
     def test_bad_workers_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SIM_WORKERS", "many")

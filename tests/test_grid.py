@@ -307,6 +307,27 @@ class TestFieldCsv:
         with pytest.raises(ValueError):
             read_field_csv(path, other)
 
+    def test_column_major_file_rejected(self, tmp_path):
+        # Same corners as the row-major file of this domain, rows in another order.
+        dom = DomainSpec((2.0, 1.0), (4, 2))
+        x, y = dom.cell_centers()
+        rows = [f"{xi:.17g},{yj:.17g},{2 * i + j}" for j, yj in enumerate(y) for i, xi in enumerate(x)]
+        path = tmp_path / "field.csv"
+        path.write_text("x,y,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="coordinates"):
+            read_field_csv(path, dom)
+
+    def test_nan_corner_coordinates_rejected(self, tmp_path):
+        dom = DomainSpec((1.0, 1.0), (4, 4))
+        path = tmp_path / "field.csv"
+        write_field_csv(Field.full(dom, 1.0), path)
+        lines = path.read_text().splitlines()
+        for i in (1, -1):
+            lines[i] = "nan,nan,1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="coordinates"):
+            read_field_csv(path, dom)
+
     def test_wrong_cell_count_rejected(self, tmp_path):
         dom = DomainSpec((1.0, 1.0), (8, 8))
         other = DomainSpec((1.0, 1.0), (16, 16))

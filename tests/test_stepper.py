@@ -1366,17 +1366,27 @@ class TestRun:
         assert BLOWUP_FACTOR == 1e6
 
     def test_dt_floor_reports_blowup_suspected(self, monkeypatch):
+        # At cfl_safety 0.1 the bound is about 1e-4, below dt_min; the step
+        # at dt_min stays monotone, so run reaches its dt-floor test.
         dom = DomainSpec((1.0, 1.0), (16, 16))
         params = no_drift_params()
         state = initial_state(bump_field(dom), params)
-        cfg = StepperConfig(dt_min=1e-2, dt_max=2e-2)
-        calls = count_calls(monkeypatch, "step", "stable_dt")
+        cfg = StepperConfig(cfl_safety=0.1, dt_min=2e-4, dt_max=1e-2)
+        calls = count_calls(monkeypatch, "stable_dt")
+        made, original = [], stepper.step
+
+        def recording(*args):
+            made.append(original(*args))
+            return made[-1]
+
+        monkeypatch.setattr(stepper, "step", recording)
         seen = []
         result = run(state, params, cfg, 1.0, on_state=seen.append)
         assert result.state.status is Status.BLOWUP_SUSPECTED
         assert result.steps == 0
         # The step at the floor is made, then discarded.
-        assert calls == {"step": result.steps + 1, "stable_dt": 0}
+        assert calls == {"stable_dt": 0}
+        assert len(made) == result.steps + 1 and made[0].dt == cfg.dt_min
         assert seen == [state] and result.state.u is state.u and result.state.t == 0.0
 
     def test_on_state_sees_every_accepted_state(self):
