@@ -102,6 +102,14 @@ class ExperimentConfig:
         # A sweep is an axis with at least one value; no sweep has neither.
         if (self.sweep_axis, self.sweep_values) != (None, None) and not (self.sweep_axis and self.sweep_values):
             raise ValueError(f"a sweep needs an axis and values, got {self.sweep_axis!r} and {self.sweep_values!r}")
+        # A run to t_end < 0 would report Completed at t = 0 > t_end, and a
+        # threshold <= 0 stops it before its first step. t_end = 0 is the
+        # run that takes no step and writes the initial fields. NaN fails
+        # both comparisons.
+        if not self.t_end >= 0.0:
+            raise ConfigError("t_end", f"expected a number >= 0, got {self.t_end!r}")
+        if self.blowup_threshold is not None and not self.blowup_threshold > 0.0:
+            raise ConfigError("blowup_threshold", f"expected a number > 0, got {self.blowup_threshold!r}")
 
 
 def _choice(choices, problem: str):

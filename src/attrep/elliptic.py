@@ -25,10 +25,12 @@ one rfft, a twiddle e^{-i pi k / 2N} per mode, and the real DCT read off as
 X[k] = Re Z[k], X[N - k] = -Im Z[k]. The inverse runs the same steps
 backwards with irfft. Every reusable whole-field buffer of a step or a
 sample is a work array that the calling thread keeps per shape
-(_workspace), the one work field `scratch` among them, so a warm rfft pair
-allocates none and a warm step only what it returns and the drift it reads
-(README, Performance). None is held across a call out of the step, so a
-callback may step, sample or solve on the same grid.
+(_workspace): a grid's transform buffers (_transform_buffers), which the
+step's face drops and the IMEX denominators borrow while no transform runs,
+and the one work field `scratch`. So a warm rfft pair allocates none and a
+warm step only what it returns and the drift it reads (README,
+Performance). None is held across a call out of the step, so a callback may
+step, sample or solve on the same grid.
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ NEGATIVE_TOL = 1e-13
 # products cost more than the FFT pair (README, Performance).
 _MATMUL_MAX_CELLS = 64
 
-# The work arrays one thread keeps (_workspace), by key. One grid takes at
-# most five, each one field or less: the transform buffers of a field; the
-# denominators of an IMEX step; the face drops of each axis; and `scratch`,
-# the one work field that the drift, a sample, a read of the signals and
-# run's steady-state change each fill and read in turn.
+# The work arrays one thread keeps (_workspace), by key. One grid takes two
+# keys and three arrays of about one field each: under "fft" the real array
+# and the complex block of its transforms, which also hold the face drops of
+# a step and the denominators of an IMEX heat solve between transforms; and
+# `scratch`, the one work field that the drift, a sample, a read of the
+# signals and run's steady-state change each fill and read in turn.
 _WORKSPACE_ARRAYS = 12
 
 
@@ -136,14 +139,32 @@ def _work_array(name: str, shape: tuple) -> np.ndarray:
     return _workspace((name, shape), lambda: np.empty(shape))
 
 
-def _fft_buffers(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fft_buffers(nx: int, ny: int) -> tuple[np.ndarray, ...]:
     """A real (nx, ny) array and one complex block seen as the half spectra
     along each axis, (nx, ny//2 + 1) and (nx//2 + 1, ny): the forward
     transform reads the first before it writes the second, and the inverse
-    the other way round."""
+    the other way round. Between transforms both lie unused, and the step's
+    face drops (stepper._face_drops) borrow them through two more views: the
+    x drops (nx - 1, ny) are the real array's first rows, the y drops
+    (nx, ny) the block read as floats, 2 max(nx (ny//2 + 1), (nx//2 + 1) ny)
+    >= nx ny of them."""
     along_y, along_x = (nx, ny // 2 + 1), (nx // 2 + 1, ny)
     block = np.empty(max(math.prod(along_y), math.prod(along_x)), dtype=complex)
-    return np.empty((nx, ny)), block[: math.prod(along_y)].reshape(along_y), block[: math.prod(along_x)].reshape(along_x)
+    real = np.empty((nx, ny))
+    return (
+        real,
+        block[: math.prod(along_y)].reshape(along_y),
+        block[: math.prod(along_x)].reshape(along_x),
+        real[: nx - 1],
+        block.view(np.float64)[: nx * ny].reshape(nx, ny),
+    )
+
+
+def _transform_buffers(shape: tuple) -> tuple[np.ndarray, ...]:
+    """The calling thread's transform entry for a grid of `shape`, of any
+    size: _fft_buffers' (real, along_y, along_x, x_drops, y_drops), kept
+    under the key ("fft", shape) of _workspace."""
+    return _workspace(("fft", shape), lambda: _fft_buffers(*shape))
 
 
 @lru_cache(maxsize=32)
@@ -172,7 +193,7 @@ def _forward(buf: np.ndarray) -> np.ndarray:
     nx, ny = buf.shape
     if max(nx, ny) <= _MATMUL_MAX_CELLS:
         return np.matmul(_dct_matrix(nx) @ buf, _dct_matrix(ny).T, out=buf)
-    real, along_y, along_x = _workspace(("fft", buf.shape), lambda: _fft_buffers(nx, ny))
+    real, along_y, along_x, _, _ = _transform_buffers(buf.shape)
     mx, my = (nx + 1) // 2, (ny + 1) // 2
     hx, hy = nx // 2 + 1, ny // 2 + 1
     np.copyto(real[:, :my], buf[:, 0::2])
@@ -199,7 +220,7 @@ def _inverse(buf: np.ndarray) -> np.ndarray:
     nx, ny = buf.shape
     if max(nx, ny) <= _MATMUL_MAX_CELLS:
         return np.matmul(_dct_matrix(nx).T @ buf, _dct_matrix(ny), out=buf)
-    real, along_y, along_x = _workspace(("fft", buf.shape), lambda: _fft_buffers(nx, ny))
+    real, along_y, along_x, _, _ = _transform_buffers(buf.shape)
     mx, my = (nx + 1) // 2, (ny + 1) // 2
     hx, hy = nx // 2 + 1, ny // 2 + 1
     np.copyto(along_x.real, buf[:hx])
@@ -242,11 +263,13 @@ def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> np.ndarra
     """(I - dt Lap)^-1 values, the backward-Euler heat step, written over the
     float64 field `values` and returned, as _forward and _inverse do. The zero
     mode has eigenvalue 0, so the mean (hence the mass) is kept exactly;
-    every other mode is damped. dt > 0 (checked by stepper.step)."""
-    denom = np.matmul(*_mode_eigenvalues(dom), out=_work_array("implicit-denominators", values.shape))
+    every other mode is damped. dt > 0 (checked by stepper.step). The
+    denominators 1 + dt lambda are formed in the real array of the grid's
+    transform buffers, which lies unused between the two transforms."""
+    _forward(values)
+    denom = np.matmul(*_mode_eigenvalues(dom), out=_transform_buffers(values.shape)[0])
     denom *= dt
     denom += 1.0
-    _forward(values)
     values /= denom
     return _inverse(values)
 

@@ -33,11 +33,12 @@ only through the drift potential phi, a function of the density alone, which
 the step forms where it reads it: one forward transform (two when beta !=
 delta) and the one inverse that makes phi (elliptic._drift_potential), so 2
 (3) transforms an explicit step; the IMEX step adds the 2 of its diffusion
-solve, so 4 (5). step builds the face drops D once, in work arrays of the
-thread like every reusable buffer of a step (elliptic._workspace), and takes
-its CFL bound from them (_bound) unless given dt; stable_dt is that bound on
-its own. run only steps, and takes the steady-state change in the work field
-`scratch`. A state can be stepped under any params. v and w are a read of u
+solve, so 4 (5). step builds the face drops D once, in the grid's transform
+buffers (elliptic._transform_buffers), which lie unused from the drift's
+inverse transform to the end of the transport, and takes its CFL bound from
+them (_bound) unless given dt; stable_dt is that bound on its own. run only
+steps, and takes the steady-state change in the work field `scratch`. A
+state can be stepped under any params. v and w are a read of u
 (elliptic.solve_signals, diagnostics.sample), checked there.
 """
 
@@ -52,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
-from .elliptic import _check_density, _drift_potential, _implicit_solve, _work_array
+from .elliptic import _check_density, _drift_potential, _implicit_solve, _transform_buffers, _work_array
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate, require_finite
 from .model import ModelParams, _is
@@ -132,12 +133,13 @@ def _drops(state: SimState, params: ModelParams) -> list[np.ndarray]:
 
 
 def _face_drops(phi: np.ndarray) -> list[np.ndarray]:
-    """The drift's drop D = phi_R - phi_L on the faces of each axis, in work
-    arrays of the calling thread (elliptic._workspace) that the next build on
-    the grid writes over."""
-    nx, ny = phi.shape
+    """The drift's drop D = phi_R - phi_L on the faces of each axis, written
+    into the grid's transform buffers (elliptic._transform_buffers), which
+    the next transform on the grid writes over: no transform runs between
+    this build and the end of the transport (or _bound) that reads them."""
+    ny = phi.shape[1]
     flat = phi.reshape(-1)
-    drops = [_work_array("face-drops", (nx - 1, ny)), _work_array("face-drops", (nx, ny))]
+    drops = list(_transform_buffers(phi.shape)[3:])
     for drop, offset in zip(drops, (ny, 1)):
         np.subtract(flat[offset:], flat[:-offset], out=drop.reshape(-1)[: flat.size - offset])
     drops[1][:, -1] = 0.0

@@ -460,6 +460,37 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: config field '{field}': ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "field, flag, value",
+        [
+            ("t_end", "--t-end", -1.0),
+            ("blowup_threshold", "--blowup-threshold", 0.0),
+            ("blowup_threshold", "--blowup-threshold", -5.0),
+        ],
+    )
+    @pytest.mark.parametrize("where", ["config", "flag", "sweep"])
+    def test_negative_end_or_nonpositive_threshold_names_its_field(self, tmp_path, capsys, field, flag, value, where):
+        # t_end = -1 ran to Completed with 0 steps and a threshold <= 0 to
+        # BlowupSuspected at step 0; now each fails before any output.
+        # t_end = 0 stays the run that takes no step (below).
+        problem = {"t_end": "expected a number >= 0", "blowup_threshold": "expected a number > 0"}[field]
+        out_dir = tmp_path / "run"
+        if where == "sweep":
+            cfg = write_config(tmp_path, sweep={"axis": field, "values": [value]})
+            assert main(["sweep", cfg, "--out", str(out_dir)]) == EXIT_OK
+            rows = (out_dir / "regime_map.csv").read_text().splitlines()[1:]
+            assert rows == [f"{value:.17g},error,error,na"]
+            assert not (out_dir / "point_000").exists()
+            assert f"error: config field '{field}': {problem}" in capsys.readouterr().err
+            return
+        if where == "config":
+            args = [write_config(tmp_path, **{field: value})]
+        else:
+            args = [write_config(tmp_path), flag, str(value)]
+        assert main(["simulate", *args, "--out", str(out_dir)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: config field '{field}': {problem}")
+        assert not out_dir.exists()
+
     def test_output_path_that_is_a_file_is_an_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "taken"

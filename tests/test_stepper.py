@@ -1091,14 +1091,15 @@ class TestTransformBudget:
             assert len(count) == transforms
 
 
-def work_memory_case(n, scheme, delta):
-    dom = DomainSpec((1.0, 1.0), (n, n))
+def work_memory_case(n, scheme, delta, lengths=(1.0, 1.0)):
+    # n cells a side, or an (Nx, Ny) pair
+    dom = DomainSpec(lengths, (n, n) if isinstance(n, int) else n)
     params = ModelParams(1.0, 1.0, 1.0, delta, chi=4.0, xi=0.5, rho=0.5)
     return initial_state(bump_field(dom, width=0.08), params), params, StepperConfig(scheme=scheme)
 
 
 # The store's keys (elliptic._workspace), as the README lists them.
-STORE_KEYS = {"fft", "face-drops", "scratch", "implicit-denominators"}
+STORE_KEYS = {"fft", "scratch"}
 # numpy allocates, for a ufunc call over a strided or broadcast operand, an
 # iteration buffer of up to np.getbufsize() items of it: 128 KiB for the
 # complex twiddle products of the rfft pair, one field at 128^2.
@@ -1167,11 +1168,25 @@ class TestStepWorkMemory:
         temporary = field if n <= elliptic._MATMUL_MAX_CELLS else ITER_BUFFER
         assert peak < 2 * field + temporary + field / 4
 
+    @staticmethod
+    def store_arrays():
+        # the distinct arrays behind the store's entries, each view traced
+        # to the array that owns its memory
+        owners = {}
+        for arrays in elliptic._WORKSPACES.arrays.values():
+            for array in arrays if isinstance(arrays, tuple) else (arrays,):
+                while array.base is not None:
+                    array = array.base
+                owners[id(array)] = array
+        return list(owners.values())
+
     @pytest.mark.parametrize("n", [48, 72], ids=["matmul", "rfft"])
     def test_store_holds_each_buffer_once(self, n):
-        # Warm runs of both schemes, sampled every step, leave at most five
-        # store arrays for the grid (four without the rfft buffers), under
-        # the README's keys, and no (2, N, N) stack among them.
+        # Warm runs of both schemes, sampled every step, leave at most three
+        # store arrays for the grid, whichever transform backend it takes:
+        # the face drops and the IMEX denominators have none of their own.
+        # Every entry is under the README's keys, and no view is a (2, N, N)
+        # stack.
         elliptic._WORKSPACES.arrays.clear()
         diagnostics = DiagnosticsConfig(ps=(2.0, 1.5), every=1)
         for scheme in SCHEMES:
@@ -1180,28 +1195,57 @@ class TestStepWorkMemory:
             for _ in range(2):
                 run(state, params, cfg, t_end, diagnostics=diagnostics)
         store = elliptic._WORKSPACES.arrays
-        assert len(store) <= (4 if n <= elliptic._MATMUL_MAX_CELLS else 5)
-        assert {name for name, _ in store} == STORE_KEYS - ({"fft"} if n <= elliptic._MATMUL_MAX_CELLS else set())
+        assert {name for name, _ in store} == STORE_KEYS
+        assert len(self.store_arrays()) <= 3
         for arrays in store.values():
             for array in arrays if isinstance(arrays, tuple) else (arrays,):
                 assert array.ndim == 2
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_cold_run_high_water(self, scheme):
+        # A 3-step run at 256^2 from an empty store, sampled at step 0 and
+        # at the end, with the cached eigenvalues, denominators and twiddles
+        # warm. It builds the store's three arrays and holds two states' u,
+        # the drift and the donors: 5.27 fields under both schemes. It read
+        # 7.26 (explicit) and 8.26 (IMEX) while the face drops and the IMEX
+        # denominators had store arrays of their own.
+        state, params, cfg = work_memory_case(256, scheme, 1.0)
+        t_end = 2.5 * stable_dt(state, params, cfg)
+        diagnostics = DiagnosticsConfig(every=10)
+        run(state, params, cfg, t_end, diagnostics=diagnostics)
+        elliptic._WORKSPACES.arrays.clear()
+        tracemalloc.start()
+        try:
+            result = run(state, params, cfg, t_end, diagnostics=diagnostics)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.steps == 3 and len(result.records) == 2
+        assert sum(array.nbytes for array in self.store_arrays()) < 3.1 * state.u.values.nbytes
+        assert peak < 5.5 * state.u.values.nbytes
 
     def test_readme_lists_store_keys(self):
         # the README's list of the store's keys, one bullet each, up to the
         # next blank line
         lines = (REPO_ROOT / "README.md").read_text().splitlines()
-        start = lines.index("One grid takes at most five arrays, under four keys:") + 2
+        start = lines.index("One grid takes at most three arrays, under two keys:") + 2
         block = itertools.takewhile(str.strip, lines[start:])
         keys = [line.split("`")[1] for line in block if line.startswith("- `")]
         assert len(keys) == len(STORE_KEYS) and set(keys) == STORE_KEYS
 
-    @pytest.mark.parametrize("n", [48, 96], ids=["matmul", "rfft"])
+    @pytest.mark.parametrize(
+        "n, lengths",
+        [(48, (1.0, 1.0)), (96, (1.0, 1.0)), ((65, 130), (0.5, 1.0))],
+        ids=["matmul", "rfft", "odd-rfft"],
+    )
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_on_state_may_use_the_grid(self, n, scheme):
+    def test_on_state_may_use_the_grid(self, n, lengths, scheme):
         # Between every two steps the callback steps another state of the
         # grid under both schemes, runs it, samples it and reads its signals,
-        # then zeroes every store array, which no run may be holding.
-        state, params, cfg = work_memory_case(n, scheme, 0.7)
+        # then zeroes every store array, which no run may be holding. At
+        # 65 x 130 the y drops fill the complex block, read as floats, of
+        # an odd axis's half spectrum.
+        state, params, cfg = work_memory_case(n, scheme, 0.7, lengths)
         other = initial_state(bump_field(state.u.domain, width=0.2), params)
         diagnostics = DiagnosticsConfig(ps=(2.0, 1.5), every=2)
         t_end = 5.5 * stable_dt(state, params, cfg)
