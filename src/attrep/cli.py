@@ -276,18 +276,24 @@ def _scale(values, lo_px, hi_px):
     return lambda v: lo_px + (v - lo) / span * (hi_px - lo_px), lo, hi
 
 
+def _write_svg(path, parts) -> None:
+    """Write a figure: its frame (a white page and the x axis), then parts."""
+    frame = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}">',
+        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<line x1="{_MARGIN}" y1="{_SVG_H - _MARGIN}" x2="{_SVG_W - 20}" y2="{_SVG_H - _MARGIN}" stroke="black"/>',
+    ]
+    with open(path, "w") as fh:
+        fh.write("\n".join([*frame, *parts, "</svg>"]) + "\n")
+
+
 def _energy_svg(records, ps, path) -> None:
     ts = [r.t for r in records]
     if len(ts) < 2:
         ts = ts + [ts[0] + 1.0] if ts else [0.0, 1.0]
     sx, t_lo, t_hi = _scale(ts, _MARGIN, _SVG_W - 20)
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<line x1="{_MARGIN}" y1="{_SVG_H - _MARGIN}" x2="{_SVG_W - 20}" y2="{_SVG_H - _MARGIN}" stroke="black"/>',
-        f'<line x1="{_MARGIN}" y1="20" x2="{_MARGIN}" y2="{_SVG_H - _MARGIN}" stroke="black"/>',
-    ]
+    parts = [f'<line x1="{_MARGIN}" y1="20" x2="{_MARGIN}" y2="{_SVG_H - _MARGIN}" stroke="black"/>']
     all_vals = [r.energies[p] for r in records for p in ps if math.isfinite(r.energies[p])]
     if not all_vals:
         all_vals = [0.0, 1.0]
@@ -311,10 +317,8 @@ def _energy_svg(records, ps, path) -> None:
         f'<text x="{_SVG_W - 40}" y="{_SVG_H - _MARGIN + 15}" font-size="10">{t_hi:.3g}</text>',
         f'<text x="{_MARGIN - 5}" y="{_SVG_H - _MARGIN}" font-size="10" text-anchor="end">{e_lo:.3g}</text>',
         f'<text x="{_MARGIN - 5}" y="25" font-size="10" text-anchor="end">{e_hi:.3g}</text>',
-        "</svg>",
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)
 
 
 def _regime_svg(rows, axis, path) -> None:
@@ -323,9 +327,6 @@ def _regime_svg(rows, axis, path) -> None:
     y_of = {"bounded": _SVG_H - _MARGIN - 60, "blowup": 90, "error": _SVG_H // 2}
     color_of = {"true": "#2ca02c", "false": "#d62728", "na": "#7f7f7f"}
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<line x1="{_MARGIN}" y1="{_SVG_H - _MARGIN}" x2="{_SVG_W - 20}" y2="{_SVG_H - _MARGIN}" stroke="black"/>',
         f'<text x="{_SVG_W // 2}" y="{_SVG_H - 20}" font-size="12" text-anchor="middle">{axis}</text>',
         f'<text x="{_MARGIN - 10}" y="{y_of["bounded"] + 4}" font-size="11" text-anchor="end">bounded</text>',
         f'<text x="{_MARGIN - 10}" y="{y_of["blowup"] + 4}" font-size="11" text-anchor="end">blowup</text>',
@@ -342,9 +343,7 @@ def _regime_svg(rows, axis, path) -> None:
             f'<text x="{sx(value):.2f}" y="{y - 10}" font-size="9" text-anchor="middle">'
             f"{row['prediction']}</text>"
         )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +385,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.command == "simulate":
             if args.t_end is not None:
-                cfg = replace(cfg, t_end=number("--t-end", args.t_end))
+                cfg = replace(cfg, t_end=number("t_end", args.t_end))
             if args.snapshot_every is not None:
                 cfg = replace(cfg, snapshot_every=integer(0)("--snapshot-every", args.snapshot_every))
             if args.blowup_threshold is not None:
-                cfg = replace(cfg, blowup_threshold=number("--blowup-threshold", args.blowup_threshold))
+                cfg = replace(cfg, blowup_threshold=number("blowup_threshold", args.blowup_threshold))
             if args.scheme is not None:
                 cfg = replace(cfg, stepper=replace(cfg.stepper, scheme=args.scheme))
             return cmd_simulate(cfg, args.out or cfg.out_dir)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .diagnostics import DiagnosticsConfig
 from .errors import ConfigError, SimulationError
-from .model import _INITIAL_KINDS, BumpSpec, DomainSpec, InitialData, ModelParams
+from .model import _INITIAL_KINDS, BumpSpec, DomainSpec, InitialData, ModelParams, _float
 from .stepper import STEADY_TOL, StepperConfig
 
 _COEFFS = ("alpha", "beta", "gamma", "delta", "chi", "xi", "rho")
@@ -33,10 +33,7 @@ def number(field: str, value) -> float:
     reads NaN and Infinity; an int beyond the float range is infinite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
-    try:
-        result = float(value)
-    except OverflowError:
-        result = math.inf
+    result = _float(value)
     if not math.isfinite(result):
         raise ConfigError(field, f"expected a finite number, got {value!r}")
     return result

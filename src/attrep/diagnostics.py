@@ -7,8 +7,9 @@ forward differences between consecutive samples, filled in after a run. The
 two check_* functions compare a sampled series against the analytic energy
 inequality and the absorptive bound; they are consistency reports for discrete
 trajectories, not proofs. A sample's sums and both signal solves go through
-one work field, `scratch` (elliptic._workspace): a warm one allocates only the
-powers u^{p/2} for p != 2 and the clamp of a u that dips below 0.
+the grid's one work field, `scratch` (elliptic._workspace): a warm one
+allocates only the powers u^{p/2} for p != 2 and the clamp of a u that dips
+below 0.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .elliptic import _signals, _work_array
+from .elliptic import _signals, _workspace
 from .errors import InsufficientSamples, MismatchedP, NonFiniteField
 from .grid import _grad_sum, _integral, _lp_integral
-from .model import _is
+from .model import _float, _is
 
 if TYPE_CHECKING:
     from .bounds import BoundsReport
@@ -41,7 +42,7 @@ def _exponents(ps) -> tuple[float, ...]:
     values = tuple(ps)
     if not all(_is(numbers.Real, p) for p in values):
         raise ValueError(f"every exponent must be a real number, got {ps!r}")
-    ps = tuple(float(p) for p in values)
+    ps = tuple(_float(p) for p in values)
     if not ps:
         raise ValueError("need at least one exponent p")
     if not all(1.0 < p < math.inf for p in ps):
@@ -107,7 +108,7 @@ def sample(state: SimState, params: ModelParams, diagnostics: DiagnosticsConfig)
     # and E_1.5. An overflowing power fails its kernel's sum (NonFiniteField).
     roots = {p: clamped if p == 2.0 else np.power(clamped, p / 2.0) for p in ps}
     powers = {p / 2.0: root for p, root in roots.items()}
-    scratch = _work_array("scratch", uv.shape)
+    scratch = _workspace(uv.shape).scratch
     energies = {p: _lp_integral(powers[p], 1.0, h, scratch) if p in powers else _lp_integral(clamped, p, h, scratch) for p in ps}
     grads = {p: _grad_sum(root, scratch) for p, root in roots.items()}
 

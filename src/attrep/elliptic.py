@@ -24,11 +24,11 @@ TASSP 28, 1980): the samples reordered (even ones, then odd ones reversed),
 one rfft, a twiddle e^{-i pi k / 2N} per mode, and the real DCT read off as
 X[k] = Re Z[k], X[N - k] = -Im Z[k]. The inverse runs the same steps
 backwards with irfft. Every reusable whole-field buffer of a step or a
-sample is a work array that the calling thread keeps per shape
-(_workspace): a grid's transform buffers (_transform_buffers), which the
-step's face drops and the IMEX denominators borrow while no transform runs,
-and the one work field `scratch`. So a warm rfft pair allocates none and a
-warm step only what it returns and the drift it reads (README,
+sample is an array of the grid's one entry in the calling thread's store
+(_workspace, its arrays named by _GridWork): the transform arrays, which
+the step's face drops and the IMEX denominators borrow while no transform
+runs, and the one work field `scratch`. So a warm rfft pair allocates none
+and a warm step only what it returns and the drift it reads (README,
 Performance). None is held across a call out of the step, so a callback may
 step, sample or solve on the same grid.
 """
@@ -39,6 +39,7 @@ import math
 import sys
 import threading
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -57,13 +58,8 @@ NEGATIVE_TOL = 1e-13
 # products cost more than the FFT pair (README, Performance).
 _MATMUL_MAX_CELLS = 64
 
-# The work arrays one thread keeps (_workspace), by key. One grid takes two
-# keys and three arrays of about one field each: under "fft" the real array
-# and the complex block of its transforms, which also hold the face drops of
-# a step and the denominators of an IMEX heat solve between transforms; and
-# `scratch`, the one work field that the drift, a sample, a read of the
-# signals and run's steady-state change each fill and read in turn.
-_WORKSPACE_ARRAYS = 12
+# The grids whose work memory (_GridWork) one thread keeps (_workspace).
+_WORKSPACE_GRIDS = 6
 
 
 @lru_cache(maxsize=32)
@@ -108,63 +104,55 @@ def _dct_matrix(n: int) -> np.ndarray:
     return c
 
 
+class _GridWork(NamedTuple):
+    """The work memory of one grid (Nx, Ny), three arrays: `real` (Nx, Ny);
+    a complex block seen as the half spectra along each axis, along_y
+    (Nx, Ny//2 + 1) and along_x (Nx//2 + 1, Ny), which the forward transform
+    writes after it reads `real` and the inverse reads before; and the one
+    work field `scratch`. The face drops (stepper._face_drops) borrow the
+    transform arrays while no transform runs: x_drops (Nx - 1, Ny) is real's
+    first rows, y_drops (Nx, Ny) the block read as floats, of which it holds
+    2 max(Nx (Ny//2 + 1), (Nx//2 + 1) Ny) >= Nx Ny."""
+
+    real: np.ndarray
+    along_y: np.ndarray
+    along_x: np.ndarray
+    x_drops: np.ndarray
+    y_drops: np.ndarray
+    scratch: np.ndarray
+
+
 class _Workspaces(threading.local):
-    """The work arrays of one thread, by key, least recently used first."""
+    """One thread's _GridWork entries by grid shape, least recently used first."""
 
     def __init__(self):
-        self.arrays: dict = {}
+        self.entries: dict = {}
 
 
 _WORKSPACES = _Workspaces()
 
 
-def _workspace(key, build):
-    """The calling thread's work array(s) under `key`, made by build() on
-    first use; past _WORKSPACE_ARRAYS keys the least recently used is
-    dropped. Every user writes a work array in full before it reads it, so
-    what a call leaves there never reaches another's result, and each thread
-    has its own."""
-    arrays = _WORKSPACES.arrays
-    found = arrays.pop(key, None)
+def _workspace(shape: tuple) -> _GridWork:
+    """The calling thread's work memory for a grid of `shape`, built on first
+    use; past _WORKSPACE_GRIDS grids the least recently used is dropped. Each
+    user writes a work array in full before it reads it, so what a call
+    leaves there never reaches another's result."""
+    entries = _WORKSPACES.entries
+    found = entries.pop(shape, None)
     if found is None:
-        found = build()
-        if len(arrays) >= _WORKSPACE_ARRAYS:
-            del arrays[next(iter(arrays))]
-    arrays[key] = found
+        nx, ny = shape
+        halves = (nx, ny // 2 + 1), (nx // 2 + 1, ny)
+        # scratch first: built last, it left explicit-256's peak RSS 0.1 to
+        # 0.2 MB higher, a heap layout effect (README, Performance).
+        scratch = np.empty(shape)
+        block, real = np.empty(max(map(math.prod, halves)), dtype=complex), np.empty(shape)
+        along_y, along_x = (block[: math.prod(half)].reshape(half) for half in halves)
+        y_drops = block.view(np.float64)[: nx * ny].reshape(shape)
+        found = _GridWork(real, along_y, along_x, real[: nx - 1], y_drops, scratch)
+        if len(entries) >= _WORKSPACE_GRIDS:
+            del entries[next(iter(entries))]
+    entries[shape] = found
     return found
-
-
-def _work_array(name: str, shape: tuple) -> np.ndarray:
-    """The calling thread's float64 work array `name` of `shape` (_workspace)."""
-    return _workspace((name, shape), lambda: np.empty(shape))
-
-
-def _fft_buffers(nx: int, ny: int) -> tuple[np.ndarray, ...]:
-    """A real (nx, ny) array and one complex block seen as the half spectra
-    along each axis, (nx, ny//2 + 1) and (nx//2 + 1, ny): the forward
-    transform reads the first before it writes the second, and the inverse
-    the other way round. Between transforms both lie unused, and the step's
-    face drops (stepper._face_drops) borrow them through two more views: the
-    x drops (nx - 1, ny) are the real array's first rows, the y drops
-    (nx, ny) the block read as floats, 2 max(nx (ny//2 + 1), (nx//2 + 1) ny)
-    >= nx ny of them."""
-    along_y, along_x = (nx, ny // 2 + 1), (nx // 2 + 1, ny)
-    block = np.empty(max(math.prod(along_y), math.prod(along_x)), dtype=complex)
-    real = np.empty((nx, ny))
-    return (
-        real,
-        block[: math.prod(along_y)].reshape(along_y),
-        block[: math.prod(along_x)].reshape(along_x),
-        real[: nx - 1],
-        block.view(np.float64)[: nx * ny].reshape(nx, ny),
-    )
-
-
-def _transform_buffers(shape: tuple) -> tuple[np.ndarray, ...]:
-    """The calling thread's transform entry for a grid of `shape`, of any
-    size: _fft_buffers' (real, along_y, along_x, x_drops, y_drops), kept
-    under the key ("fft", shape) of _workspace."""
-    return _workspace(("fft", shape), lambda: _fft_buffers(*shape))
 
 
 @lru_cache(maxsize=32)
@@ -193,7 +181,8 @@ def _forward(buf: np.ndarray) -> np.ndarray:
     nx, ny = buf.shape
     if max(nx, ny) <= _MATMUL_MAX_CELLS:
         return np.matmul(_dct_matrix(nx) @ buf, _dct_matrix(ny).T, out=buf)
-    real, along_y, along_x, _, _ = _transform_buffers(buf.shape)
+    work = _workspace(buf.shape)
+    real, along_y, along_x = work.real, work.along_y, work.along_x
     mx, my = (nx + 1) // 2, (ny + 1) // 2
     hx, hy = nx // 2 + 1, ny // 2 + 1
     np.copyto(real[:, :my], buf[:, 0::2])
@@ -220,7 +209,8 @@ def _inverse(buf: np.ndarray) -> np.ndarray:
     nx, ny = buf.shape
     if max(nx, ny) <= _MATMUL_MAX_CELLS:
         return np.matmul(_dct_matrix(nx).T @ buf, _dct_matrix(ny), out=buf)
-    real, along_y, along_x, _, _ = _transform_buffers(buf.shape)
+    work = _workspace(buf.shape)
+    real, along_y, along_x = work.real, work.along_y, work.along_x
     mx, my = (nx + 1) // 2, (ny + 1) // 2
     hx, hy = nx // 2 + 1, ny // 2 + 1
     np.copyto(along_x.real, buf[:hx])
@@ -264,10 +254,10 @@ def _implicit_solve(values: np.ndarray, dt: float, dom: DomainSpec) -> np.ndarra
     float64 field `values` and returned, as _forward and _inverse do. The zero
     mode has eigenvalue 0, so the mean (hence the mass) is kept exactly;
     every other mode is damped. dt > 0 (checked by stepper.step). The
-    denominators 1 + dt lambda are formed in the real array of the grid's
-    transform buffers, which lies unused between the two transforms."""
+    denominators 1 + dt lambda are formed in the grid's transform array
+    `real`, which lies unused between the two transforms."""
     _forward(values)
-    denom = np.matmul(*_mode_eigenvalues(dom), out=_transform_buffers(values.shape)[0])
+    denom = np.matmul(*_mode_eigenvalues(dom), out=_workspace(values.shape).real)
     denom *= dt
     denom += 1.0
     values /= denom
@@ -347,7 +337,7 @@ def _signals(u: Field, params: ModelParams, out=None) -> tuple[float, float]:
     # defensive: past _check_density, Parseval bounds every partial
     # transform by sqrt(Nx Ny) F / kappa, under float_max/8.
     extrema = []
-    for name, signal in zip("vw", out or (_work_array("scratch", u.domain.cells),) * 2):
+    for name, signal in zip("vw", out or (_workspace(u.domain.cells).scratch,) * 2):
         _inverse(_signal_hat(u, params, name, signal))
         extrema.append((name, float(signal.min()), float(signal.max())))
     if not all(math.isfinite(mn) and math.isfinite(mx) for _, mn, mx in extrema):
@@ -370,7 +360,7 @@ def _drift_potential(u: Field, params: ModelParams) -> np.ndarray:
     """
     _check_density(u, params)
     chi, xi = params.chi, params.xi
-    scratch = _work_array("scratch", u.domain.cells)
+    scratch = _workspace(u.domain.cells).scratch
     if params.beta == params.delta:
         # -r + a is exactly a - r: the bits of chi alpha u^rho - xi gamma u.
         phi_hat = np.multiply(u.values, -(xi * params.gamma))

@@ -43,6 +43,15 @@ def _is(kind, value) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _float(value) -> float:
+    """A real number as a float, an int beyond the float range as the
+    infinity of its sign, which every finiteness check then refuses."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coefficients of the coupled system; `dim` is the space dimension n.
@@ -67,7 +76,7 @@ class ModelParams:
         for name in ("alpha", "beta", "gamma", "delta", "chi", "xi", "rho"):
             raw = getattr(self, name)
             if isinstance(raw, numbers.Real):
-                value = float(raw)
+                value = _float(raw)
                 if name == "rho" and not 0.0 < value <= 1.0:
                     raise RhoOutOfRange(value)
                 if name in ("chi", "xi") and not 0.0 <= value < math.inf:
@@ -98,14 +107,14 @@ class DomainSpec:
         kinds = [_is(numbers.Real, v) for v in self.lengths] + [_is(numbers.Integral, c) for c in self.cells]
         if not all(kinds):
             raise ValueError(f"domain needs real lengths and integer cell counts, got {self.lengths!r}, {self.cells!r}")
-        object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
+        object.__setattr__(self, "lengths", tuple(_float(v) for v in self.lengths))
         object.__setattr__(self, "cells", tuple(int(v) for v in self.cells))
         if len(self.lengths) != 2 or len(self.cells) != 2:
             raise ValueError("domain is two dimensional: need two lengths and two cell counts")
         if any(not math.isfinite(v) or v <= 0 for v in self.lengths):
             raise ValueError(f"domain lengths must be positive, got {self.lengths}")
-        if any(c < 1 for c in self.cells):
-            raise ValueError(f"cell counts must be >= 1, got {self.cells}")
+        if any(not 1 <= _float(c) < math.inf for c in self.cells):
+            raise ValueError(f"cell counts must be >= 1 and within the float range, got {self.cells}")
         hx = self.lengths[0] / self.cells[0]
         hy = self.lengths[1] / self.cells[1]
         if abs(hx - hy) > 1e-12 * max(hx, hy):
@@ -140,12 +149,12 @@ class BumpSpec:
         for name in ("width", "amplitude"):
             if not _is(numbers.Real, getattr(self, name)):
                 raise ValueError(f"bump {name} must be a real number, got {getattr(self, name)!r}")
-        if not 0.0 <= self.amplitude < math.inf:
+        if not 0.0 <= _float(self.amplitude) < math.inf:
             raise NegativeAmplitude(f"bump amplitude must be >= 0, got {self.amplitude}")
-        if not 0.0 < self.width < math.inf:
+        if not 0.0 < _float(self.width) < math.inf:
             raise ValueError(f"bump width must be positive, got {self.width}")
         pair = isinstance(self.center, tuple) and len(self.center) == 2
-        if not (pair and all(_is(numbers.Real, c) and math.isfinite(c) for c in self.center)):
+        if not (pair and all(_is(numbers.Real, c) and math.isfinite(_float(c)) for c in self.center)):
             raise ValueError(f"bump center must be a pair of finite real numbers, got {self.center!r}")
 
 
@@ -176,7 +185,7 @@ class InitialData:
                 raise ValueError(f"initial data {name} must be a real number, got {value!r}")
         if "width" in reads:  # one bump, checked as a BumpSpec; a None center is dom's middle
             BumpSpec(self.center if self.center is not None else (0.0, 0.0), self.width, self.amplitude)
-        elif "amplitude" in reads and not 0.0 <= self.amplitude < math.inf:
+        elif "amplitude" in reads and not 0.0 <= _float(self.amplitude) < math.inf:
             raise NegativeAmplitude(f"uniform level must be >= 0, got {self.amplitude}")
         if "bumps" in reads and not (isinstance(self.bumps, tuple) and self.bumps):
             raise ZeroField("multi-bump initial data needs at least one bump")
@@ -184,7 +193,7 @@ class InitialData:
             raise ValueError(f"multi-bump bumps must be BumpSpecs, got {self.bumps!r}")
         if "path" in reads and not isinstance(self.path, str):
             raise ValueError("from-file initial data needs a path")
-        if self.mass is not None and not 0.0 < self.mass < math.inf:
+        if self.mass is not None and not 0.0 < _float(self.mass) < math.inf:
             raise ZeroField(f"target mass must be positive, got {self.mass}")
 
 
@@ -265,7 +274,7 @@ def critical_mass(chi: float, alpha: float, xi: float, gamma: float) -> float | 
     threshold is meaningful for linear production in two dimensions; the
     arithmetic itself needs only the coefficient products.
     """
-    chi, alpha, xi, gamma = map(float, (chi, alpha, xi, gamma))
+    chi, alpha, xi, gamma = map(_float, (chi, alpha, xi, gamma))
     if not (all(0.0 <= s < math.inf for s in (chi, xi)) and all(0.0 < c < math.inf for c in (alpha, gamma))):
         raise DomainError(f"need finite chi, xi >= 0 and alpha, gamma > 0, got {chi=}, {alpha=}, {xi=}, {gamma=}")
     balance = chi * alpha - xi * gamma
@@ -281,7 +290,7 @@ def classify_regime(params: ModelParams, mass: float) -> RegimeResult:
     products chi*alpha and xi*gamma are preserved, since only those products
     enter.
     """
-    mass = float(mass)
+    mass = _float(mass)
     if not math.isfinite(mass) or mass <= 0:
         raise ZeroField(f"regime classification needs positive mass, got {mass}")
 

@@ -34,9 +34,9 @@ the step forms where it reads it: one forward transform (two when beta !=
 delta) and the one inverse that makes phi (elliptic._drift_potential), so 2
 (3) transforms an explicit step; the IMEX step adds the 2 of its diffusion
 solve, so 4 (5). step builds the face drops D once, in the grid's transform
-buffers (elliptic._transform_buffers), which lie unused from the drift's
-inverse transform to the end of the transport, and takes its CFL bound from
-them (_bound) unless given dt; stable_dt is that bound on its own. run only
+arrays (elliptic._workspace), which lie unused from the drift's inverse
+transform to the end of the transport, and takes its CFL bound from them
+(_bound) unless given dt; stable_dt is that bound on its own. run only
 steps, and takes the steady-state change in the work field `scratch`. A
 state can be stepped under any params. v and w are a read of u
 (elliptic.solve_signals, diagnostics.sample), checked there.
@@ -53,10 +53,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
-from .elliptic import _check_density, _drift_potential, _implicit_solve, _transform_buffers, _work_array
+from .elliptic import _check_density, _drift_potential, _implicit_solve, _workspace
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate, require_finite
-from .model import ModelParams, _is
+from .model import ModelParams, _float, _is
 
 _SCHEMES = {"explicit-upwind": (True, lambda values, dt, dom: values), "imex-diffusion": (False, _implicit_solve)}
 SCHEMES = tuple(_SCHEMES)
@@ -88,9 +88,9 @@ class StepperConfig:
         for name in ("dt_max", "cfl_safety", "dt_min"):
             if not _is(numbers.Real, getattr(self, name)):
                 raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if not (0.0 < self.cfl_safety <= 1.0):
+        if not (0.0 < _float(self.cfl_safety) <= 1.0):
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if not (0.0 < self.dt_min < self.dt_max < math.inf):
+        if not (0.0 < _float(self.dt_min) < _float(self.dt_max) < math.inf):
             raise ValueError(f"need 0 < dt_min < dt_max < inf, got {self.dt_min}, {self.dt_max}")
 
 
@@ -134,12 +134,13 @@ def _drops(state: SimState, params: ModelParams) -> list[np.ndarray]:
 
 def _face_drops(phi: np.ndarray) -> list[np.ndarray]:
     """The drift's drop D = phi_R - phi_L on the faces of each axis, written
-    into the grid's transform buffers (elliptic._transform_buffers), which
-    the next transform on the grid writes over: no transform runs between
-    this build and the end of the transport (or _bound) that reads them."""
+    into the grid's x_drops and y_drops (elliptic._workspace), which the
+    next transform on the grid writes over: no transform runs between this
+    build and the end of the transport (or _bound) that reads them."""
     ny = phi.shape[1]
     flat = phi.reshape(-1)
-    drops = list(_transform_buffers(phi.shape)[3:])
+    work = _workspace(phi.shape)
+    drops = [work.x_drops, work.y_drops]
     for drop, offset in zip(drops, (ny, 1)):
         np.subtract(flat[offset:], flat[:-offset], out=drop.reshape(-1)[: flat.size - offset])
     drops[1][:, -1] = 0.0
@@ -354,7 +355,7 @@ def run(
             min_ratio = min(min_ratio, new_min / new_max)
         if on_state is not None:
             on_state(new_state)
-        diff = np.subtract(new_state.u.values, state.u.values, out=_work_array("scratch", state.u.domain.cells))
+        diff = np.subtract(new_state.u.values, state.u.values, out=_workspace(state.u.domain.cells).scratch)
         change = float(np.abs(diff, out=diff).max())
         scale = max(u_max, -u_min)
         state, u_min, u_max = new_state, new_min, new_max

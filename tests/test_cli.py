@@ -487,6 +487,9 @@ class TestSimulate:
             args = [write_config(tmp_path, **{field: value})]
         else:
             args = [write_config(tmp_path), flag, str(value)]
+            # a NaN flag fails its reader, under the same field name
+            assert main(["simulate", *args[:2], "nan", "--out", str(out_dir)]) == EXIT_ERROR
+            assert capsys.readouterr().err.startswith(f"error: config field '{field}': expected a finite number")
         assert main(["simulate", *args, "--out", str(out_dir)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: config field '{field}': {problem}")
         assert not out_dir.exists()
@@ -554,8 +557,9 @@ class TestSimulate:
         cfg = write_config(tmp_path)
         out_dir = tmp_path / "run"
         assert main(["simulate", cfg, "--out", str(out_dir), flag, text]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert flag in err and "finite" in err
+        # named by the config field the flag sets, as a config file names it
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: config field '{field}': expected a finite number")
         assert not out_dir.exists()
 
     def test_negative_snapshot_every_rejected(self, tmp_path, capsys):

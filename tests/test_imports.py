@@ -1,7 +1,9 @@
 """Every name a module of the package imports is used in that module, every
-private module-level name is referenced somewhere in the package, and no
+private module-level name is referenced somewhere in the package, no
 module compares anything with a scheme name: only `stepper._SCHEMES`
-decides what a scheme does.
+decides what a scheme does, and the work store has one owner: no module but
+`elliptic` names `_WORKSPACES`, and none reads a `_workspace(shape)` entry
+by position.
 
 The checks read the source with `ast` only. A name counts as used where it
 appears as a name anywhere in the module, `if TYPE_CHECKING:` blocks
@@ -191,3 +193,53 @@ table = {"imex-diffusion": 1}
 w = cfg.scheme == "other"
 """
     assert name_comparisons(source, SCHEMES) == ["2: imex-diffusion", "3: explicit-upwind", "4: explicit-upwind"]
+
+
+def _calls_workspace(node) -> bool:
+    return isinstance(node, ast.Call) and "_workspace" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def store_bypasses(source: str, owner: bool) -> list:
+    """'line: how' for each place the source reaches the work store other
+    than by name: outside its owner a mention of _WORKSPACES (as a name, an
+    attribute or an import), and anywhere a _workspace(...) result
+    subscripted or unpacked by position."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+        if not owner and isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and "_WORKSPACES" in names:
+            found.append((node.lineno, "_WORKSPACES"))
+        if isinstance(node, ast.Subscript) and _calls_workspace(node.value):
+            found.append((node.lineno, "subscript"))
+        if isinstance(node, ast.Assign) and _calls_workspace(node.value):
+            if any(isinstance(target, (ast.Tuple, ast.List)) for target in node.targets):
+                found.append((node.lineno, "unpack"))
+    return [f"{line}: {how}" for line, how in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_work_store_has_one_owner(path):
+    # elliptic alone keeps the store; every other reader takes a grid's
+    # arrays from _workspace(shape) by their names
+    assert store_bypasses(path.read_text(), owner=path.name == "elliptic.py") == []
+
+
+def test_store_checker_sees_each_bypass():
+    source = """
+from .elliptic import _WORKSPACES, _workspace
+import attrep.elliptic as elliptic
+elliptic._WORKSPACES.entries.clear()
+real = _workspace(shape)[0]
+x, y = elliptic._workspace(shape)[3:5]
+a, b, *rest = _workspace(shape)
+scratch = _workspace(shape).scratch
+work = _workspace(shape)
+"""
+    assert store_bypasses(source, owner=False) == [
+        "2: _WORKSPACES",
+        "4: _WORKSPACES",
+        "5: subscript",
+        "6: subscript",
+        "7: unpack",
+    ]
+    assert store_bypasses(source, owner=True) == ["5: subscript", "6: subscript", "7: unpack"]

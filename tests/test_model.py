@@ -144,6 +144,12 @@ class TestDomainSpec:
         with pytest.raises(ValueError, match="real lengths and integer cell counts"):
             DomainSpec(lengths, cells)
 
+    @pytest.mark.parametrize("cells", [(0, 4), (4, -1), (10**400, 10**400)])
+    def test_cell_counts_out_of_range_rejected(self, cells):
+        # a count beyond the float range has no cell size
+        with pytest.raises(ValueError, match="cell counts must be >= 1"):
+            DomainSpec((1.0, 1.0), cells)
+
     def test_numbers_stored_as_float_lengths_and_int_cells(self):
         dom = DomainSpec((1, np.float32(1.0)), (np.int64(16), 16))
         assert dom.lengths == (1.0, 1.0) and dom.cells == (16, 16)
@@ -395,15 +401,20 @@ VALUE_OBJECTS = [
 ]
 
 
+# Each non-finite value with its test id; an int beyond the float range is
+# an infinity.
+NON_FINITE = [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (10**400, "10**400"), (-(10**400), "-10**400")]
+
+
 def _non_finite_cases():
     for obj, names in VALUE_OBJECTS:
         label = type(obj).__name__ + (f"-{obj.kind}" if isinstance(obj, InitialData) else "")
         for name in names:
             value = getattr(obj, name)
             for index in range(len(value)) if isinstance(value, tuple) else (None,):
-                for bad in (math.nan, math.inf, -math.inf):
+                for bad, tag in NON_FINITE:
                     leaf = name if index is None else f"{name}[{index}]"
-                    yield pytest.param(obj, name, index, bad, id=f"{label}.{leaf}={bad}")
+                    yield pytest.param(obj, name, index, bad, id=f"{label}.{leaf}={tag}")
 
 
 class TestNonFiniteRejected:

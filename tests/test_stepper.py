@@ -1098,8 +1098,6 @@ def work_memory_case(n, scheme, delta, lengths=(1.0, 1.0)):
     return initial_state(bump_field(dom, width=0.08), params), params, StepperConfig(scheme=scheme)
 
 
-# The store's keys (elliptic._workspace), as the README lists them.
-STORE_KEYS = {"fft", "scratch"}
 # numpy allocates, for a ufunc call over a strided or broadcast operand, an
 # iteration buffer of up to np.getbufsize() items of it: 128 KiB for the
 # complex twiddle products of the rfft pair, one field at 128^2.
@@ -1173,8 +1171,8 @@ class TestStepWorkMemory:
         # the distinct arrays behind the store's entries, each view traced
         # to the array that owns its memory
         owners = {}
-        for arrays in elliptic._WORKSPACES.arrays.values():
-            for array in arrays if isinstance(arrays, tuple) else (arrays,):
+        for entry in elliptic._WORKSPACES.entries.values():
+            for array in entry:
                 while array.base is not None:
                     array = array.base
                 owners[id(array)] = array
@@ -1185,21 +1183,38 @@ class TestStepWorkMemory:
         # Warm runs of both schemes, sampled every step, leave at most three
         # store arrays for the grid, whichever transform backend it takes:
         # the face drops and the IMEX denominators have none of their own.
-        # Every entry is under the README's keys, and no view is a (2, N, N)
-        # stack.
-        elliptic._WORKSPACES.arrays.clear()
+        # The store holds one entry, keyed by the grid's shape, and no view
+        # is a (2, N, N) stack.
+        elliptic._WORKSPACES.entries.clear()
         diagnostics = DiagnosticsConfig(ps=(2.0, 1.5), every=1)
         for scheme in SCHEMES:
             state, params, cfg = work_memory_case(n, scheme, 1.0)
             t_end = 2.5 * stable_dt(state, params, cfg)
             for _ in range(2):
                 run(state, params, cfg, t_end, diagnostics=diagnostics)
-        store = elliptic._WORKSPACES.arrays
-        assert {name for name, _ in store} == STORE_KEYS
+        store = elliptic._WORKSPACES.entries
+        assert list(store) == [(n, n)]
         assert len(self.store_arrays()) <= 3
-        for arrays in store.values():
-            for array in arrays if isinstance(arrays, tuple) else (arrays,):
-                assert array.ndim == 2
+        assert all(array.ndim == 2 for array in store[n, n])
+
+    def test_store_keeps_six_grids(self):
+        # Seven grids on one thread leave six entries, the least recently
+        # used dropped; a grid used again moves to the back, and a dropped
+        # grid's transforms, built anew, keep their bits.
+        elliptic._WORKSPACES.entries.clear()
+        store = elliptic._WORKSPACES.entries
+        shapes = [(65 + k, 66) for k in range(7)]
+        rng = np.random.default_rng(5)
+        fields = [rng.random(shape) for shape in shapes]
+        coeffs = [elliptic._forward(field.copy()) for field in fields[:6]]
+        first = elliptic._workspace(shapes[0])
+        elliptic._forward(fields[6].copy())
+        assert list(store) == [*shapes[2:6], shapes[0], shapes[6]]
+        assert store[shapes[0]] is first
+        dropped = elliptic._forward(fields[1].copy())
+        assert list(store) == [*shapes[3:6], shapes[0], shapes[6], shapes[1]]
+        assert dropped.tobytes() == coeffs[1].tobytes()
+        assert elliptic._inverse(dropped).tobytes() == elliptic._inverse(coeffs[1]).tobytes()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_cold_run_high_water(self, scheme):
@@ -1213,7 +1228,7 @@ class TestStepWorkMemory:
         t_end = 2.5 * stable_dt(state, params, cfg)
         diagnostics = DiagnosticsConfig(every=10)
         run(state, params, cfg, t_end, diagnostics=diagnostics)
-        elliptic._WORKSPACES.arrays.clear()
+        elliptic._WORKSPACES.entries.clear()
         tracemalloc.start()
         try:
             result = run(state, params, cfg, t_end, diagnostics=diagnostics)
@@ -1225,13 +1240,13 @@ class TestStepWorkMemory:
         assert peak < 5.5 * state.u.values.nbytes
 
     def test_readme_lists_store_keys(self):
-        # the README's list of the store's keys, one bullet each, up to the
-        # next blank line
+        # the README's list of the fields of a grid's entry, one bullet
+        # each, in order, up to the next blank line
         lines = (REPO_ROOT / "README.md").read_text().splitlines()
-        start = lines.index("One grid takes at most three arrays, under two keys:") + 2
+        start = lines.index("A grid's entry names its arrays and views:") + 2
         block = itertools.takewhile(str.strip, lines[start:])
-        keys = [line.split("`")[1] for line in block if line.startswith("- `")]
-        assert len(keys) == len(STORE_KEYS) and set(keys) == STORE_KEYS
+        fields = [line.split("`")[1] for line in block if line.startswith("- `")]
+        assert fields == list(elliptic._GridWork._fields)
 
     @pytest.mark.parametrize(
         "n, lengths",
@@ -1256,8 +1271,8 @@ class TestStepWorkMemory:
             run(other, params, cfg, other.t + 1.5 * stable_dt(other, params, cfg))
             sample(other, params, diagnostics)
             solve_signals(other.u, params)
-            for arrays in elliptic._WORKSPACES.arrays.values():
-                for array in arrays if isinstance(arrays, tuple) else (arrays,):
+            for entry in elliptic._WORKSPACES.entries.values():
+                for array in entry:
                     array.fill(0.0)
 
         want = run(state, params, cfg, t_end, diagnostics=diagnostics)
