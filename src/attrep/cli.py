@@ -5,7 +5,9 @@ bounds (emit the analytic-constants report as JSON), sweep (run one config
 across a parameter axis, in a pool of at most one worker per point, and
 tabulate predictions against outcomes), classify (print the regime for a
 configuration). simulate and sweep attach the bounds report only where
-classify_regime says the theorem applies.
+classify_regime says the theorem applies. Only a sweep of two or more
+workers imports the process pool, so no other command loads
+multiprocessing and its dependencies.
 
 Exit codes: 0 for Completed or SteadyDetected, 2 for BlowupSuspected, 1 for
 configuration or validation errors.
@@ -18,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from itertools import repeat
 from pathlib import Path
@@ -239,6 +240,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     if workers == 1:
         rows = list(map(_sweep_point, repeat(cfg), values, dirs))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, repeat(cfg), values, dirs))
 
@@ -387,7 +390,7 @@ def main(argv=None) -> int:
             if args.t_end is not None:
                 cfg = replace(cfg, t_end=number("t_end", args.t_end))
             if args.snapshot_every is not None:
-                cfg = replace(cfg, snapshot_every=integer(0)("--snapshot-every", args.snapshot_every))
+                cfg = replace(cfg, snapshot_every=integer(0)("outputs.snapshot_every", args.snapshot_every))
             if args.blowup_threshold is not None:
                 cfg = replace(cfg, blowup_threshold=number("blowup_threshold", args.blowup_threshold))
             if args.scheme is not None:

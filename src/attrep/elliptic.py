@@ -23,14 +23,18 @@ form of Makhoul (A fast cosine transform in one and two dimensions, IEEE
 TASSP 28, 1980): the samples reordered (even ones, then odd ones reversed),
 one rfft, a twiddle e^{-i pi k / 2N} per mode, and the real DCT read off as
 X[k] = Re Z[k], X[N - k] = -Im Z[k]. The inverse runs the same steps
-backwards with irfft. Every reusable whole-field buffer of a step or a
-sample is an array of the grid's one entry in the calling thread's store
-(_workspace, its arrays named by _GridWork): the transform arrays, which
-the step's face drops and the IMEX denominators borrow while no transform
-runs, and the one work field `scratch`. So a warm rfft pair allocates none
-and a warm step only what it returns and the drift it reads (README,
-Performance). None is held across a call out of the step, so a callback may
-step, sample or solve on the same grid.
+backwards with irfft. The pair calls them as np.fft.rfft and np.fft.irfft,
+so numpy loads its fft module on the first transform above the cutoff and a
+process that never makes one does not load it.
+
+Every reusable whole-field buffer of a step or a sample is an array of the
+grid's one entry in the calling thread's store (_workspace, its arrays
+named by _GridWork): the transform arrays, which the step's face drops and
+the IMEX denominators borrow while no transform runs, and the one work
+field `scratch`. So a warm rfft pair allocates none and a warm step only
+what it returns and the drift it reads (README, Performance). None is held
+across a call out of the step, so a callback may step, sample or solve on
+the same grid.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.fft import irfft, rfft
 
 from .errors import NegativeDensity, NonPositiveKappa, SolverDiverged
 from .grid import Field, require_finite
@@ -187,14 +190,14 @@ def _forward(buf: np.ndarray) -> np.ndarray:
     hx, hy = nx // 2 + 1, ny // 2 + 1
     np.copyto(real[:, :my], buf[:, 0::2])
     np.copyto(real[:, my:], buf[:, 1::2][:, ::-1])
-    rfft(real, axis=1, out=along_y)
+    np.fft.rfft(real, axis=1, out=along_y)
     along_y *= _twiddles(ny)[0]
     re, im = along_y.real, along_y.imag
     np.copyto(buf[:mx, :hy], re[0::2])
     np.copyto(buf[mx:, :hy], re[1::2][::-1])
     np.negative(im[0::2, ny - hy : 0 : -1], out=buf[:mx, hy:])
     np.negative(im[1::2, ny - hy : 0 : -1][::-1], out=buf[mx:, hy:])
-    rfft(buf, axis=0, out=along_x)
+    np.fft.rfft(buf, axis=0, out=along_x)
     along_x *= _twiddles(nx)[0][:, None]
     np.copyto(buf[:hx], along_x.real)
     np.negative(along_x.imag[nx - hx : 0 : -1], out=buf[hx:])
@@ -217,7 +220,7 @@ def _inverse(buf: np.ndarray) -> np.ndarray:
     along_x.imag[0] = 0.0
     np.negative(buf[mx:][::-1], out=along_x.imag[1:])
     along_x *= _twiddles(nx)[1][:, None]
-    irfft(along_x, n=nx, axis=0, out=real)
+    np.fft.irfft(along_x, n=nx, axis=0, out=real)
     re, im = along_y.real, along_y.imag
     np.copyto(re[0::2], real[:mx, :hy])
     np.copyto(re[1::2], real[mx:, :hy][::-1])
@@ -225,7 +228,7 @@ def _inverse(buf: np.ndarray) -> np.ndarray:
     np.negative(real[:mx, my:][:, ::-1], out=im[0::2, 1:])
     np.negative(real[mx:, my:][::-1, ::-1], out=im[1::2, 1:])
     along_y *= _twiddles(ny)[1]
-    irfft(along_y, n=ny, axis=1, out=real)
+    np.fft.irfft(along_y, n=ny, axis=1, out=real)
     np.copyto(buf[:, 0::2], real[:, :my])
     np.copyto(buf[:, 1::2], real[:, my:][:, ::-1])
     return buf

@@ -52,6 +52,13 @@ def _float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _require_in_range(what: str, value) -> None:
+    """Refuse an int beyond the float range by its range, named by `what`,
+    before a sign or bound rule would report it with all its digits."""
+    if isinstance(value, numbers.Integral) and math.isinf(_float(value)):
+        raise ValueError(f"{what} must lie within the float range, got an integer beyond it")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coefficients of the coupled system; `dim` is the space dimension n.
@@ -149,11 +156,14 @@ class BumpSpec:
         for name in ("width", "amplitude"):
             if not _is(numbers.Real, getattr(self, name)):
                 raise ValueError(f"bump {name} must be a real number, got {getattr(self, name)!r}")
+            _require_in_range(f"bump {name}", getattr(self, name))
         if not 0.0 <= _float(self.amplitude) < math.inf:
             raise NegativeAmplitude(f"bump amplitude must be >= 0, got {self.amplitude}")
         if not 0.0 < _float(self.width) < math.inf:
             raise ValueError(f"bump width must be positive, got {self.width}")
         pair = isinstance(self.center, tuple) and len(self.center) == 2
+        for c in self.center if pair else ():
+            _require_in_range("bump center", c)
         if not (pair and all(_is(numbers.Real, c) and math.isfinite(_float(c)) for c in self.center)):
             raise ValueError(f"bump center must be a pair of finite real numbers, got {self.center!r}")
 
@@ -181,8 +191,11 @@ class InitialData:
         reads = _INITIAL_KINDS[self.kind][1]
         for name in ("amplitude", "width", "mass"):
             value = getattr(self, name)
-            if (name in reads or name == "mass" and value is not None) and not _is(numbers.Real, value):
+            if name not in reads and (name != "mass" or value is None):
+                continue
+            if not _is(numbers.Real, value):
                 raise ValueError(f"initial data {name} must be a real number, got {value!r}")
+            _require_in_range(f"initial data {name}", value)
         if "width" in reads:  # one bump, checked as a BumpSpec; a None center is dom's middle
             BumpSpec(self.center if self.center is not None else (0.0, 0.0), self.width, self.amplitude)
         elif "amplitude" in reads and not 0.0 <= _float(self.amplitude) < math.inf:

@@ -56,7 +56,7 @@ from .diagnostics import DiagnosticsConfig, backfill_rate_estimates, sample
 from .elliptic import _check_density, _drift_potential, _implicit_solve, _workspace
 from .errors import NegativeDensity, NonFiniteState, SolverDiverged
 from .grid import Field, integrate, require_finite
-from .model import ModelParams, _float, _is
+from .model import ModelParams, _float, _is, _require_in_range
 
 _SCHEMES = {"explicit-upwind": (True, lambda values, dt, dom: values), "imex-diffusion": (False, _implicit_solve)}
 SCHEMES = tuple(_SCHEMES)
@@ -88,6 +88,7 @@ class StepperConfig:
         for name in ("dt_max", "cfl_safety", "dt_min"):
             if not _is(numbers.Real, getattr(self, name)):
                 raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+            _require_in_range(name, getattr(self, name))
         if not (0.0 < _float(self.cfl_safety) <= 1.0):
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if not (0.0 < _float(self.dt_min) < _float(self.dt_max) < math.inf):

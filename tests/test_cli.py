@@ -8,6 +8,7 @@ import inspect
 import itertools
 import json
 import math
+import concurrent.futures
 import re
 from concurrent.futures import Executor, Future
 from dataclasses import replace
@@ -16,7 +17,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import attrep.cli as cli
 from attrep import BumpSpec, DomainSpec, Field, InitialData, ModelParams, compute_bounds
 from attrep.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, main
 from attrep.config import _SCHEMA, from_dict, load_config, sweep_point
@@ -566,7 +566,8 @@ class TestSimulate:
         cfg = write_config(tmp_path)
         out_dir = tmp_path / "run"
         assert main(["simulate", cfg, "--out", str(out_dir), "--snapshot-every", "-3"]) == EXIT_ERROR
-        assert "--snapshot-every" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: config field 'outputs.snapshot_every': expected an integer >= 0, got -3\n"
         assert not out_dir.exists()
 
     def test_dim_other_than_two_rejected(self, tmp_path, capsys):
@@ -923,7 +924,7 @@ class TestSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         if source == "env":
             monkeypatch.setenv("SIM_WORKERS", "64")
         workers = {"workers": 64} if source == "config" else {}

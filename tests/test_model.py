@@ -417,6 +417,20 @@ def _non_finite_cases():
                     yield pytest.param(obj, name, index, bad, id=f"{label}.{leaf}={tag}")
 
 
+def _beyond_float_cases():
+    """The ±10**400 cases of the objects whose rules name no infinity."""
+    for case in _non_finite_cases():
+        obj, _, _, bad = case.values
+        if isinstance(bad, int) and isinstance(obj, (BumpSpec, InitialData, StepperConfig)):
+            yield case
+
+
+def _replaced(obj, name, index, bad):
+    """obj with field `name`, or its entry `index`, set to bad."""
+    value = bad if index is None else getattr(obj, name)[:index] + (bad,) + getattr(obj, name)[index + 1 :]
+    return replace(obj, **{name: value})
+
+
 class TestNonFiniteRejected:
     def test_every_float_field_listed(self):
         listed = {}
@@ -427,6 +441,14 @@ class TestNonFiniteRejected:
 
     @pytest.mark.parametrize("obj, name, index, bad", _non_finite_cases())
     def test_rejected_when_built(self, obj, name, index, bad):
-        value = bad if index is None else getattr(obj, name)[:index] + (bad,) + getattr(obj, name)[index + 1 :]
         with pytest.raises((ValueError, SimulationError)):
-            replace(obj, **{name: value})
+            _replaced(obj, name, index, bad)
+
+    @pytest.mark.parametrize("obj, name, index, bad", _beyond_float_cases())
+    def test_int_beyond_float_range_named(self, obj, name, index, bad):
+        # Their sign and bound rules would report the int with all its digits.
+        with pytest.raises(ValueError) as info:
+            _replaced(obj, name, index, bad)
+        message = str(info.value)
+        assert name in message and "float range" in message
+        assert len(message) < 120

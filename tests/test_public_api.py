@@ -3,10 +3,13 @@ up as a diff of this test, and its runtime imports."""
 
 import dataclasses
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import attrep
 
@@ -98,11 +101,69 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 
 
-def test_runs_without_scipy():
-    # scipy is a test oracle only; a fresh interpreter never loads it.
+def _fresh(script, *args):
+    """The stdout of script, run in a fresh interpreter with args."""
     src = Path(attrep.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("SIM_WORKERS", None)
     done = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_runs_without_scipy():
+    # scipy is a test oracle only; a fresh interpreter never loads it.
+    assert _fresh(_WITHOUT_SCIPY) == "[]"
+
+
+# The modules only some runs use: the process pool of a sweep of two or more
+# workers, and numpy's fft module of a transform above 64 a side.
+_HEAVY = ("concurrent", "multiprocessing", "numpy.fft")
+_LOADED = """
+import sys
+from attrep.cli import main
+{run}
+print(sorted(name for name in sys.modules if name.startswith({heavy!r})))
+"""
+_COMMANDS = {
+    "import": "",
+    "simulate": "assert main(['simulate', sys.argv[1], '--out', sys.argv[2]]) == 0",
+    "sweep": "assert main(['sweep', sys.argv[1], '--out', sys.argv[2]]) == 0",
+}
+# At the 64-a-side cutoff: every transform is a matrix product.
+_RUN_CONFIG = {
+    "domain": {"lengths": [1.0, 1.0], "cells": [64, 64]},
+    "params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "delta": 1.0, "chi": 1.0, "xi": 1.0, "rho": 0.5},
+    "initial": {"kind": "gaussian-bump", "center": [0.5, 0.5], "width": 0.1, "mass": 2.0},
+    "diagnostics": {"p": [2.0], "sample_every": 1},
+    "outputs": {"snapshot_every": 1},
+    "sweep": {"axis": "initial.mass", "values": [1.0, 2.0]},
+    "t_end": 1e-4,
+    "workers": 1,
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_run_at_64_loads_no_pool_or_fft(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_RUN_CONFIG))
+    script = _LOADED.format(run=_COMMANDS[command], heavy=_HEAVY)
+    assert _fresh(script, str(cfg), str(tmp_path / "out")).splitlines()[-1] == "[]"
+    if command != "import":
+        assert (tmp_path / "out" / ("regime_map.csv" if command == "sweep" else "summary.json")).exists()
+
+
+def test_a_step_above_64_loads_fft():
+    script = """
+import sys
+import numpy as np
+from attrep import DomainSpec, Field, ModelParams, StepperConfig, initial_state, step
+dom = DomainSpec((1.0, 1.0), (72, 72))
+params = ModelParams(1.0, 1.0, 1.0, 1.0, chi=1.0, xi=1.0, rho=0.5)
+u = Field(1.0 + np.random.default_rng(0).uniform(size=dom.cells), dom)
+print("numpy.fft" in sys.modules)
+step(initial_state(u, params), params, StepperConfig())
+print("numpy.fft" in sys.modules)
+"""
+    assert _fresh(script).split() == ["False", "True"]
